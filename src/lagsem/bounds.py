@@ -22,6 +22,8 @@ import numpy as np
 
 from .critical import rho
 from .heat import (
+    axis_product,
+    delta_kernel,
     delta_kernel_1d,
     kernel_1d_closed,
     operator_expansion,
@@ -29,7 +31,7 @@ from .heat import (
     partial_delta_kernel_1d,
     shifted_adjoint_kernel_1d,
 )
-from .special import MultiOrder
+from .special import MultiOrder, as_order
 
 __all__ = [
     "BoundFamily",
@@ -433,23 +435,15 @@ def adjoint_shifted_family(nu: float, m: int, k: int, ell: int) -> BoundFamily:
 
 def product_delta_family(order: MultiOrder, m) -> BoundFamily:
     """n-D product kernel: |delta^m p_t| <= C t^(-(n+|m|)/2) Gaussian W^-(nu_min+1/2)."""
-    order = order if isinstance(order, MultiOrder) else MultiOrder(order)
+    order = as_order(order)
     m = tuple(int(v) for v in np.atleast_1d(m))
     gamma = order.nu_min + 0.5
     total = sum(m)
-
-    def lhs(t, x, y):
-        val = None
-        for j, (nuj, mj) in enumerate(zip(order.nu, m)):
-            f = delta_kernel_1d(nuj, mj, t, x[:, j], y[:, j])
-            val = f if val is None else val * f
-        return val
-
     return BoundFamily(
         family_id=f"product-delta-size[nu={list(order.nu)},m={list(m)}]",
         order=order,
         decay_exponent=gamma,
-        lhs=lhs,
+        lhs=lambda t, x, y: delta_kernel(order, m, t, x, y),
         prefactor=lambda t, x, y: t ** (-(order.n + total) / 2.0)
         * _w_weight(order, t, x, y, gamma),
     )
@@ -457,18 +451,17 @@ def product_delta_family(order: MultiOrder, m) -> BoundFamily:
 
 def product_partial_family(order: MultiOrder, k, j) -> BoundFamily:
     """n-D mixed partial/annihilation derivative size bound."""
-    order = order if isinstance(order, MultiOrder) else MultiOrder(order)
+    order = as_order(order)
     k = tuple(int(v) for v in np.atleast_1d(k))
     j = tuple(int(v) for v in np.atleast_1d(j))
     gamma = order.nu_min + 0.5
     ktot, jtot = sum(k), sum(j)
 
     def lhs(t, x, y):
-        val = None
-        for ax, (nuj, kj, jj) in enumerate(zip(order.nu, k, j)):
-            f = partial_delta_kernel_1d(nuj, kj, jj, t, x[:, ax], y[:, ax])
-            val = f if val is None else val * f
-        return val
+        return axis_product(
+            order, x, y,
+            lambda ax, xa, ya: partial_delta_kernel_1d(order.nu[ax], k[ax], j[ax], t, xa, ya),
+        )
 
     def prefactor(t, x, y):
         rx = np.atleast_1d(rho(order, x))
@@ -489,7 +482,7 @@ def product_partial_family(order: MultiOrder, k, j) -> BoundFamily:
 
 def product_adjoint_family(order: MultiOrder, m: int, k, ell) -> BoundFamily:
     """n-D |L^m (delta*)^k p^(nu+ell)|; generator powers distribute over axes."""
-    order = order if isinstance(order, MultiOrder) else MultiOrder(order)
+    order = as_order(order)
     k = tuple(int(v) for v in np.atleast_1d(k))
     ell = tuple(int(v) for v in np.atleast_1d(ell))
     if m not in (0, 1):
@@ -497,24 +490,18 @@ def product_adjoint_family(order: MultiOrder, m: int, k, ell) -> BoundFamily:
     gamma = order.nu_min + 0.5
     ktot = sum(k)
 
-    def axis_factor(ax, mj, t, x, y):
-        return shifted_adjoint_kernel_1d(order.nu[ax], mj, k[ax], ell[ax], t, x[:, ax], y[:, ax])
-
     def lhs(t, x, y):
+        def term(which):  # the generator acts on axis `which` only (None: nowhere)
+            return axis_product(
+                order, x, y,
+                lambda ax, xa, ya: shifted_adjoint_kernel_1d(
+                    order.nu[ax], int(ax == which), k[ax], ell[ax], t, xa, ya
+                ),
+            )
+
         if m == 0:
-            val = None
-            for ax in range(order.n):
-                f = axis_factor(ax, 0, t, x, y)
-                val = f if val is None else val * f
-            return val
-        total = 0.0
-        for which in range(order.n):
-            val = None
-            for ax in range(order.n):
-                f = axis_factor(ax, 1 if ax == which else 0, t, x, y)
-                val = f if val is None else val * f
-            total = total + val
-        return total
+            return term(None)
+        return sum(term(which) for which in range(order.n))  # L = sum_j L_j
 
     return BoundFamily(
         family_id=f"product-adjoint-size[nu={list(order.nu)},m={m},k={list(k)},ell={list(ell)}]",
@@ -526,31 +513,32 @@ def product_adjoint_family(order: MultiOrder, m: int, k, ell) -> BoundFamily:
     )
 
 
+def _riesz_prefactor(order: MultiOrder, x, y):
+    """Riesz size majorant |x-y|^(-n) (1 + |x-y|/rho(x) + |x-y|/rho(y))^(-gamma)."""
+    xx = x if np.asarray(x).ndim > 1 else np.asarray(x)[:, None]
+    yy = y if np.asarray(y).ndim > 1 else np.asarray(y)[:, None]
+    d = np.sqrt(_dist2(x, y))
+    w = 1.0 + d / np.atleast_1d(rho(order, xx)) + d / np.atleast_1d(rho(order, yy))
+    return d ** (-float(order.n)) * w ** (-(order.nu_min + 0.5))
+
+
 def riesz_size_family(order: MultiOrder, k) -> BoundFamily:
     """Riesz kernel size |K(x,y)| |x-y|^n (1 + |x-y|/rho)^gamma <= C."""
     from .operators import riesz_kernel  # deferred to avoid an import cycle
 
-    order = order if isinstance(order, MultiOrder) else MultiOrder(order)
+    order = as_order(order)
     k = tuple(int(v) for v in np.atleast_1d(k))
     gamma = order.nu_min + 0.5
-    n = order.n
 
     def lhs(t, x, y):
         return riesz_kernel(order, k, x, y)
-
-    def prefactor(t, x, y):
-        xx = x if np.asarray(x).ndim > 1 else np.asarray(x)[:, None]
-        yy = y if np.asarray(y).ndim > 1 else np.asarray(y)[:, None]
-        d = np.sqrt(_dist2(x, y))
-        w = 1.0 + d / np.atleast_1d(rho(order, xx)) + d / np.atleast_1d(rho(order, yy))
-        return d ** (-float(n)) * w ** (-gamma)
 
     return BoundFamily(
         family_id=f"riesz-size[nu={list(order.nu)},k={list(k)}]",
         order=order,
         decay_exponent=gamma,
         lhs=lhs,
-        prefactor=prefactor,
+        prefactor=lambda t, x, y: _riesz_prefactor(order, x, y),
         gaussian=False,
     )
 
@@ -559,10 +547,9 @@ def riesz_heat_size_family(order: MultiOrder, k) -> BoundFamily:
     """Heat-composed Riesz kernels, uniform in the extra time parameter."""
     from .operators import riesz_heat_composite_kernel
 
-    order = order if isinstance(order, MultiOrder) else MultiOrder(order)
+    order = as_order(order)
     k = tuple(int(v) for v in np.atleast_1d(k))
     gamma = order.nu_min + 0.5
-    n = order.n
 
     def lhs(t, x, y):
         out = np.empty(np.asarray(t).shape)
@@ -571,19 +558,12 @@ def riesz_heat_size_family(order: MultiOrder, k) -> BoundFamily:
             out[m] = riesz_heat_composite_kernel(order, k, float(tv), x[m], y[m])
         return out
 
-    def prefactor(t, x, y):
-        xx = x if np.asarray(x).ndim > 1 else np.asarray(x)[:, None]
-        yy = y if np.asarray(y).ndim > 1 else np.asarray(y)[:, None]
-        d = np.sqrt(_dist2(x, y))
-        w = 1.0 + d / np.atleast_1d(rho(order, xx)) + d / np.atleast_1d(rho(order, yy))
-        return d ** (-float(n)) * w ** (-gamma)
-
     return BoundFamily(
         family_id=f"riesz-heat-size[nu={list(order.nu)},k={list(k)}]",
         order=order,
         decay_exponent=gamma,
         lhs=lhs,
-        prefactor=prefactor,
+        prefactor=lambda t, x, y: _riesz_prefactor(order, x, y),
         gaussian=False,
     )
 

@@ -136,9 +136,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--suite", default="all", choices=SUITE_NAMES)
     p_run.add_argument("--out", help="write the JSON report here")
     p_run.add_argument("--seed", type=int, help="override the configured seed")
-    p_run.add_argument(
-        "--jobs", type=int, default=1, help="worker bound (execution is serial)"
-    )
     p_run.set_defaults(fn=_cmd_run)
 
     p_dump = sub.add_parser("dump", help="dump a kernel table as CSV")
@@ -157,8 +154,6 @@ def main(argv=None) -> int:
     p_check.set_defaults(fn=_cmd_config_check)
 
     args = parser.parse_args(argv)
-    if getattr(args, "jobs", 1) is not None and getattr(args, "jobs", 1) < 1:
-        parser.error("--jobs must be at least 1")
     if getattr(args, "t", None) is None and args.command == "dump":
         args.t = [0.25, 1.0]
     try:

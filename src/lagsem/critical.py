@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .special import MultiOrder
+from .special import MultiOrder, as_order
 
 __all__ = [
     "rho",
@@ -19,6 +19,11 @@ __all__ = [
     "build_covering",
 ]
 
+# Largest candidate lattice build_covering accepts.  The greedy sweep holds
+# the lattice and a Python key per candidate, so memory and time grow with
+# this count; the 2-D covering of [0.4, 1.6]^2 has 231,361 candidates.
+MAX_COVERING_CANDIDATES = 1_000_000
+
 
 def rho(order: MultiOrder, x):
     """Critical scale (1/16) min{1/|x|, 1, x_j for active axes}.
@@ -27,8 +32,7 @@ def rho(order: MultiOrder, x):
     constant entry 1 is always part of the minimum, so rho <= 1/16
     everywhere.
     """
-    if not isinstance(order, MultiOrder):
-        order = MultiOrder(order)
+    order = as_order(order)
     x = np.asarray(x, dtype=float)
     if x.ndim == 0:
         x = x[None]
@@ -82,8 +86,7 @@ def check_slow_variation(
     Base points are log-uniform in the box, companions uniform in the
     dilated ball intersected with the open orthant.
     """
-    if not isinstance(order, MultiOrder):
-        order = MultiOrder(order)
+    order = as_order(order)
     rng = np.random.default_rng(seed)
     n = order.n
     xs = np.exp(rng.uniform(math.log(box_lo), math.log(box_hi), size=(n_pairs, n)))
@@ -250,8 +253,7 @@ def build_covering(order: MultiOrder, box_lo, box_hi, min_margin: float = 0.05) 
     The box must stay at least ``min_margin`` away from the coordinate
     hyperplanes; coverings of boxes touching the boundary are not defined.
     """
-    if not isinstance(order, MultiOrder):
-        order = MultiOrder(order)
+    order = as_order(order)
     lo = np.broadcast_to(np.asarray(box_lo, dtype=float), (order.n,)).copy()
     hi = np.broadcast_to(np.asarray(box_hi, dtype=float), (order.n,)).copy()
     if np.any(hi <= lo):
@@ -266,6 +268,12 @@ def build_covering(order: MultiOrder, box_lo, box_hi, min_margin: float = 0.05) 
     spacing = rho_min / 10.0
 
     axes = [np.arange(a, b + 0.5 * spacing, spacing) for a, b in zip(lo, hi)]
+    n_candidates = math.prod(ax.size for ax in axes)
+    if n_candidates > MAX_COVERING_CANDIDATES:
+        raise ValueError(
+            f"covering lattice would have {n_candidates} candidates "
+            f"(limit {MAX_COVERING_CANDIDATES}); use a smaller box"
+        )
     lattice = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, order.n)
     lattice_rho = np.atleast_1d(rho(order, lattice))
 

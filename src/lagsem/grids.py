@@ -96,11 +96,6 @@ class Grid:
         mesh = np.meshgrid(*(ax.nodes for ax in self.axes), indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
-    def evaluate(self, fn) -> "GridFunction":
-        pts = self.points()
-        vals = np.asarray([fn(p) for p in pts], dtype=float).reshape(self.shape)
-        return GridFunction(self, vals)
-
 
 @dataclass
 class GridFunction:

@@ -20,7 +20,7 @@ import numpy as np
 from .critical import Ball, rho
 from .grids import Grid, GridFunction, gauss_legendre_axis
 from .operators import maximal_function
-from .special import MultiOrder
+from .special import MultiOrder, as_order
 
 __all__ = [
     "Atom",
@@ -42,8 +42,7 @@ def moment_degree(order: MultiOrder, p: float) -> int:
     """Highest vanishing-moment degree required of an atom for exponent p."""
     if not 0.0 < p <= 1.0:
         raise ValueError("the atomic exponent must lie in (0, 1]")
-    if not isinstance(order, MultiOrder):
-        order = MultiOrder(order)
+    order = as_order(order)
     return int(math.floor(order.n * (1.0 / p - 1.0)))
 
 
@@ -191,8 +190,7 @@ def random_atom(
     cutoff-weighted minimizing polynomial kills the required moments
     exactly, and the result is rescaled to saturate the size bound.
     """
-    if not isinstance(order, MultiOrder):
-        order = MultiOrder(order)
+    order = as_order(order)
     if rng is None:
         rng = np.random.default_rng(seed)
     for _ in range(max_tries):
@@ -255,8 +253,7 @@ def hardy_norm_maximal(
     and the evaluation box is a thirty-radius dilation of the support
     (truncation outside contributes only the far tail of |Mf|^p).
     """
-    if not isinstance(order, MultiOrder):
-        order = MultiOrder(order)
+    order = as_order(order)
     if not 0.0 < p <= 1.0:
         raise ValueError("the exponent must lie in (0, 1]")
     if isinstance(f, Atom):
@@ -318,8 +315,7 @@ def bmo_norm(
     scales around rho/8.  Different q give comparable values (the space
     does not depend on q); q = 1 is the default.
     """
-    if not isinstance(order, MultiOrder):
-        order = MultiOrder(order)
+    order = as_order(order)
     if not 0.0 < p <= 1.0:
         raise ValueError("the exponent must lie in (0, 1]")
     if q < 1.0:

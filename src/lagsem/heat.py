@@ -20,12 +20,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .special import MultiOrder, ive, laguerre_function_table
+from .special import MultiOrder, as_order, ive, laguerre_function_table
 
 __all__ = [
     "kernel_1d_closed",
     "kernel_1d_raw",
     "kernel_nd",
+    "axis_product",
     "kernel_spectral",
     "delta_kernel",
     "delta_kernel_1d",
@@ -101,19 +102,27 @@ def kernel_1d_raw(nu: float, t, x, y):
     return val if val.ndim else float(val)
 
 
-def kernel_nd(order: MultiOrder, t, x, y):
-    """Product kernel on the positive orthant; x, y have shape (..., n)."""
-    if not isinstance(order, MultiOrder):
-        order = MultiOrder(order)
+def axis_product(order: MultiOrder, x, y, factor):
+    """Product over axes j of factor(j, x[..., j], y[..., j]).
+
+    x and y have shape (..., n).  The factors are multiplied in axis
+    order, f_0 * f_1 * ... * f_(n-1), so every n-D kernel built from 1-D
+    kernels rounds the same way.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.shape[-1] != order.n or y.shape[-1] != order.n:
+    if x.shape[-1:] != (order.n,) or y.shape[-1:] != (order.n,):
         raise ValueError("point dimension does not match order dimension")
-    val = None
-    for j, nuj in enumerate(order.nu):
-        factor = kernel_1d_closed(nuj, t, x[..., j], y[..., j])
-        val = factor if val is None else val * factor
+    val = factor(0, x[..., 0], y[..., 0])
+    for j in range(1, order.n):
+        val = val * factor(j, x[..., j], y[..., j])
     return val
+
+
+def kernel_nd(order: MultiOrder, t, x, y):
+    """Product kernel on the positive orthant; x, y have shape (..., n)."""
+    order = as_order(order)
+    return axis_product(order, x, y, lambda j, xj, yj: kernel_1d_closed(order.nu[j], t, xj, yj))
 
 
 # ---------------------------------------------------------------------------
@@ -265,22 +274,16 @@ def delta_kernel(order: MultiOrder, m, t, x, y):
     m is a multi-index; axis j receives m_j annihilation derivatives in
     the x_j variable.  x, y have shape (..., n).
     """
-    if not isinstance(order, MultiOrder):
-        order = MultiOrder(order)
+    order = as_order(order)
     m = np.atleast_1d(np.asarray(m))
     if m.size != order.n:
         raise ValueError("derivative multi-index length does not match dimension")
     if np.any(m < 0) or not np.all(m == m.astype(int)):
         raise ValueError("derivative multi-index entries must be nonnegative integers")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape[-1] != order.n or y.shape[-1] != order.n:
-        raise ValueError("point dimension does not match order dimension")
-    val = None
-    for j, (nuj, mj) in enumerate(zip(order.nu, m.astype(int))):
-        factor = delta_kernel_1d(nuj, mj, t, x[..., j], y[..., j])
-        val = factor if val is None else val * factor
-    return val
+    m = m.astype(int)
+    return axis_product(
+        order, x, y, lambda j, xj, yj: delta_kernel_1d(order.nu[j], m[j], t, xj, yj)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +297,7 @@ def kernel_spectral(order: MultiOrder, t: float, x, y, k_max: int, with_tail: bo
     With ``with_tail`` the geometric tail bound
     (last shell magnitude) * q / (1 - q), q = exp(-4t), is returned too.
     """
-    if not isinstance(order, MultiOrder):
-        order = MultiOrder(order)
+    order = as_order(order)
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     t = float(t)

@@ -20,8 +20,8 @@ from scipy.special import gammaln, roots_legendre
 
 from .critical import rho
 from .grids import Grid, GridFunction
-from .heat import delta_kernel_1d, kernel_nd
-from .special import MultiOrder, laguerre_function_table
+from .heat import delta_kernel, kernel_1d_closed
+from .special import MultiOrder, as_order, laguerre_function_table
 
 __all__ = [
     "DEFAULT_KMAX",
@@ -35,7 +35,6 @@ __all__ = [
     "riesz_multiplier",
     "riesz_multiplier_table",
     "riesz_spectral",
-    "riesz_apply",
     "riesz_kernel",
     "riesz_heat_composite_kernel",
     "verify_cz_smoothness",
@@ -90,8 +89,7 @@ def _tables(order: MultiOrder, grid: Grid, k_max: int) -> list[np.ndarray]:
 
 def analyze(order: MultiOrder, f: GridFunction, k_max: int = DEFAULT_KMAX) -> SpectralCoefficients:
     """Expansion coefficients <f, phi_k> for all multi-indices up to k_max."""
-    if not isinstance(order, MultiOrder):
-        order = MultiOrder(order)
+    order = as_order(order)
     if f.grid.ndim != order.n:
         raise ValueError("grid dimension does not match the order")
     arr = f.values * f.grid.weights_nd()
@@ -112,13 +110,21 @@ def synthesize(coeffs: SpectralCoefficients, grid: Grid) -> GridFunction:
     return GridFunction(grid, arr)
 
 
-def _kernel_apply(order, t, eval_pts, src_pts, src_weighted, chunk=512):
-    out = np.empty(eval_pts.shape[0])
-    for i0 in range(0, eval_pts.shape[0], chunk):
-        blk = eval_pts[i0 : i0 + chunk]
-        kmat = kernel_nd(order, t, blk[:, None, :], src_pts[None, :, :])
-        out[i0 : i0 + chunk] = kmat @ src_weighted
-    return out
+def _kernel_apply(order: MultiOrder, t: float, f: GridFunction, target: Grid) -> np.ndarray:
+    """Integrate the product kernel against f at the nodes of ``target``.
+
+    The kernel is a product of 1-D kernels, so the integral factors into
+    one (target nodes) x (source nodes) matrix per axis.
+    """
+    if f.grid.ndim != order.n or target.ndim != order.n:
+        raise ValueError("grid dimension does not match the order")
+    arr = f.values * f.grid.weights_nd()
+    for nu_j, ev, src in zip(order.nu, target.axes, f.grid.axes):
+        kmat = kernel_1d_closed(nu_j, t, ev.nodes[:, None], src.nodes[None, :])
+        # contracting the leading axis and appending the new one cycles
+        # the axes back into order after n steps
+        arr = np.tensordot(arr, kmat, axes=(0, 1))
+    return arr
 
 
 def semigroup_apply(
@@ -136,8 +142,7 @@ def semigroup_apply(
     closed-form kernel against f over its grid box, so f must be
     (numerically) supported inside the box.
     """
-    if not isinstance(order, MultiOrder):
-        order = MultiOrder(order)
+    order = as_order(order)
     if not (t >= 0.0 and math.isfinite(t)):
         raise ValueError("time must be finite and nonnegative")
     target = eval_grid if eval_grid is not None else f.grid
@@ -148,10 +153,7 @@ def semigroup_apply(
     if method == "kernel":
         if t == 0.0:
             raise ValueError("the kernel route needs t > 0")
-        src = f.grid.points()
-        weighted = (f.values * f.grid.weights_nd()).ravel()
-        vals = _kernel_apply(order, t, target.points(), src, weighted)
-        return GridFunction(target, vals.reshape(target.shape))
+        return GridFunction(target, _kernel_apply(order, t, f, target))
     raise ValueError("method must be 'spectral' or 'kernel'")
 
 
@@ -169,8 +171,7 @@ def maximal_function(
     default time ladder starts at twice the coarsest spacing; the small-t
     endpoint then recovers |f| up to O(spacing^2) damping.
     """
-    if not isinstance(order, MultiOrder):
-        order = MultiOrder(order)
+    order = as_order(order)
     if t_grid is None:
         h = max(float(np.diff(ax.nodes).max()) for ax in f.grid.axes)
         t_grid = np.geomspace(2.0 * h, 30.0, 48)
@@ -178,14 +179,10 @@ def maximal_function(
     if np.any(t_grid <= 0.0):
         raise ValueError("time grid must be strictly positive")
     target = eval_grid if eval_grid is not None else f.grid
-    src = f.grid.points()
-    weighted = (f.values * f.grid.weights_nd()).ravel()
-    best = np.zeros(target.points().shape[0])
-    pts = target.points()
+    best = np.zeros(target.shape)
     for t in t_grid:
-        vals = _kernel_apply(order, t * t, pts, src, weighted)
-        np.maximum(best, np.abs(vals), out=best)
-    return GridFunction(target, best.reshape(target.shape))
+        np.maximum(best, np.abs(_kernel_apply(order, t * t, f, target)), out=best)
+    return GridFunction(target, best)
 
 
 def square_function(
@@ -204,8 +201,7 @@ def square_function(
     times.  For data away from the boundary of the orthant this satisfies
     the exact L^2 identity ||Sf||_2^2 = (omega_n / 8) ||f||_2^2.
     """
-    if not isinstance(order, MultiOrder):
-        order = MultiOrder(order)
+    order = as_order(order)
     coeffs = analyze(order, f, k_max)
     lam = coeffs.eigenvalues()
     lam_min = float(lam.min())
@@ -258,8 +254,7 @@ def riesz_multiplier(order: MultiOrder, k, m, variant: str = "single_power") -> 
     eigenvalue of the order-shifted basis reached so far (lambda_m - 2i
     at step i).  Both send phi_m^nu to a multiple of phi_(m-k)^(nu+k).
     """
-    if not isinstance(order, MultiOrder):
-        order = MultiOrder(order)
+    order = as_order(order)
     k = _check_riesz_index(order, k)
     m = tuple(int(v) for v in np.atleast_1d(m))
     if len(m) != order.n or any(mj < kj for mj, kj in zip(m, k)):
@@ -309,8 +304,7 @@ def riesz_spectral(
     the basis of the order shifted by k, indexed by alpha = m - k.  Both
     variants are contractions (every multiplier has magnitude < 1).
     """
-    if not isinstance(order, MultiOrder):
-        order = MultiOrder(order)
+    order = as_order(order)
     k = _check_riesz_index(order, k)
     if coeffs.order != order:
         raise ValueError("coefficients were computed for a different order")
@@ -324,25 +318,11 @@ def riesz_spectral(
     return SpectralCoefficients(order.shifted(k), out)
 
 
-def riesz_apply(
-    order: MultiOrder,
-    k,
-    f: GridFunction,
-    variant: str = "single_power",
-    k_max: int = DEFAULT_KMAX,
-) -> GridFunction:
-    """Apply the Riesz transform to a grid function via the multiplier."""
-    coeffs = analyze(order, f, k_max)
-    out = riesz_spectral(order, k, coeffs, variant)
-    return synthesize(out, f.grid)
-
-
 def riesz_multiplier_table(
     order: MultiOrder, k, k_max: int = 20, variant: str = "single_power"
 ) -> dict:
     """Multipliers keyed by the comma-joined source multi-index."""
-    if not isinstance(order, MultiOrder):
-        order = MultiOrder(order)
+    order = as_order(order)
     k = _check_riesz_index(order, k)
     table = {}
     for m in itertools.product(*[range(kj, k_max + 1) for kj in k]):
@@ -350,36 +330,14 @@ def riesz_multiplier_table(
     return table
 
 
-def _delta_k_product(order: MultiOrder, k, t, x, y):
-    """delta^k p_t as a product over axes; x, y have shape (..., n) or (...,)."""
-    if order.n == 1:
-        xx = np.asarray(x, dtype=float)
-        yy = np.asarray(y, dtype=float)
-        if xx.ndim and xx.shape[-1] == 1:
-            xx, yy = xx[..., 0], yy[..., 0]
-        return delta_kernel_1d(order.nu[0], k[0], t, xx, yy)
-    val = None
-    for ax in range(order.n):
-        f = delta_kernel_1d(order.nu[ax], k[ax], t, x[..., ax], y[..., ax])
-        val = f if val is None else val * f
-    return val
-
-
 def _pair_arrays(order: MultiOrder, x, y):
+    """Point pairs as (N, n) arrays, their distances, and whether x was one point."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     scalar = x.ndim == 0 or (order.n > 1 and x.ndim == 1)
-    xx = np.atleast_1d(x)
-    yy = np.atleast_1d(y)
-    if order.n > 1:
-        xx = xx.reshape(-1, order.n)
-        yy = yy.reshape(-1, order.n)
-        d = np.linalg.norm(xx - yy, axis=-1)
-    else:
-        xx = xx.ravel()
-        yy = yy.ravel()
-        d = np.abs(xx - yy)
-    return xx, yy, d, scalar
+    xx = np.atleast_1d(x).reshape(-1, order.n)
+    yy = np.atleast_1d(y).reshape(-1, order.n)
+    return xx, yy, np.linalg.norm(xx - yy, axis=-1), scalar
 
 
 def _riesz_time_integral(order: MultiOrder, k, x, y, t_shift: float = 0.0):
@@ -407,7 +365,7 @@ def _riesz_time_integral(order: MultiOrder, k, x, y, t_shift: float = 0.0):
         vs = 0.5 * (hi - lo) * nodes16 + 0.5 * (hi + lo)
         ws = 0.5 * (hi - lo) * weights16
         for v, w in zip(vs, ws):
-            g = _delta_k_product(order, k, t_shift + v * v, xx, yy)
+            g = delta_kernel(order, k, t_shift + v * v, xx, yy)
             total += w * 2.0 * v ** (sum(k) - 1) * g
 
     # remaining large-time part, integrated in log time
@@ -419,7 +377,7 @@ def _riesz_time_integral(order: MultiOrder, k, x, y, t_shift: float = 0.0):
         ws = 0.5 * (hi_u - lo_u) * weights24
         for u, w in zip(us, ws):
             tt = math.exp(u)
-            g = _delta_k_product(order, k, t_shift + tt, xx, yy)
+            g = delta_kernel(order, k, t_shift + tt, xx, yy)
             total += w * tt**s * g
         a = math.exp(hi_u)
 
@@ -429,8 +387,7 @@ def _riesz_time_integral(order: MultiOrder, k, x, y, t_shift: float = 0.0):
 
 def riesz_kernel(order: MultiOrder, k, x, y):
     """Off-diagonal kernel of the Riesz transform delta^k L^(-|k|/2)."""
-    if not isinstance(order, MultiOrder):
-        order = MultiOrder(order)
+    order = as_order(order)
     k = _check_riesz_index(order, k)
     return _riesz_time_integral(order, k, x, y, t_shift=0.0)
 
@@ -442,8 +399,7 @@ def riesz_heat_composite_kernel(order: MultiOrder, k, t, x, y):
     to riesz_kernel as t -> 0 and is bounded by the same size estimates
     uniformly in t.
     """
-    if not isinstance(order, MultiOrder):
-        order = MultiOrder(order)
+    order = as_order(order)
     k = _check_riesz_index(order, k)
     if np.ndim(t) != 0:
         raise ValueError("time must be a scalar")
@@ -470,8 +426,7 @@ def verify_cz_smoothness(
     the raw minimum over all axes, not the active-set convention, so any
     axis at the Hermite endpoint forces a skip.
     """
-    if not isinstance(order, MultiOrder):
-        order = MultiOrder(order)
+    order = as_order(order)
     k = _check_riesz_index(order, k)
     gamma = min(1.0, min(order.nu) + 0.5)
     if gamma < 0.25:

@@ -17,6 +17,7 @@ from scipy.special import gammaln
 __all__ = [
     "MultiOrder",
     "ScaledBesselValue",
+    "as_order",
     "bessel_i_scaled",
     "ive",
     "laguerre_polynomial",
@@ -85,6 +86,11 @@ class MultiOrder:
         if delta.size != self.n:
             raise ValueError("shift length does not match dimension")
         return MultiOrder(tuple(v + d for v, d in zip(self.nu, delta)))
+
+
+def as_order(order) -> MultiOrder:
+    """``order`` itself if it is a MultiOrder, otherwise MultiOrder(order)."""
+    return order if isinstance(order, MultiOrder) else MultiOrder(order)
 
 
 @dataclass(frozen=True)
@@ -303,8 +309,7 @@ def laguerre_function(k, order: MultiOrder, x) -> float:
     k is a multi-index with one entry per axis; the value is the product
     of the 1-D normalized Laguerre functions.
     """
-    if not isinstance(order, MultiOrder):
-        order = MultiOrder(order)
+    order = as_order(order)
     kk = np.atleast_1d(np.asarray(k))
     if kk.size != order.n:
         raise ValueError("multi-index length does not match order dimension")

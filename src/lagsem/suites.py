@@ -139,7 +139,10 @@ def check_slow_variation_suite(config: SuiteConfig) -> CheckResult:
 
 def check_covering(config: SuiteConfig) -> CheckResult:
     order = _order(config)
-    cov = build_covering(order, 0.4, 1.6 if order.n > 1 else 2.4)
+    try:
+        cov = build_covering(order, 0.4, 1.6 if order.n > 1 else 2.4)
+    except ValueError as exc:  # e.g. a 3-D lattice over the candidate limit
+        return CheckResult("critical-covering", False, None, {"error": f"ValueError: {exc}"})
     v = cov.verify(points_per_axis=60 if order.n > 1 else 200)
     passed = (
         v["fifth_radius_disjoint"]

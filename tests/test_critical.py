@@ -1,13 +1,22 @@
 """Critical function, slow variation, and covering construction tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lagsem import MultiOrder, build_covering, check_slow_variation, rho, rho_axis
+from lagsem import (
+    MultiOrder,
+    SuiteConfig,
+    build_covering,
+    check_slow_variation,
+    rho,
+    rho_axis,
+    run_suite,
+)
 
 
 def test_rho_direct_values():
@@ -146,6 +155,23 @@ def test_covering_two_dimensional_box():
 def test_covering_rejects_boundary_box():
     with pytest.raises(ValueError):
         build_covering(MultiOrder((0.5,)), 0.0, 1.0)
+
+
+def test_covering_rejects_oversized_lattice_before_allocating():
+    # the 3-D lattice on [0.4, 1.6]^3 has 533^3 candidates, 3.6 GB as an array
+    order = MultiOrder((0.5, 1.0, 0.0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="151419437 candidates"):
+            build_covering(order, 0.4, 1.6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20
+    report = run_suite(SuiteConfig(order=order.nu), "critical")
+    covering = {r.check_id: r for r in report.results}["critical-covering"]
+    assert not covering.passed
+    assert "151419437 candidates" in covering.detail["error"]
 
 
 def test_covering_json_round_trip():

@@ -11,6 +11,8 @@ from lagsem import (
     MultiOrder,
     SpectralCoefficients,
     analyze,
+    gauss_legendre_axis,
+    kernel_nd,
     maximal_function,
     riesz_heat_composite_kernel,
     riesz_kernel,
@@ -151,6 +153,61 @@ def test_semigroup_domain_errors():
         semigroup_apply(ORDER, f, 0.0, method="kernel")
     with pytest.raises(ValueError):
         semigroup_apply(ORDER, f, 0.5, method="cheat")
+
+
+def _axis_grid(boxes, counts):
+    # unit-width boxes or less: one Gauss-Legendre panel of exactly `count` nodes
+    return Grid(tuple(gauss_legendre_axis(lo, hi, nodes_per_unit=1, min_nodes=count)
+                      for (lo, hi), count in zip(boxes, counts)))
+
+
+def _dense_kernel_apply(order, t, f, target):
+    x, y = target.points(), f.grid.points()
+    kmat = kernel_nd(order, t, x[:, None, :], y[None, :, :])
+    return (kmat @ (f.values * f.grid.weights_nd()).ravel()).reshape(target.shape)
+
+
+@pytest.mark.parametrize(
+    "nu, src_boxes, src_counts, eval_boxes, eval_counts",
+    [
+        ((-0.5, 1.0), [(0.5, 1.5), (0.3, 1.2)], (7, 9), [(0.6, 1.3), (0.4, 1.0)], (4, 6)),
+        (
+            (0.5, -0.5, 1.3),
+            [(0.5, 1.5), (0.3, 1.2), (0.6, 1.4)],
+            (7, 9, 5),
+            [(0.6, 1.3), (0.4, 1.0), (0.5, 1.5)],
+            (4, 6, 3),
+        ),
+    ],
+    ids=["2d", "3d"],
+)
+def test_kernel_routes_match_dense_product_kernel(
+    nu, src_boxes, src_counts, eval_boxes, eval_counts
+):
+    order = MultiOrder(nu)
+    src = _axis_grid(src_boxes, src_counts)
+    target = _axis_grid(eval_boxes, eval_counts)
+    assert src.shape == src_counts and target.shape == eval_counts
+    f = GridFunction(src, np.random.default_rng(5).uniform(0.5, 1.5, src.shape))
+
+    def rel_err(got, ref):
+        return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+    got = semigroup_apply(order, f, 0.3, method="kernel", eval_grid=target).values
+    assert rel_err(got, _dense_kernel_apply(order, 0.3, f, target)) <= 1e-13
+    times = np.array([0.2, 0.5, 1.0])
+    ref = np.max([np.abs(_dense_kernel_apply(order, t * t, f, target)) for t in times], axis=0)
+    got = maximal_function(order, f, t_grid=times, eval_grid=target).values
+    assert rel_err(got, ref) <= 1e-13
+
+    # a grid with one axis fewer than the order must not be zipped short
+    short = _axis_grid(eval_boxes[:-1], eval_counts[:-1])
+    f_short = GridFunction(short, np.ones(short.shape))
+    for source, grid in ((f, short), (f_short, target)):
+        with pytest.raises(ValueError, match="grid dimension does not match the order"):
+            semigroup_apply(order, source, 0.3, method="kernel", eval_grid=grid)
+        with pytest.raises(ValueError, match="grid dimension does not match the order"):
+            maximal_function(order, source, t_grid=times, eval_grid=grid)
 
 
 def test_maximal_eigenfunction_recovers_itself():

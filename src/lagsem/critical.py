@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -20,8 +21,8 @@ __all__ = [
 ]
 
 # Largest candidate lattice build_covering accepts.  The greedy sweep holds
-# the lattice and a Python key per candidate, so memory and time grow with
-# this count; the 2-D covering of [0.4, 1.6]^2 has 231,361 candidates.
+# the whole lattice and its radii, so memory and time grow with this count;
+# the 2-D covering of [0.4, 1.6]^2 has 231,361 candidates.
 MAX_COVERING_CANDIDATES = 1_000_000
 
 
@@ -181,34 +182,53 @@ class Covering:
         """Invariant checks: disjointness, coverage, overlap bound, partition sum."""
         lo = np.asarray(self.box_lo)
         hi = np.asarray(self.box_hi)
-        n = lo.size
         axes = [np.linspace(a, b, points_per_axis) for a, b in zip(lo, hi)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
+        r_max = float(self.radii.max())
 
-        # pairwise fifth-radius disjointness, row-chunked to bound memory
+        # pairwise fifth-radius disjointness: a pair can only conflict when
+        # its first coordinates are within 2 r_max / 5, so each block of
+        # balls sorted by x_0 is compared with a band of the sorted list
         disjoint = True
         m = len(self.radii)
-        row_chunk = max(1, 4_000_000 // max(1, m))
-        for start in range(0, m, row_chunk):
-            stop = min(start + row_chunk, m)
-            block = self.centers[start:stop]
-            dist = np.linalg.norm(block[:, None, :] - self.centers[None, :, :], axis=-1)
-            thresh = (self.radii[start:stop, None] + self.radii[None, :]) / 5.0
-            dist[np.arange(stop - start), np.arange(start, stop)] = np.inf
+        by_x0 = np.argsort(self.centers[:, 0], kind="stable")
+        x0 = self.centers[by_x0, 0]
+        reach = 2.0 * r_max / 5.0 * (1.0 + 1e-9)
+        for start in range(0, m, 256):
+            rows = by_x0[start : start + 256]
+            band = x0[start : start + 256]
+            cols = by_x0[
+                np.searchsorted(x0, band[0] - reach) : np.searchsorted(x0, band[-1] + reach, "right")
+            ]
+            dist = np.linalg.norm(self.centers[rows, None, :] - self.centers[None, cols, :], axis=-1)
+            thresh = (self.radii[rows, None] + self.radii[None, cols]) / 5.0
+            dist[rows[:, None] == cols[None, :]] = np.inf
             if not np.all(dist >= thresh - 1e-12):
                 disjoint = False
                 break
 
+        # coverage, overlap and partition sums on tiles of about one ball
+        # diameter per axis, each against the balls that can reach the tile
+        # (in ball order, so the sums are those of the dense computation)
         max_overlap = 0
         worst_margin = 0.0
         partition_err = 0.0
         inv_r2 = 1.0 / self.radii**2
-        chunk = max(1, 2_000_000 // max(1, len(self.radii)))
-        for start in range(0, pts.shape[0], chunk):
-            block = pts[start : start + chunk]
-            diff = block[None, :, :] - self.centers[:, None, :]
-            rel2 = np.einsum("ijk,ijk->ij", diff, diff) * inv_r2[:, None]
+        steps = [
+            max(1, int(2.0 * r_max / (ax[1] - ax[0]))) if ax.size > 1 else 1 for ax in axes
+        ]
+        for corner in itertools.product(*[range(0, ax.size, s) for ax, s in zip(axes, steps)]):
+            tile = [ax[c : c + s] for ax, c, s in zip(axes, corner, steps)]
+            block = np.stack(np.meshgrid(*tile, indexing="ij"), axis=-1).reshape(-1, lo.size)
+            gap = np.maximum(block.min(axis=0) - self.centers, 0.0) + np.maximum(
+                self.centers - block.max(axis=0), 0.0
+            )
+            near = np.flatnonzero(np.einsum("ij,ij->i", gap, gap) < (1.001 * self.radii) ** 2)
+            diff = block[None, :, :] - self.centers[near, None, :]
+            rel2 = np.einsum("ijk,ijk->ij", diff, diff) * inv_r2[near, None]
+            if near.size == 0 or rel2.min(axis=0).max() >= 1.0:
+                # a point outside every nearby ball: its margin needs all balls
+                diff = block[None, :, :] - self.centers[:, None, :]
+                rel2 = np.einsum("ijk,ijk->ij", diff, diff) * inv_r2[:, None]
             inside = rel2 < 1.0
             max_overlap = max(max_overlap, int(inside.sum(axis=0).max()))
             worst_margin = max(worst_margin, math.sqrt(float(rel2.min(axis=0).max())))
@@ -277,36 +297,42 @@ def build_covering(order: MultiOrder, box_lo, box_hi, min_margin: float = 0.05) 
     lattice = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, order.n)
     lattice_rho = np.atleast_1d(rho(order, lattice))
 
-    # spatial hash: conflicts only reach 2 r_cap / 5, so with that cell
-    # size a 3**n neighborhood around the candidate's cell is exhaustive
-    r_cap = float(np.max(lattice_rho))
-    cell = 2.0 * r_cap / 5.0
-    key_rows = np.floor(lattice / cell).astype(np.int64).tolist()
-    offsets = (
-        np.stack(np.meshgrid(*([np.arange(-1, 2)] * order.n), indexing="ij"), axis=-1)
-        .reshape(-1, order.n)
-        .tolist()
-    )
-
-    acc_pts = np.empty((lattice.shape[0], order.n))
-    acc_r = np.empty(lattice.shape[0])
-    buckets: dict[tuple, list] = {}
+    # sweep the lattice row by row (the last axis varies fastest).  A row is
+    # checked at once against the balls accepted in earlier rows, then
+    # greedily along its own axis.  Conflicts only reach 2 r_cap / 5, and the
+    # accepted centers stay in lexicographic order, so sorted by x_0.
+    reach = 2.0 * float(np.max(lattice_rho)) / 5.0
+    row_len = axes[-1].size
+    acc_pts = np.empty_like(lattice)
+    acc_r = np.empty_like(lattice_rho)
     n_acc = 0
-    for cand, rc, key in zip(lattice, lattice_rho, key_rows):
-        near = []
-        for off in offsets:
-            hits = buckets.get(tuple(k + o for k, o in zip(key, off)))
-            if hits:
-                near.extend(hits)
-        if near:
-            prev = np.asarray(near)
-            d2 = np.sum((acc_pts[prev] - cand) ** 2, axis=-1)
-            if np.any(d2 < ((acc_r[prev] + rc) / 5.0) ** 2):
+    for start in range(0, lattice.shape[0], row_len):
+        cand = lattice[start : start + row_len]
+        rc = lattice_rho[start : start + row_len]
+        free = np.ones(row_len, dtype=bool)
+        if order.n > 1 and n_acc:
+            first = int(np.searchsorted(acc_pts[:n_acc, 0], cand[0, 0] - reach))
+            prefix_gap = np.abs(acc_pts[first:n_acc, :-1] - cand[0, :-1])
+            prev = first + np.flatnonzero(np.all(prefix_gap <= reach, axis=1))
+            d2 = np.sum((acc_pts[None, prev] - cand[:, None]) ** 2, axis=-1)
+            free = ~np.any(d2 < ((acc_r[None, prev] + rc[:, None]) / 5.0) ** 2, axis=1)
+        row: list[tuple[float, float]] = []
+        for j in np.flatnonzero(free).tolist():
+            x, r = float(cand[j, -1]), float(rc[j])
+            clash = False
+            for xa, ra in reversed(row):
+                if x - xa >= reach:
+                    break
+                t = (ra + r) / 5.0
+                if (x - xa) * (x - xa) < t * t:
+                    clash = True
+                    break
+            if clash:
                 continue
-        acc_pts[n_acc] = cand
-        acc_r[n_acc] = rc
-        buckets.setdefault(tuple(key), []).append(n_acc)
-        n_acc += 1
+            row.append((x, r))
+            acc_pts[n_acc] = cand[j]
+            acc_r[n_acc] = r
+            n_acc += 1
     centers, radii = acc_pts[:n_acc], acc_r[:n_acc]
     return Covering(
         order=order,

@@ -152,6 +152,69 @@ def test_covering_two_dimensional_box():
     assert report["max_overlap"] <= 25
 
 
+@pytest.mark.parametrize(
+    "nu, lo, hi", [((0.5, 1.0), 0.6, 0.8), ((0.5, 1.0, 0.0), 0.7, 0.8)], ids=["2d", "3d"]
+)
+def test_covering_matches_plain_greedy(nu, lo, hi):
+    # reference: the same lexicographic lattice, each candidate checked
+    # against every accepted center
+    order = MultiOrder(nu)
+    probe = np.stack(
+        np.meshgrid(*[np.linspace(lo, hi, 41)] * order.n, indexing="ij"), axis=-1
+    ).reshape(-1, order.n)
+    spacing = float(np.min(rho(order, probe))) / 10.0
+    axis = np.arange(lo, hi + 0.5 * spacing, spacing)
+    lattice = np.stack(np.meshgrid(*[axis] * order.n, indexing="ij"), axis=-1).reshape(-1, order.n)
+    centers, radii = [], []
+    for cand, rc in zip(lattice, rho(order, lattice)):
+        if centers:
+            d2 = np.sum((np.asarray(centers) - cand) ** 2, axis=-1)
+            if np.any(d2 < ((np.asarray(radii) + rc) / 5.0) ** 2):
+                continue
+        centers.append(cand)
+        radii.append(rc)
+    cov = build_covering(order, lo, hi)
+    assert np.array_equal(cov.centers, np.asarray(centers))
+    assert np.array_equal(cov.radii, np.asarray(radii))
+
+
+@pytest.mark.parametrize(
+    "nu, lo, hi", [((0.5,), 0.1, 6.0), ((0.5, 1.0), 0.4, 1.0)], ids=["1d", "2d"]
+)
+def test_covering_verify_matches_dense_checks(nu, lo, hi):
+    cov = build_covering(MultiOrder(nu), lo, hi)
+    mid = 0.5 * (np.asarray(cov.box_lo) + np.asarray(cov.box_hi))
+    keep = np.linalg.norm(cov.centers - mid, axis=1) > 0.12
+    holed = type(cov)(cov.order, cov.box_lo, cov.box_hi, cov.centers[keep], cov.radii[keep])
+    # a copy of one ball moved 1e-9 along x_0, so it clashes with that ball
+    # alone and sorts right after it; taken at both ends and on both sides
+    # of the first 256-ball block of the x_0-sorted disjointness sweep
+    by_x0 = np.argsort(cov.centers[:, 0], kind="stable")
+    shift = np.eye(len(nu))[0] * 1e-9
+    clashes = [
+        type(cov)(
+            cov.order, cov.box_lo, cov.box_hi,
+            np.vstack([cov.centers, cov.centers[i] + shift]), np.append(cov.radii, cov.radii[i]),
+        )
+        for i in by_x0[[0, 254, 255, 256, -1]]
+    ]
+    for c in [cov, holed, *clashes]:
+        axis = [np.linspace(a, b, 40) for a, b in zip(c.box_lo, c.box_hi)]
+        pts = np.stack(np.meshgrid(*axis, indexing="ij"), axis=-1).reshape(-1, len(nu))
+        rel = np.linalg.norm(pts[None] - c.centers[:, None], axis=-1) / c.radii[:, None]
+        dist = np.linalg.norm(c.centers[:, None] - c.centers[None], axis=-1)
+        np.fill_diagonal(dist, np.inf)
+        report = c.verify(points_per_axis=40)
+        assert report["fifth_radius_disjoint"] == bool(
+            np.all(dist >= (c.radii[:, None] + c.radii[None]) / 5.0 - 1e-12)
+        )
+        assert report["max_overlap"] == int((rel < 1.0).sum(axis=0).max())
+        assert report["max_cover_margin"] == pytest.approx(float(rel.min(axis=0).max()), rel=1e-12)
+    assert cov.verify(40)["fifth_radius_disjoint"]
+    assert not any(c.verify(40)["fifth_radius_disjoint"] for c in clashes)
+    assert not holed.verify(40)["covers_box"]
+
+
 def test_covering_rejects_boundary_box():
     with pytest.raises(ValueError):
         build_covering(MultiOrder((0.5,)), 0.0, 1.0)

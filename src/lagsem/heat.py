@@ -48,6 +48,40 @@ def _check_1d_domain(t, x, y):
         raise ValueError("space arguments must be strictly positive")
 
 
+def _time_factors(t):
+    """r = exp(-4t), sqrt(r), 1 - r and 1 - sqrt(r) on t's own shape.
+
+    The differences use expm1, accurate for small t.  All four are computed
+    before any broadcast against the space arguments, once per time rather
+    than once per pair.  The arrays are at least 1-d:
+    numpy's float64 scalar ``**`` goes through libm pow, which differs from
+    the array loop in the last bit for some inputs.
+    """
+    t = np.atleast_1d(t)
+    return np.exp(-4.0 * t), np.exp(-2.0 * t), -np.expm1(-4.0 * t), -np.expm1(-2.0 * t)
+
+
+def _kernel_1d(nu: float, factors, x, y) -> np.ndarray:
+    """kernel_1d_closed on checked arrays with precomputed time factors.
+
+    The Bessel factor is evaluated only where the rest of the product is
+    non-zero, or where z = 0 (there ive may be infinite); elsewhere the
+    product is 0.0 whatever the finite Bessel value.
+    """
+    r, sr, omr, oms = factors
+    z = 2.0 * sr * x * y / omr
+    pref = 2.0 * sr * np.sqrt(x * y) / omr
+    gauss = np.exp(-0.5 * (1.0 + r) / omr * (x - y) ** 2)
+    cross = np.exp(-oms / (1.0 + sr) * x * y)
+    head = pref * gauss * cross
+    need = (head != 0.0) | (z == 0.0)
+    if np.all(need):
+        return head * ive(nu, z)
+    bessel = np.zeros(head.shape)
+    bessel[need] = ive(nu, z[need])
+    return head * bessel
+
+
 def kernel_1d_closed(nu: float, t, x, y):
     """One-dimensional heat kernel in the overflow-safe factorization.
 
@@ -69,17 +103,9 @@ def kernel_1d_closed(nu: float, t, x, y):
         raise ValueError("order must be >= -1/2")
     t, x, y = _as_float_arrays(t, x, y)
     _check_1d_domain(t, x, y)
-    t, x, y = np.broadcast_arrays(t, x, y)
-    r = np.exp(-4.0 * t)
-    sr = np.exp(-2.0 * t)
-    omr = -np.expm1(-4.0 * t)  # 1 - r, accurate for small t
-    oms = -np.expm1(-2.0 * t)  # 1 - sqrt(r)
-    z = 2.0 * sr * x * y / omr
-    pref = 2.0 * sr * np.sqrt(x * y) / omr
-    gauss = np.exp(-0.5 * (1.0 + r) / omr * (x - y) ** 2)
-    cross = np.exp(-oms / (1.0 + sr) * x * y)
-    val = pref * gauss * cross * ive(nu, z)
-    return val if val.ndim else float(val)
+    shape = np.broadcast_shapes(t.shape, x.shape, y.shape)
+    val = _kernel_1d(nu, _time_factors(t), np.atleast_1d(x), np.atleast_1d(y))
+    return val.reshape(shape) if shape else float(val[0])
 
 
 def kernel_1d_raw(nu: float, t, x, y):
@@ -216,24 +242,33 @@ def evaluate_expansion(expansion: tuple, nu: float, t, x, y):
     """Evaluate a cached expansion at broadcastable (t, x, y)."""
     t, x, y = _as_float_arrays(t, x, y)
     _check_1d_domain(t, x, y)
-    t, x, y = np.broadcast_arrays(t, x, y)
-    sr = np.exp(-2.0 * t)  # r^(1/2)
-    omr = -np.expm1(-4.0 * t)
-    shifts = sorted({j for (_, _, _, _, j), _ in expansion})
-    kernels = {j: kernel_1d_closed(nu + j, t, x, y) for j in shifts}
-    total = np.zeros(np.broadcast_shapes(t.shape, x.shape, y.shape))
+    shape = np.broadcast_shapes(t.shape, x.shape, y.shape)
+    x, y = np.atleast_1d(x), np.atleast_1d(y)
+    factors = _time_factors(t)
+    sr, omr = factors[1], factors[2]
+    # each kernel, time power and space power once per call, not per term
+    h_set, s_set, a_set, d_set, j_set = (set(v) for v in zip(*(key for key, _ in expansion)))
+    if nu + min(j_set) < -0.5:
+        raise ValueError("order must be >= -1/2")
+    kernels = {j: _kernel_1d(nu + j, factors, x, y) for j in j_set}
+    sr_pow = {h: sr**h for h in h_set if h}
+    omr_pow = {s: omr ** (-s) for s in s_set if s}
+    x_pow = {a: x ** float(a) for a in a_set if a}
+    y_pow = {d: y ** float(d) for d in d_set if d}
+    total = np.zeros(np.broadcast_shapes(sr.shape, x.shape, y.shape))
     for (h, s, a, d, j), coef in expansion:
-        piece = coef * np.asarray(kernels[j])
+        # factors multiplied in a fixed order, so every term rounds the same way
+        piece = coef * kernels[j]
         if h:
-            piece = piece * sr**h
+            piece = piece * sr_pow[h]
         if s:
-            piece = piece * omr ** (-s)
+            piece = piece * omr_pow[s]
         if a:
-            piece = piece * x ** float(a)
+            piece = piece * x_pow[a]
         if d:
-            piece = piece * y ** float(d)
+            piece = piece * y_pow[d]
         total += piece
-    return total if total.ndim else float(total)
+    return total.reshape(shape) if shape else float(total[0])
 
 
 def delta_kernel_1d(nu: float, m: int, t, x, y):

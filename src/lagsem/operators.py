@@ -340,13 +340,19 @@ def _pair_arrays(order: MultiOrder, x, y):
     return xx, yy, np.linalg.norm(xx - yy, axis=-1), scalar
 
 
+_GAP_CUTOFF = 60.0
+
+
 def _riesz_time_integral(order: MultiOrder, k, x, y, t_shift: float = 0.0):
     """(1/Gamma(|k|/2)) int_0^inf t^(|k|/2 - 1) delta^k p_(t + shift) dt.
 
     The substitution t = v^2 makes the integrand smooth through t = 0 for
     off-diagonal pairs; geometric panels in v resolve every pair scale at
-    once, and log-spaced panels cover large times until the spectral-gap
-    decay makes the remainder negligible.
+    once, and log-spaced panels cover large times if the v panels end
+    early.  Both stop at one cutoff: once lam0 (shift + t) >= 60, with
+    lam0 = 2|nu| + 2n the bottom of the spectrum, the spectral gap has
+    scaled the integrand by e^(-60) against its large-time amplitude, so
+    later panels could not change the sum.
     """
     xx, yy, d, scalar = _pair_arrays(order, x, y)
     if np.any(d < 1e-9):
@@ -354,10 +360,13 @@ def _riesz_time_integral(order: MultiOrder, k, x, y, t_shift: float = 0.0):
     s = sum(k) / 2.0
     lam0 = 2.0 * order.total + 2.0 * order.n
 
+    def decayed(t: float) -> bool:
+        return lam0 * (t_shift + t) >= _GAP_CUTOFF
+
     v_small = max(float(d.min()) / 16.0, 1e-6)
     v_hi = math.e * float(d.max())
     bounds = [0.0, v_small]
-    while bounds[-1] < v_hi:
+    while bounds[-1] < v_hi and not decayed(bounds[-1] ** 2):
         bounds.append(bounds[-1] * 2.0)
     nodes16, weights16 = roots_legendre(16)
     total = np.zeros(d.shape)
@@ -371,7 +380,7 @@ def _riesz_time_integral(order: MultiOrder, k, x, y, t_shift: float = 0.0):
     # remaining large-time part, integrated in log time
     a = bounds[-1] ** 2
     nodes24, weights24 = roots_legendre(24)
-    while lam0 * a < 60.0:
+    while not decayed(a):
         lo_u, hi_u = math.log(a), math.log(a) + 4.0
         us = 0.5 * (hi_u - lo_u) * nodes24 + 0.5 * (hi_u + lo_u)
         ws = 0.5 * (hi_u - lo_u) * weights24

@@ -32,6 +32,10 @@ from .hardy import bmo_norm, check_atom, duality_pairing, hardy_norm_maximal, ra
 
 __all__ = ["SUITE_NAMES", "run_suite"]
 
+# largest tensor grid check_parseval builds: 576^2 points pass, 576^3 (about
+# 1.5 GB per float array) is refused before anything is allocated
+MAX_PARSEVAL_POINTS = 1_000_000
+
 
 def _order(config: SuiteConfig) -> MultiOrder:
     return MultiOrder(config.order)
@@ -185,9 +189,23 @@ def _random_band_function(config: SuiteConfig, grid: Grid, k_max: int = 25) -> G
     return synthesize(SpectralCoefficients(order, coeffs), grid)
 
 
+def _parseval_grid(order: MultiOrder) -> Grid:
+    axis = gauss_legendre_axis(0.0, 12.0, nodes_per_unit=48)
+    n_points = axis.nodes.size**order.n
+    if n_points > MAX_PARSEVAL_POINTS:
+        raise ValueError(
+            f"parseval grid would have {n_points} points "
+            f"(limit {MAX_PARSEVAL_POINTS}); use at most two axes"
+        )
+    return Grid((axis,) * order.n)
+
+
 def check_parseval(config: SuiteConfig) -> CheckResult:
     order = _order(config)
-    grid = Grid(tuple(gauss_legendre_axis(0.0, 12.0, nodes_per_unit=48) for _ in range(order.n)))
+    try:
+        grid = _parseval_grid(order)
+    except ValueError as exc:  # a 3-D grid over the point limit
+        return CheckResult("parseval", False, None, {"error": f"ValueError: {exc}"})
     f = _random_band_function(config, grid)
     coeffs = analyze(order, f, 25)
     err = abs(f.norm_l2() - coeffs.norm_l2()) / coeffs.norm_l2()

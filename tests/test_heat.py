@@ -26,6 +26,9 @@ from lagsem import (
     laguerre_function,
     laguerre_function_table,
 )
+from lagsem import heat
+from lagsem.heat import operator_expansion, partial_delta_kernel_1d, shifted_adjoint_kernel_1d
+from lagsem.special import ive
 
 FROZEN = [
     # (nu, t, x, y, value)
@@ -228,3 +231,124 @@ def test_domain_errors():
         kernel_1d_closed(0.5, 1.0, -1.0, 1.0)
     with pytest.raises(ValueError):
         kernel_spectral(MultiOrder((0.5,)), 0.5, (1.0, 2.0), (1.0,), k_max=10)
+
+
+# ---------------------------------------------------------------------------
+# exactness of the hoisted evaluation
+#
+# Reference copies of the broadcast-first evaluation: every time factor is
+# computed once per pair and the Bessel factor everywhere.  The kernels
+# compute time factors once per time, space powers once per call and skip
+# the Bessel factor where the rest of the product is 0.0; none of that may
+# change a single bit.
+
+
+def _reference_kernel_1d(nu, t, x, y):
+    t, x, y = (np.asarray(v, dtype=float) for v in (t, x, y))
+    t, x, y = np.broadcast_arrays(t, x, y)
+    r = np.exp(-4.0 * t)
+    sr = np.exp(-2.0 * t)
+    omr = -np.expm1(-4.0 * t)
+    oms = -np.expm1(-2.0 * t)
+    z = 2.0 * sr * x * y / omr
+    pref = 2.0 * sr * np.sqrt(x * y) / omr
+    gauss = np.exp(-0.5 * (1.0 + r) / omr * (x - y) ** 2)
+    cross = np.exp(-oms / (1.0 + sr) * x * y)
+    val = pref * gauss * cross * ive(nu, z)
+    return val if val.ndim else float(val)
+
+
+def _reference_expansion(ops, nu, t, x, y, base_shift=0):
+    expansion = operator_expansion(ops, float(nu), base_shift)
+    t, x, y = (np.asarray(v, dtype=float) for v in (t, x, y))
+    t, x, y = np.broadcast_arrays(t, x, y)
+    sr = np.exp(-2.0 * t)
+    omr = -np.expm1(-4.0 * t)
+    shifts = sorted({j for (_, _, _, _, j), _ in expansion})
+    kernels = {j: _reference_kernel_1d(nu + j, t, x, y) for j in shifts}
+    total = np.zeros(np.broadcast_shapes(t.shape, x.shape, y.shape))
+    for (h, s, a, d, j), coef in expansion:
+        piece = coef * np.asarray(kernels[j])
+        if h:
+            piece = piece * sr**h
+        if s:
+            piece = piece * omr ** (-s)
+        if a:
+            piece = piece * x ** float(a)
+        if d:
+            piece = piece * y ** float(d)
+        total += piece
+    return total if total.ndim else float(total)
+
+
+_PTS = np.array([1e-200, 0.05, 0.3, 0.9, 1.7, 4.0, 8.0, 30.0])
+EXACT_CASES = [
+    # (t, x, y); far pairs at small t underflow the Gaussian factor, x = y = 30
+    # at large t underflows the cross factor, and z = 0 where x y or sqrt(r)
+    # underflows (x = 1e-200, t = 400)
+    pytest.param(0.37, 0.9, 1.7, id="scalar"),
+    pytest.param(np.float64(2e-3), np.array(0.3), np.array(8.0), id="0-d"),
+    pytest.param(1e-3, _PTS[:, None], _PTS[None, :], id="scalar-t"),
+    pytest.param(np.array(0.05), _PTS[:, None], _PTS[None, :], id="0-d-t"),
+    pytest.param(
+        np.array([1e-4, 1e-2, 0.5, 3.0, 40.0, 400.0])[:, None, None],
+        _PTS[None, :, None],
+        _PTS[None, None, :],
+        id="array-t",
+    ),
+    pytest.param(np.geomspace(1e-3, 50.0, 8), _PTS, 1.1, id="array-t-scalar-y"),
+]
+
+
+@pytest.mark.parametrize("t, x, y", EXACT_CASES)
+def test_kernels_equal_broadcast_first_reference(t, x, y):
+    def same(got, want):
+        if np.ndim(want) == 0:
+            assert type(got) is float
+        np.testing.assert_array_equal(got, want)
+
+    # x = 1e-200 overflows x^a, and z = 0 gives 0 * inf for nu < 0
+    with np.errstate(all="ignore"):
+        for nu in (-0.5, 0.0, 0.5, 1.3):
+            same(kernel_1d_closed(nu, t, x, y), _reference_kernel_1d(nu, t, x, y))
+            for m in (1, 2, 3):
+                same(delta_kernel_1d(nu, m, t, x, y),
+                     _reference_expansion(("delta",) * m, nu, t, x, y))
+            for n_partial, n_delta in ((1, 0), (1, 1), (2, 1)):
+                ops = ("partial",) * n_partial + ("delta",) * n_delta
+                same(partial_delta_kernel_1d(nu, n_partial, n_delta, t, x, y),
+                     _reference_expansion(ops, nu, t, x, y))
+            for m, k, ell in ((0, 1, 1), (0, 2, 2), (1, 0, 2), (1, 1, 3)):
+                ops = ("generator",) * m + ("dstar",) * k
+                same(shifted_adjoint_kernel_1d(nu, m, k, ell, t, x, y),
+                     _reference_expansion(ops, nu, t, x, y, base_shift=ell))
+
+
+def test_expansions_equal_reference_at_many_scalar_times():
+    # a float64 scalar sqrt(r)**h rounds differently from the array loop for
+    # a few per cent of times, so one scalar time would rarely show it
+    x, y = _PTS[1:6, None], _PTS[None, 1:6]
+    for t in np.geomspace(1e-3, 5.0, 60):
+        for m in (2, 3):
+            np.testing.assert_array_equal(
+                delta_kernel_1d(0.5, m, float(t), x, y),
+                _reference_expansion(("delta",) * m, 0.5, float(t), x, y),
+            )
+
+
+def test_bessel_factor_skipped_only_where_the_product_is_zero(monkeypatch):
+    # the array-t case skips pairs with an underflowed Gaussian or cross
+    # factor, and still evaluates the pairs with z = 0
+    seen = []
+
+    def spy(nu, z):
+        seen.append(np.array(z))
+        return ive(nu, z)
+
+    monkeypatch.setattr(heat, "ive", spy)
+    t, x, y = EXACT_CASES[4].values
+    with np.errstate(all="ignore"):
+        val = kernel_1d_closed(0.5, t, x, y)
+    assert len(seen) == 1
+    assert 0 < seen[0].size < val.size
+    assert np.any(seen[0] == 0.0)

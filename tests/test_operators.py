@@ -1,6 +1,7 @@
 """Spectral calculus, semigroup, maximal/square functions, Riesz transforms."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from lagsem import (
     Grid,
     GridFunction,
     MultiOrder,
+    delta_kernel,
     SpectralCoefficients,
     analyze,
     gauss_legendre_axis,
@@ -24,7 +26,9 @@ from lagsem import (
     synthesize,
     verify_cz_smoothness,
 )
+from lagsem.config import SuiteConfig
 from lagsem.special import laguerre_function_table
+from lagsem.suites import check_parseval, run_suite
 
 ORDER = MultiOrder((0.5,))
 
@@ -92,6 +96,22 @@ def test_parseval():
     f = _bump(grid)
     c = analyze(ORDER, f, k_max=60)
     assert abs(c.norm_l2() - f.norm_l2()) / f.norm_l2() < 1e-8
+
+
+def test_parseval_check_rejects_oversized_grid_before_allocating():
+    # three axes of 576 nodes would be 191102976 points, 1.5 GB per array
+    config = SuiteConfig(order=(0.5, 1.0, 0.0))
+    tracemalloc.start()
+    try:
+        res = check_parseval(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20
+    assert res.check_id == "parseval" and not res.passed and res.value is None
+    assert "191102976 points" in res.detail["error"]
+    report = run_suite(config, "operators")
+    assert {r.check_id: r.detail for r in report.results}["parseval"] == res.detail
 
 
 def test_synthesize_zero_coefficients():
@@ -377,6 +397,58 @@ def test_riesz_kernel_regression_value():
     # spectral series composed with the t -> 0 limit
     got = riesz_kernel(ORDER, (1,), 0.7, 1.5)
     assert got == pytest.approx(0.1486624971834888, rel=1e-12)
+
+
+# pair batches at distances 0.5 ... 14, evaluated in one call each
+_X1 = np.array([0.3, 0.3, 0.6, 1.0, 0.2, 0.4])
+_Y1 = _X1 + np.array([0.5, 1.0, 2.0, 4.0, 8.0, 14.0])
+_X2 = np.array([[0.3, 0.5], [0.5, 0.3], [1.0, 1.0], [0.4, 0.9], [0.3, 0.3]])
+_Y2 = _X2 + np.array([[0.5, 0.0], [0.0, 1.0], [2.0, 2.0], [6.0, 1.0], [9.0, 9.0]])
+
+# recorded with the v panels doubling up to e * max distance (t up to ~400),
+# before they stopped at the spectral-gap cutoff
+RIESZ_PINS = [
+    (lambda: riesz_kernel(ORDER, (1,), _X1, _Y1), [
+        0.14234145617721022, 0.03499721062509956, 0.0051942250475731505,
+        1.0327050785499532e-06, 1.4028848261859224e-17, 1.4360088291994872e-47]),
+    (lambda: riesz_kernel(ORDER, (2,), _X1, _Y1), [
+        0.16611829121470992, 0.08300636914978489, 0.01400562962732568,
+        3.605834989501753e-06, 1.2849778330950409e-16, 8.662178836066467e-47]),
+    (lambda: riesz_kernel(MultiOrder((0.5, 1.0)), (1, 0), _X2, _Y2), [
+        0.2027931647757666, -0.010280126072447852, 2.135452457088193e-05,
+        7.671891089297113e-13, 8.889525980588831e-42]),
+    (lambda: riesz_heat_composite_kernel(ORDER, (1,), 1e-2, _X1, _Y1), [
+        0.18270583070350416, 0.03686881408923072, 0.005278774902031966,
+        1.0417677147223782e-06, 1.4105128209604107e-17, 1.4419999422173595e-47]),
+    (lambda: riesz_heat_composite_kernel(ORDER, (1,), 1.0, _X1, _Y1), [
+        -4.5281024217472336e-05, 1.0794160776340599e-05, 0.0001397907192382419,
+        2.276324156468949e-07, 2.2447164903057976e-17, 3.713919047546125e-47]),
+]
+
+
+@pytest.mark.parametrize("case", range(len(RIESZ_PINS)))
+def test_riesz_kernels_pinned_across_distances(case):
+    fn, want = RIESZ_PINS[case]
+    np.testing.assert_allclose(fn(), want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("t_shift", [0.0, 1.0])
+def test_riesz_time_nodes_stop_at_spectral_gap_cutoff(monkeypatch, t_shift):
+    # the v panels double until lam0 (shift + v^2) >= 60, so the last one
+    # ends below twice the crossing v and no node lies past 4 * 60 / lam0
+    from lagsem import operators
+
+    times = []
+
+    def spy(order, k, t, x, y):
+        times.append(float(t))
+        return delta_kernel(order, k, t, x, y)
+
+    monkeypatch.setattr(operators, "delta_kernel", spy)
+    riesz_heat_composite_kernel(ORDER, (1,), t_shift, _X1, _Y1)
+    lam0 = 2.0 * ORDER.total + 2.0 * ORDER.n
+    assert lam0 * max(times) < 4.0 * 60.0
+    assert lam0 * max(times) > 60.0
 
 
 def test_riesz_kernel_rejects_diagonal():

@@ -22,6 +22,7 @@ from lagsem import (
     laguerre_function_table,
     laguerre_polynomial,
 )
+from lagsem.special import _ive_series_anchored
 
 mp.mp.dps = 40
 
@@ -60,13 +61,40 @@ def test_ive_large_argument_asymptotic():
 
 
 def test_ive_against_mpmath_sweep():
-    alphas = [-0.5, -0.3, 0.0, 0.5, 1.0, 1.7, 3.2, 10.0]
-    zs = [1e-8, 1e-3, 0.1, 0.9, 2.0, 7.3, 25.0, 80.0, 400.0, 2e4]
-    for alpha in alphas:
+    # large orders carry their own measured accuracy (worst case on this
+    # sweep: 8.2e-14 at alpha = 30, 1.8e-11 at alpha = 80 and z = 1e4,
+    # 3.1e-11 at alpha = 150 and z = 2e4)
+    tolerances = {alpha: 1e-12 for alpha in (-0.5, -0.3, 0.0, 0.5, 1.0, 1.7, 3.2, 10.0)}
+    tolerances.update({30.0: 2e-13, 80.0: 3e-11, 150.0: 5e-11})
+    zs = [1e-8, 1e-3, 0.1, 0.9, 2.0, 7.3, 25.0, 80.0, 400.0, 1e4, 2e4]
+    for alpha, tol in tolerances.items():
         for z in zs:
             want = float(mp.exp(-z) * mp.besseli(alpha, z))
             got = float(ive(alpha, z))
-            assert math.isclose(got, want, rel_tol=1e-12), (alpha, z, got, want)
+            assert math.isclose(got, want, rel_tol=tol), (alpha, z, got, want)
+
+
+@pytest.mark.parametrize("z", [5e-324, 1e-320])
+def test_ive_at_subnormal_argument(z):
+    # z/2 underflows or loses bits here; a subnormal result is only
+    # representable to one unit of 5e-324
+    for alpha in (0.0, 0.5, 1.0, -0.5):
+        want = float(mp.exp(-mp.mpf(z)) * mp.besseli(alpha, mp.mpf(z)))
+        for got in (ive(alpha, z), ive(alpha, np.array([z, 1.0]))[0]):
+            assert math.isclose(got, want, rel_tol=1e-12, abs_tol=5e-324), (alpha, z, got, want)
+
+
+def test_ive_underflow_shortcut_matches_anchored_sum():
+    # ive sets elements whose series underflows to 0.0 without summing it;
+    # the anchored sum must give exactly 0.0 on each of them
+    z = np.geomspace(1e-300, 60.0, 1500)
+    n_zero = 0
+    for alpha in (0.0, 0.5, 1.0, 3.5, 10.0, 30.0, 80.0, 150.0):
+        vals = ive(alpha, z)
+        for zi in z[vals == 0.0]:
+            assert _ive_series_anchored(alpha, float(zi)) == 0.0, (alpha, zi)
+            n_zero += 1
+    assert n_zero > 5000
 
 
 def test_ive_vectorized_matches_scalar():

@@ -8,8 +8,6 @@ agree:
 
     python3 scripts/report_digest.py                      # this checkout
     python3 scripts/report_digest.py --src ../other/src   # another one
-
-``--keep DIR`` also writes the stripped reports there, for diffing.
 """
 
 from __future__ import annotations
@@ -55,16 +53,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=os.path.join(ROOT, "src"),
                         help="directory holding the lagsem package (default: this checkout)")
-    parser.add_argument("--keep", help="also write the stripped reports to this directory")
     args = parser.parse_args(argv)
     src = os.path.abspath(args.src)
     with tempfile.TemporaryDirectory() as workdir:
         for name, text in CONFIGS.items():
             body = stripped_report(src, text, workdir, name)
-            if args.keep:
-                os.makedirs(args.keep, exist_ok=True)
-                with open(os.path.join(args.keep, f"{name}.json"), "w", encoding="utf-8") as fh:
-                    fh.write(body)
             print(f"{hashlib.sha256(body.encode()).hexdigest()}  {name}")
     return 0
 

@@ -243,6 +243,8 @@ def evaluate_expansion(expansion: tuple, nu: float, t, x, y):
     t, x, y = _as_float_arrays(t, x, y)
     _check_1d_domain(t, x, y)
     shape = np.broadcast_shapes(t.shape, x.shape, y.shape)
+    if not expansion:
+        return np.zeros(shape) if shape else 0.0
     x, y = np.atleast_1d(x), np.atleast_1d(y)
     factors = _time_factors(t)
     sr, omr = factors[1], factors[2]

@@ -349,10 +349,11 @@ def _riesz_time_integral(order: MultiOrder, k, x, y, t_shift: float = 0.0):
     The substitution t = v^2 makes the integrand smooth through t = 0 for
     off-diagonal pairs; geometric panels in v resolve every pair scale at
     once, and log-spaced panels cover large times if the v panels end
-    early.  Both stop at one cutoff: once lam0 (shift + t) >= 60, with
-    lam0 = 2|nu| + 2n the bottom of the spectrum, the spectral gap has
-    scaled the integrand by e^(-60) against its large-time amplitude, so
-    later panels could not change the sum.
+    early.  Both stop at one cutoff, lam0 t >= 60, with lam0 = 2|nu| + 2n
+    the bottom of the spectrum: for large t the integrand decays like
+    e^(-lam0 (shift + t)), so past the cutoff it is below e^(-60) times
+    its size at t = 0 of the same decay, whatever the shift, and later
+    panels could not change the sum.
     """
     xx, yy, d, scalar = _pair_arrays(order, x, y)
     if np.any(d < 1e-9):
@@ -361,7 +362,7 @@ def _riesz_time_integral(order: MultiOrder, k, x, y, t_shift: float = 0.0):
     lam0 = 2.0 * order.total + 2.0 * order.n
 
     def decayed(t: float) -> bool:
-        return lam0 * (t_shift + t) >= _GAP_CUTOFF
+        return lam0 * t >= _GAP_CUTOFF
 
     v_small = max(float(d.min()) / 16.0, 1e-6)
     v_hi = math.e * float(d.max())

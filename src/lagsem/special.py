@@ -29,10 +29,6 @@ MAX_DEGREE = 200
 
 _LOG2 = math.log(2.0)
 _TINY = float(np.finfo(float).tiny)
-# A Bessel series whose largest term is its leading one (then q < 2 alpha + 4)
-# sums to at most e^6 times that term; when the term's log is below
-# _LEAD_ZERO the sum is below exp(-746) and rounds to 0.0.
-_LEAD_ZERO = -752.0
 
 
 @dataclass(frozen=True)
@@ -238,14 +234,8 @@ def ive(alpha: float, z):
         vals = np.empty_like(zs)
         if np.any(safe):
             vals[safe] = _ive_series_batch(alpha, zs[safe])
-        if not np.all(safe):
-            # a series peaking at its leading term underflows with that term
-            q = 0.25 * zs * zs
-            peak_at_0 = 0.5 * (-(alpha + 2.0) + np.sqrt(alpha * alpha + 4.0 * q)) < 1.0
-            underflow = peak_at_0 & (lead < _LEAD_ZERO)
-            vals[underflow] = 0.0
-            rest = ~safe & ~underflow
-            vals[rest] = [_ive_series_anchored(alpha, float(v)) for v in zs[rest]]
+        if np.any(~safe):
+            vals[~safe] = [_ive_series_anchored(alpha, float(v)) for v in zs[~safe]]
         res[small] = vals
     out[pos] = res
 

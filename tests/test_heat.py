@@ -352,3 +352,10 @@ def test_bessel_factor_skipped_only_where_the_product_is_zero(monkeypatch):
     assert len(seen) == 1
     assert 0 < seen[0].size < val.size
     assert np.any(seen[0] == 0.0)
+
+
+def test_empty_expansion_evaluates_to_zero():
+    assert heat.evaluate_expansion((), 0.5, 0.3, 1.0, 2.0) == 0.0
+    assert isinstance(heat.evaluate_expansion((), 0.5, 0.3, 1.0, 2.0), float)
+    got = heat.evaluate_expansion((), 0.5, np.array([0.1, 0.2]), _PTS[:3, None, None], 1.0)
+    np.testing.assert_array_equal(got, np.zeros((3, 1, 2)))

@@ -423,6 +423,20 @@ RIESZ_PINS = [
     (lambda: riesz_heat_composite_kernel(ORDER, (1,), 1.0, _X1, _Y1), [
         -4.5281024217472336e-05, 1.0794160776340599e-05, 0.0001397907192382419,
         2.276324156468949e-07, 2.2447164903057976e-17, 3.713919047546125e-47]),
+    # lam0 t_shift = 60 and 90: the shift already damps the whole integrand,
+    # so the time cutoff must not count it
+    (lambda: riesz_heat_composite_kernel(ORDER, (1,), 20.0, _X1, _Y1), [
+        -7.726107861889397e-63, 1.6408341223694464e-63, 2.516636797539941e-62,
+        4.773719614027065e-65, 9.521041921124568e-75, 7.38424854394877e-104]),
+    (lambda: riesz_heat_composite_kernel(ORDER, (1,), 30.0, _X1, _Y1), [
+        -3.0714753459149915e-93, 6.523053578443491e-94, 1.0004763092158155e-92,
+        1.897768237888582e-95, 3.785042359090986e-105, 2.935570892392495e-134]),
+    (lambda: riesz_heat_composite_kernel(ORDER, (2,), 20.0, _X1, _Y1), [
+        -9.733980954771577e-63, 2.0672566811897514e-63, 1.585332168229689e-62,
+        1.8042964182095508e-65, 1.799307796108305e-74, 6.977459023706878e-104]),
+    (lambda: riesz_heat_composite_kernel(MultiOrder((0.5, 1.0)), (1, 0), 20.0, _X2, _Y2), [
+        -2.1658146162355772e-98, -6.299305240754209e-98, 2.747204613309982e-98,
+        6.04000469444321e-104, 4.297884843402885e-131]),
 ]
 
 
@@ -432,10 +446,11 @@ def test_riesz_kernels_pinned_across_distances(case):
     np.testing.assert_allclose(fn(), want, rtol=1e-13, atol=0.0)
 
 
-@pytest.mark.parametrize("t_shift", [0.0, 1.0])
+@pytest.mark.parametrize("t_shift", [0.0, 1.0, 25.0])
 def test_riesz_time_nodes_stop_at_spectral_gap_cutoff(monkeypatch, t_shift):
-    # the v panels double until lam0 (shift + v^2) >= 60, so the last one
-    # ends below twice the crossing v and no node lies past 4 * 60 / lam0
+    # the v panels double until lam0 v^2 >= 60, whatever the shift, so the
+    # last one ends below twice the crossing v and no node lies past
+    # shift + 4 * 60 / lam0
     from lagsem import operators
 
     times = []
@@ -447,8 +462,8 @@ def test_riesz_time_nodes_stop_at_spectral_gap_cutoff(monkeypatch, t_shift):
     monkeypatch.setattr(operators, "delta_kernel", spy)
     riesz_heat_composite_kernel(ORDER, (1,), t_shift, _X1, _Y1)
     lam0 = 2.0 * ORDER.total + 2.0 * ORDER.n
-    assert lam0 * max(times) < 4.0 * 60.0
-    assert lam0 * max(times) > 60.0
+    assert lam0 * (max(times) - t_shift) < 4.0 * 60.0
+    assert lam0 * (max(times) - t_shift) > 60.0
 
 
 def test_riesz_kernel_rejects_diagonal():

@@ -49,37 +49,68 @@ def _check_1d_domain(t, x, y):
 
 
 def _time_factors(t):
-    """r = exp(-4t), sqrt(r), 1 - r and 1 - sqrt(r) on t's own shape.
+    """t, r = exp(-4t), sqrt(r), 1 - r and 1 - sqrt(r) on t's own shape.
 
-    The differences use expm1, accurate for small t.  All four are computed
+    The differences use expm1, accurate for small t.  All are computed
     before any broadcast against the space arguments, once per time rather
     than once per pair.  The arrays are at least 1-d:
     numpy's float64 scalar ``**`` goes through libm pow, which differs from
     the array loop in the last bit for some inputs.
     """
     t = np.atleast_1d(t)
-    return np.exp(-4.0 * t), np.exp(-2.0 * t), -np.expm1(-4.0 * t), -np.expm1(-2.0 * t)
+    return t, np.exp(-4.0 * t), np.exp(-2.0 * t), -np.expm1(-4.0 * t), -np.expm1(-2.0 * t)
 
 
-def _kernel_1d(nu: float, factors, x, y) -> np.ndarray:
-    """kernel_1d_closed on checked arrays with precomputed time factors.
+def _kernel_1d(nus: tuple, factors, x, y) -> list:
+    """kernel_1d_closed of each order in ``nus`` on checked arrays.
 
-    The Bessel factor is evaluated only where the rest of the product is
+    Everything but the Bessel factor is computed once for all orders.  The
+    Bessel factor is evaluated only where the rest of the product is
     non-zero, or where z = 0 (there ive may be infinite); elsewhere the
-    product is 0.0 whatever the finite Bessel value.
+    product is 0.0 whatever the finite Bessel value.  Where z = 0 and
+    nu < 0 the product is 0 * inf, so the limit at z -> 0,
+    2 r^((nu+1)/2) (1-r)^(-(nu+1)) (x y)^(nu+1/2) / Gamma(nu+1) * gauss * cross,
+    is returned instead.
     """
-    r, sr, omr, oms = factors
+    t, r, sr, omr, oms = factors
     z = 2.0 * sr * x * y / omr
     pref = 2.0 * sr * np.sqrt(x * y) / omr
     gauss = np.exp(-0.5 * (1.0 + r) / omr * (x - y) ** 2)
     cross = np.exp(-oms / (1.0 + sr) * x * y)
     head = pref * gauss * cross
-    need = (head != 0.0) | (z == 0.0)
-    if np.all(need):
-        return head * ive(nu, z)
-    bessel = np.zeros(head.shape)
-    bessel[need] = ive(nu, z[need])
-    return head * bessel
+    zero = z == 0.0
+    need = (head != 0.0) | zero
+    everywhere = bool(need.all())
+    z_need = z if everywhere else z[need]
+    vals = []
+    for nu in nus:
+        if everywhere:
+            bessel = ive(nu, z_need)
+        else:
+            bessel = np.zeros(head.shape)
+            bessel[need] = ive(nu, z_need)
+        if nu < 0.0 and zero.any():
+            bessel[zero] = 0.0
+            val = head * bessel
+            val[zero] = _zero_z_limit(nu, t, omr, x, y, gauss * cross, zero)
+        else:
+            val = head * bessel
+        vals.append(val)
+    return vals
+
+
+def _zero_z_limit(nu, t, omr, x, y, tail, zero):
+    """Limit of the 1-D kernel as z -> 0 for -1/2 <= nu < 0, at the ``zero`` mask.
+
+    Each factor is formed from t, x and y on their own, so sqrt(r) or x y
+    underflowing to 0 does not take the value with it.
+    """
+    shape = zero.shape
+    t, omr, x, y, tail = (np.broadcast_to(v, shape)[zero] for v in (t, omr, x, y, tail))
+    return (
+        2.0 * np.exp(-2.0 * (nu + 1.0) * t) * omr ** (-(nu + 1.0))
+        * x ** (nu + 0.5) * y ** (nu + 0.5) / math.gamma(nu + 1.0) * tail
+    )
 
 
 def kernel_1d_closed(nu: float, t, x, y):
@@ -104,7 +135,7 @@ def kernel_1d_closed(nu: float, t, x, y):
     t, x, y = _as_float_arrays(t, x, y)
     _check_1d_domain(t, x, y)
     shape = np.broadcast_shapes(t.shape, x.shape, y.shape)
-    val = _kernel_1d(nu, _time_factors(t), np.atleast_1d(x), np.atleast_1d(y))
+    (val,) = _kernel_1d((nu,), _time_factors(t), np.atleast_1d(x), np.atleast_1d(y))
     return val.reshape(shape) if shape else float(val[0])
 
 
@@ -247,12 +278,13 @@ def evaluate_expansion(expansion: tuple, nu: float, t, x, y):
         return np.zeros(shape) if shape else 0.0
     x, y = np.atleast_1d(x), np.atleast_1d(y)
     factors = _time_factors(t)
-    sr, omr = factors[1], factors[2]
+    _, _, sr, omr, _ = factors
     # each kernel, time power and space power once per call, not per term
     h_set, s_set, a_set, d_set, j_set = (set(v) for v in zip(*(key for key, _ in expansion)))
     if nu + min(j_set) < -0.5:
         raise ValueError("order must be >= -1/2")
-    kernels = {j: _kernel_1d(nu + j, factors, x, y) for j in j_set}
+    shifts = sorted(j_set)
+    kernels = dict(zip(shifts, _kernel_1d(tuple(nu + j for j in shifts), factors, x, y)))
     sr_pow = {h: sr**h for h in h_set if h}
     omr_pow = {s: omr ** (-s) for s in s_set if s}
     x_pow = {a: x ** float(a) for a in a_set if a}

@@ -8,7 +8,9 @@ even/odd symmetrizations of the harmonic-oscillator kernel
 """
 
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -255,6 +257,13 @@ def _reference_kernel_1d(nu, t, x, y):
     gauss = np.exp(-0.5 * (1.0 + r) / omr * (x - y) ** 2)
     cross = np.exp(-oms / (1.0 + sr) * x * y)
     val = pref * gauss * cross * ive(nu, z)
+    if nu < 0.0:
+        # z = 0 makes the product 0 * inf; the kernel is its limit there
+        limit = (
+            2.0 * np.exp(-2.0 * (nu + 1.0) * t) * omr ** (-(nu + 1.0))
+            * x ** (nu + 0.5) * y ** (nu + 0.5) / math.gamma(nu + 1.0) * (gauss * cross)
+        )
+        val = np.where(z == 0.0, limit, val)
     return val if val.ndim else float(val)
 
 
@@ -352,6 +361,51 @@ def test_bessel_factor_skipped_only_where_the_product_is_zero(monkeypatch):
     assert len(seen) == 1
     assert 0 < seen[0].size < val.size
     assert np.any(seen[0] == 0.0)
+
+
+def test_bessel_arguments_shared_across_orders(monkeypatch):
+    # delta^2 needs the kernels of orders nu, nu + 1 and nu + 2; they share
+    # z and the skip mask, computed once, so ive gets the same array per order
+    seen = []
+
+    def spy(nu, z):
+        seen.append((nu, z))
+        return ive(nu, z)
+
+    monkeypatch.setattr(heat, "ive", spy)
+    t, x, y = EXACT_CASES[4].values
+    with np.errstate(all="ignore"):
+        val = delta_kernel_1d(0.5, 2, t, x, y)
+    assert [nu for nu, _ in seen] == [0.5, 1.5, 2.5]
+    z0 = seen[0][1]
+    assert 0 < z0.size < val.size
+    assert all(z is z0 for _, z in seen[1:])
+
+
+def _mp_kernel_1d(nu, t, x, y):
+    nu, t, x, y = (mp.mpf(v) for v in (nu, t, x, y))
+    r = mp.exp(-4 * t)
+    z = 2 * mp.sqrt(r) * x * y / (1 - r)
+    pref = 2 * mp.sqrt(r * x * y) / (1 - r)
+    return pref * mp.exp(-(1 + r) / (2 * (1 - r)) * (x * x + y * y)) * mp.besseli(nu, z)
+
+
+@pytest.mark.parametrize("nu, t, x, y", [
+    (-0.5, 400.0, 1.0, 1.0),  # sqrt(r) underflows
+    (-0.5, 1.0, 1e-200, 1e-200),  # x y underflows
+    (-0.25, 1.0, 1e-200, 1e-200),
+])
+def test_negative_order_kernel_at_underflowed_bessel_argument(nu, t, x, y):
+    # z = 0 makes the product 0 * inf; the kernel takes its limit there
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = kernel_1d_closed(nu, t, x, y)
+        arr = kernel_1d_closed(nu, np.array([t, 0.5]), x, y)
+    with mp.workdps(40):
+        want = float(_mp_kernel_1d(nu, t, x, y))
+    assert want > 0.0
+    assert math.isclose(got, want, rel_tol=1e-13), (got, want)
+    assert arr[0] == got
 
 
 def test_empty_expansion_evaluates_to_zero():

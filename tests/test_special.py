@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from lagsem import (
     Grid,
@@ -21,6 +22,7 @@ from lagsem import (
     laguerre_function,
     laguerre_function_table,
     laguerre_polynomial,
+    special,
 )
 
 mp.mp.dps = 40
@@ -88,6 +90,94 @@ def test_ive_vectorized_matches_scalar():
     vec = ive(1.3, z)
     for zi, vi in zip(z[::17], vec[::17]):
         assert vi == float(ive(1.3, float(zi)))
+
+
+# ---------------------------------------------------------------------------
+# exactness of the early-retiring series
+#
+# Reference copy of the batched series as it was before converged elements
+# retired: one shared term count, every element summed until the global
+# break, and ive's branch composition with a copy and a gather per branch.
+# Retiring elements and skipping gathers may not change a single bit.
+
+
+def _frozen_series_batch(alpha, z):
+    q = 0.25 * z * z
+    term = np.exp(alpha * special._log_half(z) - z - gammaln(alpha + 1.0))
+    total = term.copy()
+    zmax = float(z.max())
+    kpk = max(0.0, 0.5 * (-(alpha + 2.0) + math.sqrt(alpha * alpha + 4.0 * 0.25 * zmax * zmax)))
+    k_stop = int(kpk + 12.0 * math.sqrt(kpk + 1.0) + 40.0)
+    for k in range(k_stop):
+        term *= q / ((k + 1.0) * (alpha + k + 1.0))
+        total += term
+        if (k & 15) == 15 and float(term.max()) <= 1e-18 * float(total.min()):
+            break
+    return total
+
+
+def _frozen_ive(alpha, z):
+    zz = np.asarray(z, dtype=float)
+    flat = np.atleast_1d(zz).ravel().copy()
+    out = np.empty_like(flat)
+    zero = flat == 0.0
+    if np.any(zero):
+        out[zero] = 1.0 if alpha == 0.0 else (0.0 if alpha > 0.0 else np.inf)
+    pos = ~zero
+    zp = flat[pos]
+    res = np.empty_like(zp)
+    big = zp > special._series_cutoff(alpha)
+    if np.any(big):
+        res[big] = special._ive_asymptotic(alpha, zp[big])
+    small = ~big
+    if np.any(small):
+        zs = zp[small]
+        lead = alpha * special._log_half(zs) - zs - gammaln(alpha + 1.0)
+        safe = lead > -650.0
+        vals = np.empty_like(zs)
+        if np.any(safe):
+            vals[safe] = _frozen_series_batch(alpha, zs[safe])
+        if np.any(~safe):
+            vals[~safe] = [special._ive_series_anchored(alpha, float(v)) for v in zs[~safe]]
+        res[small] = vals
+    out[pos] = res
+    return float(out[0]) if zz.ndim == 0 else out.reshape(zz.shape)
+
+
+EXACT_ALPHAS = (-0.5, -0.3, 0.0, 0.5, 1.3, 4.5, 30.0, 150.0)
+
+
+@pytest.mark.parametrize("alpha", EXACT_ALPHAS)
+def test_ive_series_retirement_is_bit_identical(alpha):
+    rng = np.random.default_rng(7)
+    cut = special._series_cutoff(alpha)
+    # every element on the series branch, z spread over decades as in a
+    # Riesz time integral; one array also spans the subnormal range
+    for lo in (1e-6, 1e-2, 1.0):
+        z = np.exp(rng.uniform(math.log(lo), math.log(cut), 3000))
+        np.testing.assert_array_equal(ive(alpha, z), _frozen_ive(alpha, z))
+    z = np.geomspace(5e-324, cut, 3000)
+    np.testing.assert_array_equal(ive(alpha, z), _frozen_ive(alpha, z))
+    # zero, series, anchored (lead <= -650) and Hankel elements in one array
+    mixed = np.concatenate([
+        [0.0, 0.0, 5e-324],
+        np.geomspace(1e-300, 1e-20, 200),
+        np.exp(rng.uniform(math.log(1e-3), math.log(cut), 1500)),
+        rng.uniform(cut, 4.0 * cut, 300),
+    ])
+    rng.shuffle(mixed)
+    mixed = mixed[:2000].reshape(40, 50)
+    np.testing.assert_array_equal(ive(alpha, mixed), _frozen_ive(alpha, mixed))
+    for v in mixed.ravel()[:60]:
+        got = ive(alpha, float(v))
+        assert type(got) is float
+        assert got == _frozen_ive(alpha, float(v))
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 3)], ids=["1d", "2d"])
+def test_ive_of_empty_input(shape):
+    got = ive(0.5, np.empty(shape))
+    assert got.shape == shape
 
 
 def test_scaled_bessel_value_fields_and_bounds():

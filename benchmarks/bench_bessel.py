@@ -23,7 +23,7 @@ or compare two checkouts and write a JSON table of both:
     python3 benchmarks/bench_bessel.py --parent-src ../parent/src --out layers.json
 
 which runs the benchmarks on the parent's ``src`` and on this checkout's,
-alternating, ``--rounds`` times each, and records each benchmark's median
+alternating, ``ROUNDS`` times each, and records each benchmark's median
 over the rounds' medians.  The ``layers`` block of ``BENCH_4.json`` is such
 a table.
 """
@@ -41,6 +41,8 @@ import numpy as np
 import pytest
 
 N_PAIRS_1D = 16 * 64 * 64
+# rounds per checkout in the two-checkout comparison
+ROUNDS = 5
 
 
 @pytest.fixture(scope="module")
@@ -128,12 +130,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="compare the layer benchmarks of two checkouts")
     parser.add_argument("--parent-src", required=True, help="src directory of the parent checkout")
     parser.add_argument("--out", required=True, help="JSON file to write")
-    parser.add_argument("--rounds", type=int, default=3)
     args = parser.parse_args(argv)
     sides = {"parent": os.path.abspath(args.parent_src), "change": os.path.join(root, "src")}
     medians = {side: {} for side in sides}
     with tempfile.TemporaryDirectory() as tmp:
-        for rnd in range(args.rounds):
+        for rnd in range(ROUNDS):
             # alternate which side runs first
             order = list(sides) if rnd % 2 == 0 else list(sides)[::-1]
             for side in order:
@@ -154,7 +155,7 @@ def main(argv=None) -> int:
         row["change_over_parent"] = row["change"]["median_s"] / row["parent"]["median_s"]
         rows.append(row)
     with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump({"rounds": args.rounds, "rows": rows}, fh, indent=2)
+        json.dump({"rounds": ROUNDS, "rows": rows}, fh, indent=2)
         fh.write("\n")
     return 0
 

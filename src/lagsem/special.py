@@ -210,31 +210,41 @@ def _ive_asymptotic(alpha: float, z: np.ndarray) -> np.ndarray:
     return total / np.sqrt(2.0 * math.pi * z)
 
 
-def _ive_positive(alpha: float, z: np.ndarray) -> np.ndarray:
-    """ive on a non-empty array of positive z, Hankel above the cutoff."""
-    big = z > _series_cutoff(alpha)
-    if big.all():
-        return _ive_asymptotic(alpha, z)
-    if not big.any():
-        return _ive_small(alpha, z)
-    out = np.empty_like(z)
-    out[big] = _ive_asymptotic(alpha, z[big])
-    out[~big] = _ive_small(alpha, z[~big])
+def _by_mask(mask: np.ndarray, where_true, where_false) -> np.ndarray:
+    """where_true(sel) where ``mask`` holds and where_false(sel) elsewhere.
+
+    ``sel`` indexes the caller's arrays.  A uniform mask (also an empty
+    one) passes ``...``, so the common single-branch call skips the
+    gather and the scatter.
+    """
+    if mask.all():
+        return where_true(...)
+    if not mask.any():
+        return where_false(...)
+    rest = ~mask
+    out = np.empty(mask.shape)
+    out[mask] = where_true(mask)
+    out[rest] = where_false(rest)
     return out
+
+
+def _ive_positive(alpha: float, z: np.ndarray) -> np.ndarray:
+    """ive on positive z: Hankel above the cutoff, power series below."""
+    return _by_mask(
+        z > _series_cutoff(alpha),
+        lambda s: _ive_asymptotic(alpha, z[s]),
+        lambda s: _ive_small(alpha, z[s]),
+    )
 
 
 def _ive_small(alpha: float, z: np.ndarray) -> np.ndarray:
-    """Power series on a non-empty array of positive z below the cutoff."""
+    """Power series on positive z below the cutoff."""
     lead = alpha * _log_half(z) - z - gammaln(alpha + 1.0)
-    safe = lead > -650.0
-    if safe.all():
-        return _ive_series_batch(alpha, z, lead)
-    out = np.empty_like(z)
-    if safe.any():
-        out[safe] = _ive_series_batch(alpha, z[safe], lead[safe])
-    unsafe = ~safe
-    out[unsafe] = [_ive_series_anchored(alpha, float(v)) for v in z[unsafe]]
-    return out
+    return _by_mask(
+        lead > -650.0,
+        lambda s: _ive_series_batch(alpha, z[s], lead[s]),
+        lambda s: np.array([_ive_series_anchored(alpha, float(v)) for v in z[s]]),
+    )
 
 
 def ive(alpha: float, z):
@@ -257,17 +267,12 @@ def ive(alpha: float, z):
     if not np.all(np.isfinite(zz)) or np.any(zz < 0.0):
         raise ValueError("Bessel argument must be finite and >= 0")
     flat = np.atleast_1d(zz).ravel()
-    if flat.size == 0:
-        return np.empty(zz.shape)
-    zero = flat == 0.0
-    if not zero.any():
-        out = _ive_positive(alpha, flat)
-    else:
-        out = np.empty_like(flat)
-        out[zero] = 1.0 if alpha == 0.0 else (0.0 if alpha > 0.0 else np.inf)
-        if not zero.all():
-            pos = ~zero
-            out[pos] = _ive_positive(alpha, flat[pos])
+    at_zero = 1.0 if alpha == 0.0 else (0.0 if alpha > 0.0 else np.inf)
+    out = _by_mask(
+        flat == 0.0,
+        lambda s: np.full(flat[s].shape, at_zero),
+        lambda s: _ive_positive(alpha, flat[s]),
+    )
 
     if zz.ndim == 0:
         return float(out[0])

@@ -1,7 +1,8 @@
 """SHA-256 digests of `lagsem run --suite all` reports, without timings.
 
-Runs the full suite for the three gate configurations (the default,
-``fast = false``, and ``order = 0.5, 1.0`` with ``fast = false``), drops
+Runs the full suite for the four gate configurations (the default,
+``fast = false``, and ``order = 0.5, 1.0`` and ``order = 0.5, 1.0, 0.0``
+each with ``fast = false``), drops
 the ``timings`` block of each JSON report and prints one digest per
 configuration.  Two checkouts produce the same numbers when their digests
 agree:
@@ -26,6 +27,7 @@ CONFIGS = {
     "default": "",
     "slow": "fast = false\n",
     "slow-2d": "order = 0.5, 1.0\nfast = false\n",
+    "slow-3d": "order = 0.5, 1.0, 0.0\nfast = false\n",
 }
 
 

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .critical import rho
+from .critical import critical_weight, rho
 from .heat import (
     axis_product,
     delta_kernel,
@@ -257,10 +257,7 @@ def minimal_decay_constant(
 
 
 def _w_weight(order: MultiOrder, t, x, y, exponent: float):
-    xx = x if np.asarray(x).ndim > 1 else np.asarray(x)[:, None]
-    yy = y if np.asarray(y).ndim > 1 else np.asarray(y)[:, None]
-    w = 1.0 + np.sqrt(t) / np.atleast_1d(rho(order, xx)) + np.sqrt(t) / np.atleast_1d(rho(order, yy))
-    return w ** (-exponent)
+    return critical_weight(order, np.sqrt(t), x, y) ** (-exponent)
 
 
 def heat_size_family(nu: float) -> BoundFamily:
@@ -515,11 +512,8 @@ def product_adjoint_family(order: MultiOrder, m: int, k, ell) -> BoundFamily:
 
 def _riesz_prefactor(order: MultiOrder, x, y):
     """Riesz size majorant |x-y|^(-n) (1 + |x-y|/rho(x) + |x-y|/rho(y))^(-gamma)."""
-    xx = x if np.asarray(x).ndim > 1 else np.asarray(x)[:, None]
-    yy = y if np.asarray(y).ndim > 1 else np.asarray(y)[:, None]
     d = np.sqrt(_dist2(x, y))
-    w = 1.0 + d / np.atleast_1d(rho(order, xx)) + d / np.atleast_1d(rho(order, yy))
-    return d ** (-float(order.n)) * w ** (-(order.nu_min + 0.5))
+    return d ** (-float(order.n)) * critical_weight(order, d, x, y) ** (-(order.nu_min + 0.5))
 
 
 def riesz_size_family(order: MultiOrder, k) -> BoundFamily:

@@ -13,6 +13,7 @@ from .special import MultiOrder, as_order
 __all__ = [
     "rho",
     "rho_axis",
+    "critical_weight",
     "check_slow_variation",
     "SlowVariationReport",
     "Ball",
@@ -47,6 +48,13 @@ def rho(order: MultiOrder, x):
         entries.append(x[..., j])
     val = np.min(np.stack(entries, axis=0), axis=0) / 16.0
     return val if val.ndim else float(val)
+
+
+def critical_weight(order: MultiOrder, s, x, y):
+    """Weight W = 1 + s/rho(x) + s/rho(y) at scale s; x, y are (N, n) or, in 1-D, (N,)."""
+    xx = x if np.ndim(x) > 1 else np.asarray(x)[:, None]
+    yy = y if np.ndim(y) > 1 else np.asarray(y)[:, None]
+    return 1.0 + s / np.atleast_1d(rho(order, xx)) + s / np.atleast_1d(rho(order, yy))
 
 
 def rho_axis(nu_j: float, x_j):

@@ -111,9 +111,6 @@ class GridFunction:
                 f"value shape {self.values.shape} does not match grid shape {self.grid.shape}"
             )
 
-    def integrate(self) -> float:
-        return float(np.sum(self.grid.weights_nd() * self.values))
-
     def inner(self, other: "GridFunction") -> float:
         if other.grid is not self.grid and other.grid.shape != self.grid.shape:
             raise ValueError("grid mismatch in inner product")
@@ -146,6 +143,3 @@ class GridFunction:
 
     def __sub__(self, other):
         return GridFunction(self.grid, self.values - other.values)
-
-    def scaled(self, c: float) -> "GridFunction":
-        return GridFunction(self.grid, c * self.values)

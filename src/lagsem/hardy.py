@@ -19,7 +19,7 @@ import numpy as np
 
 from .critical import Ball, rho
 from .grids import Grid, GridFunction, gauss_legendre_axis
-from .operators import maximal_function
+from .operators import default_time_ladder, maximal_function
 from .special import MultiOrder, as_order
 
 __all__ = [
@@ -269,11 +269,12 @@ def hardy_norm_maximal(
         f = f.func
     elif eval_grid is None:
         eval_grid = f.grid
+    if t_grid is None:
+        t_grid = default_time_ladder(f.grid)
     mf = maximal_function(order, f, t_grid=t_grid, eval_grid=eval_grid)
     lo = tuple(float(ax.nodes.min()) for ax in eval_grid.axes)
     hi = tuple(float(ax.nodes.max()) for ax in eval_grid.axes)
-    n_times = len(np.atleast_1d(t_grid)) if t_grid is not None else 48
-    return NormReport(mf.norm_lp(p), p, n_times, lo, hi)
+    return NormReport(mf.norm_lp(p), p, np.atleast_1d(t_grid).size, lo, hi)
 
 
 @dataclass(frozen=True)

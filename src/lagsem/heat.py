@@ -153,6 +153,9 @@ def kernel_1d_raw(nu: float, t, x, y):
     r = np.exp(-4.0 * t)
     omr = -np.expm1(-4.0 * t)
     z = 2.0 * np.sqrt(r) * x * y / omr
+    if nu < 0.0 and np.any(z == 0.0):
+        raise ValueError("kernel_1d_raw is 0 * inf where z underflows to 0 and nu < 0; "
+                         "kernel_1d_closed returns the z -> 0 limit there")
     pref = 2.0 * np.sqrt(r * x * y) / omr
     body = np.exp(-0.5 * (1.0 + r) / omr * (x * x + y * y) + z) * ive(nu, z)
     val = pref * body
@@ -221,10 +224,6 @@ def _expand_partial(terms: dict, nu: float) -> dict:
         _add(out, (h + 1, s + 1, a, d + 1, j + 1), 2.0 * coef)
         _add(out, (h, s, a + 1, d, j), -coef)
     return out
-
-
-def _expand_mult_x(terms: dict, power: int) -> dict:
-    return {(h, s, a + power, d, j): c for (h, s, a, d, j), c in terms.items()}
 
 
 def _expand_scaled(terms: dict, factor: float) -> dict:
@@ -359,12 +358,10 @@ def delta_kernel(order: MultiOrder, m, t, x, y):
 # spectral form
 
 
-def kernel_spectral(order: MultiOrder, t: float, x, y, k_max: int, with_tail: bool = False):
+def kernel_spectral(order: MultiOrder, t: float, x, y, k_max: int) -> float:
     """Truncated eigenfunction expansion of the heat kernel at one point pair.
 
     Sums exp(-t(4|k| + 2|nu| + 2n)) phi_k(x) phi_k(y) over |k| <= k_max.
-    With ``with_tail`` the geometric tail bound
-    (last shell magnitude) * q / (1 - q), q = exp(-4t), is returned too.
     """
     order = as_order(order)
     if k_max < 0:
@@ -377,28 +374,16 @@ def kernel_spectral(order: MultiOrder, t: float, x, y, k_max: int, with_tail: bo
     if x.size != order.n or y.size != order.n:
         raise ValueError("point dimension does not match order dimension")
 
-    base = math.exp(-t * (2.0 * order.total + 2.0 * order.n))
+    base = math.exp(-t * order.degree_eigenvalue(0))
     q = math.exp(-4.0 * t)
-    # per-axis products phi_k(x_j) phi_k(y_j), degree-weighted
-    axis_terms = []
+    # outer product of the per-axis products phi_k(x_j) phi_k(y_j) q^k
+    terms = 1.0
+    degree = 0
     for j, nuj in enumerate(order.nu):
         tab_x = laguerre_function_table(nuj, np.asarray(x[j]), k_max)
         tab_y = laguerre_function_table(nuj, np.asarray(y[j]), k_max)
-        axis_terms.append(tab_x * tab_y * q ** np.arange(k_max + 1))
-    if order.n == 1:
-        shell = axis_terms[0]
-        shell_abs = np.abs(axis_terms[0])
-    else:
-        full = axis_terms[0]
-        full_abs = np.abs(axis_terms[0])
-        for arr in axis_terms[1:]:
-            full = np.multiply.outer(full, arr)
-            full_abs = np.multiply.outer(full_abs, np.abs(arr))
-        idx = np.indices(full.shape).sum(axis=0)
-        shell = np.array([full[idx == s].sum() for s in range(k_max + 1)])
-        shell_abs = np.array([full_abs[idx == s].sum() for s in range(k_max + 1)])
-    value = base * float(np.sum(shell))
-    if not with_tail:
-        return value
-    tail = base * float(shell_abs[-1]) * q / (1.0 - q) if q < 1.0 else math.inf
-    return value, tail
+        terms = np.multiply.outer(terms, tab_x * tab_y * q ** np.arange(k_max + 1))
+        degree = np.add.outer(degree, np.arange(k_max + 1))
+    # shell sums by total degree first, as terms of one degree have similar size
+    shells = np.bincount(degree.ravel(), weights=terms.ravel())[: k_max + 1]
+    return base * float(np.sum(shells))

@@ -11,14 +11,13 @@ semigroup smoothing step.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, roots_legendre
 
-from .critical import rho
+from .critical import critical_weight
 from .grids import Grid, GridFunction
 from .heat import delta_kernel, kernel_1d_closed
 from .special import MultiOrder, as_order, laguerre_function_table
@@ -32,6 +31,7 @@ __all__ = [
     "semigroup_apply",
     "maximal_function",
     "square_function",
+    "default_time_ladder",
     "riesz_multiplier",
     "riesz_multiplier_table",
     "riesz_spectral",
@@ -72,12 +72,7 @@ class SpectralCoefficients:
 
 def eigenvalue_array(order: MultiOrder, k_max: int) -> np.ndarray:
     """Eigenvalues 4|k| + 2|nu| + 2n on the full coefficient index grid."""
-    total = np.zeros((k_max + 1,) * order.n)
-    for ax in range(order.n):
-        shape = [1] * order.n
-        shape[ax] = k_max + 1
-        total = total + np.arange(k_max + 1, dtype=float).reshape(shape)
-    return 4.0 * total + 2.0 * order.total + 2.0 * order.n
+    return order.degree_eigenvalue(sum(np.ix_(*[np.arange(k_max + 1)] * order.n)))
 
 
 def _tables(order: MultiOrder, grid: Grid, k_max: int) -> list[np.ndarray]:
@@ -157,6 +152,12 @@ def semigroup_apply(
     raise ValueError("method must be 'spectral' or 'kernel'")
 
 
+def default_time_ladder(grid: Grid) -> np.ndarray:
+    """48 geometric times from twice the coarsest node spacing of ``grid`` to 30."""
+    h = max(float(np.diff(ax.nodes).max()) for ax in grid.axes)
+    return np.geomspace(2.0 * h, 30.0, 48)
+
+
 def maximal_function(
     order: MultiOrder,
     f: GridFunction,
@@ -173,8 +174,7 @@ def maximal_function(
     """
     order = as_order(order)
     if t_grid is None:
-        h = max(float(np.diff(ax.nodes).max()) for ax in f.grid.axes)
-        t_grid = np.geomspace(2.0 * h, 30.0, 48)
+        t_grid = default_time_ladder(f.grid)
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid <= 0.0):
         raise ValueError("time grid must be strictly positive")
@@ -221,14 +221,19 @@ def square_function(
     xpts = target.points()
     ypts = f.grid.points()
     wy = f.grid.weights_nd().ravel()
-    d2 = np.sum((xpts[:, None, :] - ypts[None, :, :]) ** 2, axis=-1)
+    # squared distances one axis at a time in one scratch matrix, which
+    # then holds each level's cone indicator
+    d2 = np.zeros((xpts.shape[0], ypts.shape[0]))
+    buf = np.empty_like(d2)
+    for j in range(xpts.shape[1]):
+        d2 += np.square(np.subtract.outer(xpts[:, j], ypts[:, j], out=buf), out=buf)
 
     acc = np.zeros(xpts.shape[0])
     n = order.n
     for t, w in zip(levels, w_log):
         g = synthesize(coeffs.damped(t * t * lam * np.exp(-t * t * lam)), f.grid)
         g2 = wy * g.values.ravel() ** 2
-        inner = (d2 < t * t).astype(float) @ g2
+        inner = np.less(d2, t * t, out=buf) @ g2
         acc += w * t ** (-n) * inner
     return GridFunction(target, np.sqrt(acc).reshape(target.shape))
 
@@ -246,6 +251,31 @@ def _check_riesz_index(order: MultiOrder, k) -> tuple[int, ...]:
     return k
 
 
+def _riesz_multipliers(order: MultiOrder, k: tuple, alpha, variant: str) -> np.ndarray:
+    """Riesz multipliers at broadcastable target indices alpha_j = m_j - k_j.
+
+    Each value rounds as it would alone: the amplitude takes -2 sqrt(m_j - i)
+    for i = 0, 1, ..., and lambda_m^(-|k|/2) is a libm power per distinct
+    total degree (numpy's array power differs in the last bit).
+    """
+    if variant not in ("single_power", "stepwise"):
+        raise ValueError("variant must be 'single_power' or 'stepwise'")
+    m = [np.asarray(a) + kj for a, kj in zip(alpha, k)]
+    degree = sum(m)
+    amp = np.ones(np.shape(degree))
+    for mj, kj in zip(m, k):
+        for i in range(kj):
+            amp = amp * (-2.0 * np.sqrt(mj - i))
+    if variant == "single_power":
+        levels, where = np.unique(degree, return_inverse=True)
+        power = [float(order.degree_eigenvalue(int(d))) ** (-sum(k) / 2.0) for d in levels]
+        return amp * np.array(power)[where].reshape(amp.shape)
+    lam = order.degree_eigenvalue(degree)
+    for step in range(sum(k)):
+        amp = amp / np.sqrt(lam - 2.0 * step)
+    return amp
+
+
 def riesz_multiplier(order: MultiOrder, k, m, variant: str = "single_power") -> float:
     """Spectral multiplier of the Riesz transform at one source index m.
 
@@ -259,37 +289,7 @@ def riesz_multiplier(order: MultiOrder, k, m, variant: str = "single_power") -> 
     m = tuple(int(v) for v in np.atleast_1d(m))
     if len(m) != order.n or any(mj < kj for mj, kj in zip(m, k)):
         raise ValueError("source index must dominate the derivative index")
-    lam = order.eigenvalue(m)
-    amp = 1.0
-    for mj, kj in zip(m, k):
-        for i in range(kj):
-            amp *= -2.0 * math.sqrt(mj - i)
-    if variant == "single_power":
-        return amp * lam ** (-sum(k) / 2.0)
-    if variant == "stepwise":
-        for step in range(sum(k)):
-            amp /= math.sqrt(lam - 2.0 * step)
-        return amp
-    raise ValueError("variant must be 'single_power' or 'stepwise'")
-
-
-def _riesz_multiplier_grid(order: MultiOrder, k, k_max: int, variant: str) -> np.ndarray:
-    """Multipliers on the target index grid alpha = m - k, vectorized."""
-    n = order.n
-    alpha = [np.arange(k_max + 1, dtype=float).reshape([k_max + 1 if a == ax else 1 for a in range(n)])
-             for ax in range(n)]
-    lam = eigenvalue_array(order, k_max) + 4.0 * sum(k)
-    amp = np.ones_like(lam)
-    for ax in range(n):
-        for i in range(1, k[ax] + 1):
-            amp = amp * (-2.0) * np.sqrt(alpha[ax] + i)
-    if variant == "single_power":
-        return amp * lam ** (-sum(k) / 2.0)
-    if variant == "stepwise":
-        for step in range(sum(k)):
-            amp = amp / np.sqrt(lam - 2.0 * step)
-        return amp
-    raise ValueError("variant must be 'single_power' or 'stepwise'")
+    return float(_riesz_multipliers(order, k, [mj - kj for mj, kj in zip(m, k)], variant))
 
 
 def riesz_spectral(
@@ -309,7 +309,7 @@ def riesz_spectral(
     if coeffs.order != order:
         raise ValueError("coefficients were computed for a different order")
     k_max = coeffs.k_max
-    mult = _riesz_multiplier_grid(order, k, k_max, variant)
+    mult = _riesz_multipliers(order, k, np.ix_(*[np.arange(k_max + 1)] * order.n), variant)
     src = coeffs.coeffs
     shifted = src[tuple(slice(kj, None) for kj in k)]
     out = np.zeros_like(src)
@@ -324,10 +324,11 @@ def riesz_multiplier_table(
     """Multipliers keyed by the comma-joined source multi-index."""
     order = as_order(order)
     k = _check_riesz_index(order, k)
-    table = {}
-    for m in itertools.product(*[range(kj, k_max + 1) for kj in k]):
-        table[",".join(str(v) for v in m)] = riesz_multiplier(order, k, m, variant)
-    return table
+    grid = _riesz_multipliers(order, k, np.ix_(*[np.arange(k_max + 1 - kj) for kj in k]), variant)
+    return {
+        ",".join(str(a + kj) for a, kj in zip(alpha, k)): float(grid[alpha])
+        for alpha in np.ndindex(grid.shape)
+    }
 
 
 def _pair_arrays(order: MultiOrder, x, y):
@@ -359,7 +360,7 @@ def _riesz_time_integral(order: MultiOrder, k, x, y, t_shift: float = 0.0):
     if np.any(d < 1e-9):
         raise ValueError("the kernel is singular on the diagonal; x and y must differ")
     s = sum(k) / 2.0
-    lam0 = 2.0 * order.total + 2.0 * order.n
+    lam0 = order.degree_eigenvalue(0)
 
     def decayed(t: float) -> bool:
         return lam0 * t >= _GAP_CUTOFF
@@ -458,7 +459,7 @@ def verify_cz_smoothness(
         ys = ys.reshape(-1, order.n)[keep]
         dd = dd[keep]
         vals = np.abs(riesz_kernel(order, k, xs.squeeze(), ys.squeeze()))
-        w = 1.0 + dd / rho(order, xs) + dd / rho(order, ys)
+        w = critical_weight(order, dd, xs, ys)
         return float(np.max(vals * dd ** float(order.n) * w**gamma))
 
     sup_coarse = weighted_sup(coarse)

@@ -82,7 +82,11 @@ class MultiOrder:
         k = np.atleast_1d(np.asarray(k))
         if k.size != self.n:
             raise ValueError("multi-index length does not match dimension")
-        return float(4.0 * k.sum() + 2.0 * self.total + 2.0 * self.n)
+        return float(self.degree_eigenvalue(k.sum()))
+
+    def degree_eigenvalue(self, degree):
+        """Eigenvalue 4|k| + 2|nu| + 2n of the total degree |k| (int or integer array)."""
+        return 4.0 * degree + 2.0 * self.total + 2.0 * self.n
 
     def shifted(self, delta) -> "MultiOrder":
         delta = np.atleast_1d(np.asarray(delta, dtype=float))

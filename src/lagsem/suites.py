@@ -114,6 +114,7 @@ def check_semigroup_law(config: SuiteConfig) -> CheckResult:
 def check_eigenrelation(config: SuiteConfig) -> CheckResult:
     # residual measured in L2, not pointwise: phi_k has interior zeros
     nu = _axis_nu(config)
+    order = MultiOrder((nu,))
     axis = gauss_legendre_axis(0.0, 12.0, nodes_per_unit=64)
     table = laguerre_function_table(nu, axis.nodes, 7)
     worst = 0.0
@@ -121,7 +122,7 @@ def check_eigenrelation(config: SuiteConfig) -> CheckResult:
         kmat = kernel_1d_closed(nu, t, axis.nodes[:, None], axis.nodes[None, :])
         for k in (0, 3, 7):
             applied = kmat @ (axis.weights * table[k])
-            resid = applied - np.exp(-t * (4 * k + 2 * nu + 2)) * table[k]
+            resid = applied - np.exp(-t * order.degree_eigenvalue(k)) * table[k]
             num = float(np.sum(axis.weights * resid**2))
             den = float(np.sum(axis.weights * table[k] ** 2))
             worst = max(worst, np.sqrt(num / den))

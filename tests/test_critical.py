@@ -17,6 +17,15 @@ from lagsem import (
     rho_axis,
     run_suite,
 )
+from lagsem.critical import critical_weight
+
+
+def test_critical_weight_takes_1d_points_as_column():
+    order = MultiOrder((0.5,))
+    x, y = np.array([0.5, 2.0]), np.array([1.0, 4.0])
+    want = 1.0 + 0.3 / rho(order, x[:, None]) + 0.3 / rho(order, y[:, None])
+    np.testing.assert_array_equal(critical_weight(order, 0.3, x, y), want)
+    np.testing.assert_array_equal(critical_weight(order, 0.3, x[:, None], y[:, None]), want)
 
 
 def test_rho_direct_values():

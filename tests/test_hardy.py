@@ -21,6 +21,7 @@ from lagsem import (
     rho,
 )
 from lagsem.hardy import ball_grid
+from lagsem.operators import default_time_ladder, maximal_function
 
 ORDER = MultiOrder((0.5,))
 
@@ -278,6 +279,15 @@ def test_hardy_norm_scaling_at_p_one():
     assert scaled.value == pytest.approx(2.0 * base.value, rel=1e-10)
     assert base.value > 0.0
     assert math.isfinite(base.value)
+
+
+def test_hardy_norm_reports_the_default_ladder_it_used():
+    grid = Grid.box((0.05,), (4.0,), nodes_per_unit=24)
+    f = GridFunction(grid, np.exp(-((grid.points().ravel() - 2.0) ** 2)))
+    rep = hardy_norm_maximal(ORDER, f, 1.0)
+    ladder = default_time_ladder(grid)
+    assert rep.n_times == ladder.size == 48
+    assert rep.value == maximal_function(ORDER, f, t_grid=ladder).norm_lp(1.0)
 
 
 def test_hardy_norm_rejects_bad_exponent():

@@ -7,6 +7,7 @@ even/odd symmetrizations of the harmonic-oscillator kernel
 (2 pi sinh 2t)^{-1/2} exp(-coth(2t)(x^2+y^2)/2 + xy/sinh 2t).
 """
 
+import itertools
 import math
 import warnings
 
@@ -406,6 +407,32 @@ def test_negative_order_kernel_at_underflowed_bessel_argument(nu, t, x, y):
     assert want > 0.0
     assert math.isclose(got, want, rel_tol=1e-13), (got, want)
     assert arr[0] == got
+
+
+@pytest.mark.parametrize("t, x, y", [
+    (400.0, 1.0, 1.0),  # sqrt(r) underflows
+    (1.0, 1e-200, 1e-200),  # x y underflows
+])
+def test_raw_kernel_refuses_underflowed_bessel_argument(t, x, y):
+    # the textbook form is 0 * inf there; the error names the closed form
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="kernel_1d_closed"):
+            kernel_1d_raw(-0.5, t, x, y)
+        with pytest.raises(ValueError, match="kernel_1d_closed"):
+            kernel_1d_raw(-0.5, np.array([t, 0.5]), x, y)
+
+
+def test_spectral_sum_over_total_degree_in_three_dimensions():
+    # the sum keeps exactly the multi-indices with |k| <= k_max
+    order = MultiOrder((0.5, -0.5, 1.3))
+    t, x, y, k_max = 0.7, (0.9, 1.4, 0.6), (1.1, 0.8, 1.7), 6
+    want = 0.0
+    for k in itertools.product(range(k_max + 1), repeat=3):
+        if sum(k) <= k_max:
+            want += (math.exp(-t * order.eigenvalue(k))
+                     * laguerre_function(k, order, x) * laguerre_function(k, order, y))
+    assert kernel_spectral(order, t, x, y, k_max) == pytest.approx(want, rel=1e-13)
 
 
 def test_empty_expansion_evaluates_to_zero():

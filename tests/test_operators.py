@@ -1,5 +1,6 @@
 """Spectral calculus, semigroup, maximal/square functions, Riesz transforms."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -13,6 +14,7 @@ from lagsem import (
     delta_kernel,
     SpectralCoefficients,
     analyze,
+    eigenvalue_array,
     gauss_legendre_axis,
     kernel_nd,
     maximal_function,
@@ -294,6 +296,22 @@ def test_square_function_l2_constant_across_profiles():
     assert max(ratios) / min(ratios) < 1.1
 
 
+def test_square_function_peak_memory_is_two_distance_matrices():
+    # squared distances are summed one axis at a time in a scratch matrix
+    # that later holds each level's cone indicator: two (N, M) float arrays,
+    # where an (N, M, n) difference array takes three
+    grid = Grid.box((0.5, 0.5), (3.5, 3.5), nodes_per_unit=8, min_nodes=4)
+    pts = grid.points()
+    f = GridFunction(grid, np.exp(-np.sum((pts - 2.0) ** 2, axis=1)).reshape(grid.shape))
+    tracemalloc.start()
+    try:
+        square_function(MultiOrder((0.5, 1.0)), f, n_levels=4, k_max=20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * pts.shape[0] ** 2 * 8
+
+
 def test_square_function_cone_validation():
     grid = _grid_1d(nodes_per_unit=16, hi=6.0)
     with pytest.raises(ValueError):
@@ -364,6 +382,37 @@ def test_riesz_multiplier_table_keys():
     assert set(table) == {f"{a},{b}" for a in range(1, 5) for b in range(2, 5)}
     assert all(abs(v) < 1.0 for v in table.values())
     assert table["1,2"] == riesz_multiplier(order, (1, 2), (1, 2))
+
+
+_NUS = (-0.5, 0.0, 0.5, 1.3)
+
+
+@pytest.mark.parametrize("variant", ["single_power", "stepwise"])
+@pytest.mark.parametrize("ks, k_max", [
+    ([(1,), (2,), (3,), (5,)], 30),
+    ([(1, 0), (0, 1), (1, 1), (2, 1)], 12),
+    ([(1, 0, 0), (0, 1, 1), (1, 1, 1), (2, 0, 1)], 6),
+])
+def test_riesz_multiplier_point_table_and_grid_are_equal(ks, k_max, variant):
+    # one formula behind all three, so they agree to the last bit
+    n = len(ks[0])
+    for i in range(len(_NUS)):
+        order = MultiOrder(tuple(_NUS[(i + j) % len(_NUS)] for j in range(n)))
+        ones = SpectralCoefficients(order, np.ones((k_max + 1,) * n))
+        for k in ks:
+            table = riesz_multiplier_table(order, k, k_max, variant)
+            grid = riesz_spectral(order, k, ones, variant).coeffs
+            for m in itertools.product(*[range(kj, k_max + 1) for kj in k]):
+                point = riesz_multiplier(order, k, m, variant)
+                assert table[",".join(map(str, m))] == point, (order, k, m)
+                assert grid[tuple(mj - kj for mj, kj in zip(m, k))] == point, (order, k, m)
+
+
+def test_eigenvalue_array_matches_multi_index_eigenvalue():
+    order = MultiOrder((1.3, -0.5, 0.0))
+    lam = eigenvalue_array(order, 5)
+    for m in itertools.product(range(6), repeat=3):
+        assert lam[m] == order.eigenvalue(m)
 
 
 def test_riesz_commutes_with_heat_damping():

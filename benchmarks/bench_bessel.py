@@ -115,9 +115,9 @@ def test_evaluate_expansion_delta2(benchmark, space_pairs):
     benchmark(delta_kernel_1d, 0.5, 2, *space_pairs)
 
 
-def _run(src: str, json_path: str) -> dict:
+def _run(bench_file: str, src: str, json_path: str) -> dict:
     subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__,
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", bench_file,
          "-o", f"pythonpath={src}", f"--benchmark-json={json_path}"],
         check=True, stdout=subprocess.DEVNULL,
     )
@@ -125,7 +125,14 @@ def _run(src: str, json_path: str) -> dict:
         return {b["name"]: b for b in json.load(fh)["benchmarks"]}
 
 
-def main(argv=None) -> int:
+def compare_checkouts(bench_file: str, rounds: int, argv=None) -> int:
+    """Run the benchmarks of ``bench_file`` on two checkouts and write both.
+
+    The parent's ``src`` and this checkout's alternate ``rounds`` times,
+    and each benchmark's row holds its median over the rounds' medians
+    and its work count (the ``pairs``, ``elements`` or ``samples`` entry of
+    ``extra_info``) per second.
+    """
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     parser = argparse.ArgumentParser(description="compare the layer benchmarks of two checkouts")
     parser.add_argument("--parent-src", required=True, help="src directory of the parent checkout")
@@ -134,11 +141,11 @@ def main(argv=None) -> int:
     sides = {"parent": os.path.abspath(args.parent_src), "change": os.path.join(root, "src")}
     medians = {side: {} for side in sides}
     with tempfile.TemporaryDirectory() as tmp:
-        for rnd in range(ROUNDS):
+        for rnd in range(rounds):
             # alternate which side runs first
             order = list(sides) if rnd % 2 == 0 else list(sides)[::-1]
             for side in order:
-                runs = _run(sides[side], os.path.join(tmp, f"{side}-{rnd}.json"))
+                runs = _run(bench_file, sides[side], os.path.join(tmp, f"{side}-{rnd}.json"))
                 for name, b in runs.items():
                     medians[side].setdefault(name, []).append((b["stats"]["median"], b["extra_info"]))
     rows = []
@@ -147,18 +154,17 @@ def main(argv=None) -> int:
         for side in sides:
             vals = sorted(m for m, _ in medians[side][name])
             extra = medians[side][name][0][1]
-            work = extra.get("pairs", extra.get("elements"))
-            unit = "pairs" if "pairs" in extra else "elements"
+            unit = next(u for u in ("pairs", "elements", "samples") if u in extra)
             med = float(np.median(vals))
-            row[side] = {"median_s": med, "round_medians_s": vals, unit: work,
-                         f"{unit}_per_s": work / med}
+            row[side] = {"median_s": med, "round_medians_s": vals, unit: extra[unit],
+                         f"{unit}_per_s": extra[unit] / med}
         row["change_over_parent"] = row["change"]["median_s"] / row["parent"]["median_s"]
         rows.append(row)
     with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump({"rounds": ROUNDS, "rows": rows}, fh, indent=2)
+        json.dump({"rounds": rounds, "rows": rows}, fh, indent=2)
         fh.write("\n")
     return 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(compare_checkouts(__file__, ROUNDS))

@@ -15,12 +15,13 @@ far tail of the sample does not blow past the near-diagonal ratios.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .critical import critical_weight, rho
+from .grids import cross_pairs, lattice
 from .heat import (
     axis_product,
     delta_kernel,
@@ -65,15 +66,7 @@ class BoundFitReport:
         return math.isfinite(self.fitted_C) and not self.violations
 
     def to_json_dict(self) -> dict:
-        return {
-            "family_id": self.family_id,
-            "fitted_C": self.fitted_C,
-            "fixed_c": self.fixed_c,
-            "exponent_gamma": self.exponent_gamma,
-            "n_samples": self.n_samples,
-            "max_ratio": self.max_ratio,
-            "violations": self.violations,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -98,49 +91,49 @@ class FitTask:
     fixed_c: float = DEFAULT_DECAY_CONSTANT
 
 
+def _rows(points) -> np.ndarray:
+    """Points as (N, n) rows; a 1-d input is a list of 1-D coordinates."""
+    p = np.atleast_1d(np.asarray(points, float))
+    return p[:, None] if p.ndim == 1 else p
+
+
+def _samples(t_vals, x_points, y_points, drop_diagonal: bool = False) -> dict:
+    """Every (t, x_i, y_j) sample, t-major then x-major.
+
+    1-D samples come back as flat coordinate arrays.  With
+    ``drop_diagonal`` the pairs x_i = y_j are left out, and without times
+    ``t`` is None.
+    """
+    X, Y = cross_pairs(_rows(x_points), _rows(y_points))
+    if drop_diagonal:
+        keep = np.linalg.norm(X - Y, axis=-1) > 1e-12
+        X, Y = X[keep], Y[keep]
+    T = None
+    if t_vals is not None:
+        t = np.ravel(np.asarray(t_vals, float))
+        (T, X), (_, Y) = cross_pairs(t, X), cross_pairs(t, Y)
+    if X.shape[1] == 1:
+        X, Y = X[:, 0], Y[:, 0]
+    return {"t": T, "x": X, "y": Y}
+
+
 def product_samples_1d(t_vals, x_vals, y_vals) -> dict:
-    T, X, Y = np.meshgrid(
-        np.asarray(t_vals, float), np.asarray(x_vals, float), np.asarray(y_vals, float),
-        indexing="ij",
-    )
-    return {"t": T.ravel(), "x": X.ravel(), "y": Y.ravel()}
+    """All (t, x, y) triples of three 1-D coordinate lists."""
+    return _samples(t_vals, np.ravel(x_vals), np.ravel(y_vals))
 
 
 def product_samples_2d(t_vals, coord_vals) -> dict:
-    c = np.asarray(coord_vals, float)
-    pts = np.stack(np.meshgrid(c, c, indexing="ij"), axis=-1).reshape(-1, 2)
-    t = np.asarray(t_vals, float)
-    nt, npt = t.size, pts.shape[0]
-    T = np.repeat(t, npt * npt)
-    X = np.tile(np.repeat(pts, npt, axis=0), (nt, 1))
-    Y = np.tile(np.tile(pts, (npt, 1)), (nt, 1))
-    return {"t": T, "x": X, "y": Y}
+    """All times against all pairs of points of the square lattice coord_vals^2."""
+    pts = lattice(coord_vals, coord_vals)
+    return _samples(t_vals, pts, pts)
 
 
 def pair_samples(x_points, y_points, t_vals=None) -> dict:
     """Cross product of spatial points, equal pairs dropped; optional times."""
-    x = np.atleast_2d(np.asarray(x_points, float))
-    y = np.atleast_2d(np.asarray(y_points, float))
-    if x.shape[0] == 1 and x.shape[1] > 1 and y.shape[0] == 1:
-        x, y = x.T, y.T  # 1-D coordinate lists
-    X = np.repeat(x, y.shape[0], axis=0)
-    Y = np.tile(y, (x.shape[0], 1))
-    keep = np.linalg.norm(X - Y, axis=-1) > 1e-12
-    X, Y = X[keep], Y[keep]
-    if t_vals is None:
-        return {"t": None, "x": X.squeeze(), "y": Y.squeeze()}
-    t = np.asarray(t_vals, float)
-    m = X.shape[0]
-    return {
-        "t": np.repeat(t, m),
-        "x": np.tile(X, (t.size, 1)).squeeze(),
-        "y": np.tile(Y, (t.size, 1)).squeeze(),
-    }
+    return _samples(t_vals, x_points, y_points, drop_diagonal=True)
 
 
 def _dist2(x, y):
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
     if x.ndim == 1:
         return (x - y) ** 2
     return np.sum((x - y) ** 2, axis=-1)
@@ -185,16 +178,15 @@ def fit_gaussian_bound(
     with np.errstate(over="ignore"):
         ratios = base * np.exp(gap / c)
     finite = np.isfinite(ratios)
-    violations = []
-    for i in np.nonzero(~finite)[0][:20]:
-        violations.append(
-            {
-                "t": None if t is None else float(t[i]),
-                "x": np.atleast_1d(x[i]).tolist(),
-                "y": np.atleast_1d(y[i]).tolist(),
-                "ratio": float(ratios[i]) if not math.isnan(ratios[i]) else math.nan,
-            }
-        )
+    violations = [
+        {
+            "t": None if t is None else float(t[i]),
+            "x": np.atleast_1d(x[i]).tolist(),
+            "y": np.atleast_1d(y[i]).tolist(),
+            "ratio": float(ratios[i]),
+        }
+        for i in np.nonzero(~finite)[0][:20]
+    ]
     fitted = float(ratios[finite].max()) if np.any(finite) else math.inf
     return BoundFitReport(
         family_id=family.family_id,
@@ -208,21 +200,16 @@ def fit_gaussian_bound(
 
 
 def minimal_decay_constant(
-    family: BoundFamily,
-    samples: dict,
-    lo: float = 1.0,
-    hi: float = 8.0,
-    iters: int = 24,
-    margin: float = 2.0,
+    family: BoundFamily, samples: dict, margin: float = 2.0
 ) -> Optional[float]:
-    """Smallest c in [lo, hi] at which the fitted constant stops inflating.
+    """Smallest c in [1, 8] at which the fitted constant stops inflating.
 
     The fitted constant is monotone decreasing in c; below the true decay
     rate it blows up exponentially with the largest sampled d^2/t, while
     polynomial derivative factors only inflate it by a bounded amount.
     The reported value is the smallest c whose constant stays within
-    ``margin`` of the constant at ``hi``, which brackets the sharp rate
-    up to that slack.  Returns None for families with no Gaussian factor
+    ``margin`` of the constant at c = 8 (bisected 24 times), which brackets
+    the sharp rate up to that slack.  Returns None for families with no Gaussian factor
     and +inf when the reference constant itself is not finite.
     """
     if not family.gaussian:
@@ -233,17 +220,17 @@ def minimal_decay_constant(
         with np.errstate(over="ignore"):
             return float(np.max(base * np.exp(gap / c)))
 
-    ref = fitted(hi)
+    ref = fitted(8.0)
     if not math.isfinite(ref):
         return math.inf
 
     def passes(c: float) -> bool:
         return fitted(c) <= margin * ref
 
-    if passes(lo):
-        return lo
-    a, b = lo, hi
-    for _ in range(iters):
+    if passes(1.0):
+        return 1.0
+    a, b = 1.0, 8.0
+    for _ in range(24):
         mid = 0.5 * (a + b)
         if passes(mid):
             b = mid
@@ -256,108 +243,96 @@ def minimal_decay_constant(
 # family constructors
 
 
+def _index(v) -> tuple[int, ...]:
+    return tuple(int(i) for i in np.atleast_1d(v))
+
+
+def _gamma(order: MultiOrder) -> float:
+    """Default weight exponent nu_min + 1/2; 0 when no axis is active."""
+    return order.nu_min + 0.5 if order.active_axes else 0.0
+
+
 def _w_weight(order: MultiOrder, t, x, y, exponent: float):
     return critical_weight(order, np.sqrt(t), x, y) ** (-exponent)
 
 
-def heat_size_family(nu: float) -> BoundFamily:
-    """Kernel size: p_t <= C e^(-t/2) t^(-1/2) Gaussian * W^-(nu+1/2)."""
-    order = MultiOrder((nu,))
-    gamma = nu + 0.5
+def _gaussian_family(family_id, order, lhs, time_factor, gamma=None, **window) -> BoundFamily:
+    """|lhs| <= C * time_factor(t, x, y) * W^-gamma * exp(-d^2/(c t)).
 
+    W is the critical-scale weight 1 + sqrt(t)/rho(x) + sqrt(t)/rho(y);
+    ``window`` holds the BoundFamily fields region, t_lo and t_hi.
+    """
+    order = as_order(order)
+    gamma = _gamma(order) if gamma is None else float(gamma)
     return BoundFamily(
-        family_id=f"heat-size[nu={nu}]",
+        family_id=family_id,
         order=order,
         decay_exponent=gamma,
-        lhs=lambda t, x, y: kernel_1d_closed(nu, t, x, y),
-        prefactor=lambda t, x, y: np.exp(-0.5 * t) / np.sqrt(t) * _w_weight(order, t, x, y, gamma),
+        lhs=lhs,
+        prefactor=lambda t, x, y: time_factor(t, x, y) * _w_weight(order, t, x, y, gamma),
+        **window,
+    )
+
+
+def heat_size_family(nu: float) -> BoundFamily:
+    """Kernel size: p_t <= C e^(-t/2) t^(-1/2) Gaussian * W^-(nu+1/2)."""
+    return _gaussian_family(
+        f"heat-size[nu={nu}]", (nu,),
+        lambda t, x, y: kernel_1d_closed(nu, t, x, y),
+        lambda t, x, y: np.exp(-0.5 * t) / np.sqrt(t),
     )
 
 
 def delta_size_family(nu: float, k: int) -> BoundFamily:
-    order = MultiOrder((nu,))
-    gamma = nu + 0.5
-    return BoundFamily(
-        family_id=f"delta-size[nu={nu},k={k}]",
-        order=order,
-        decay_exponent=gamma,
-        lhs=lambda t, x, y: delta_kernel_1d(nu, k, t, x, y),
-        prefactor=lambda t, x, y: t ** (-(k + 1) / 2.0) * _w_weight(order, t, x, y, gamma),
+    return _gaussian_family(
+        f"delta-size[nu={nu},k={k}]", (nu,),
+        lambda t, x, y: delta_kernel_1d(nu, k, t, x, y),
+        lambda t, x, y: t ** (-(k + 1) / 2.0),
     )
 
 
 def hermite_delta_family(k: int, n_decay: int) -> BoundFamily:
     """Order -1/2 axis: delta^k kernel with arbitrary-order weight decay."""
-    nu = -0.5
-    order = MultiOrder((nu,))
-    return BoundFamily(
-        family_id=f"hermite-delta[k={k},N={n_decay}]",
-        order=order,
-        decay_exponent=float(n_decay),
-        lhs=lambda t, x, y: delta_kernel_1d(nu, k, t, x, y),
-        prefactor=lambda t, x, y: t ** (-(k + 1) / 2.0)
-        * _w_weight(order, t, x, y, float(n_decay)),
+    return _gaussian_family(
+        f"hermite-delta[k={k},N={n_decay}]", (-0.5,),
+        lambda t, x, y: delta_kernel_1d(-0.5, k, t, x, y),
+        lambda t, x, y: t ** (-(k + 1) / 2.0),
+        gamma=n_decay,
     )
 
 
 def hermite_weighted_partial_family(ell: int, k: int, n_decay: int) -> BoundFamily:
     """Order -1/2 axis: |x^l (d/dx)^k p_t| with e^(-t/4) global decay."""
-    nu = -0.5
-    order = MultiOrder((nu,))
-
-    def lhs(t, x, y):
-        return x**ell * partial_delta_kernel_1d(nu, k, 0, t, x, y)
-
-    return BoundFamily(
-        family_id=f"hermite-weighted-partial[l={ell},k={k},N={n_decay}]",
-        order=order,
-        decay_exponent=float(n_decay),
-        lhs=lhs,
-        prefactor=lambda t, x, y: np.exp(-t / 4.0)
-        * t ** (-(ell + k + 1) / 2.0)
-        * _w_weight(order, t, x, y, float(n_decay)),
+    return _gaussian_family(
+        f"hermite-weighted-partial[l={ell},k={k},N={n_decay}]", (-0.5,),
+        lambda t, x, y: x**ell * partial_delta_kernel_1d(-0.5, k, 0, t, x, y),
+        lambda t, x, y: np.exp(-t / 4.0) * t ** (-(ell + k + 1) / 2.0),
+        gamma=n_decay,
     )
+
+
+def _offdiag(t, x, y):
+    return (x * y < t) | (y < 0.5 * x) | (y > 2.0 * x)
 
 
 def offdiag_moment_family(nu: float, k: int, m: int) -> BoundFamily:
     """Small time, off-diagonal region: |(x/sqrt t)^k delta^m p_t|."""
-    order = MultiOrder((nu,))
-    gamma = nu + 0.5
-
-    def region(t, x, y):
-        return (x * y < t) | (y < 0.5 * x) | (y > 2.0 * x)
-
-    def lhs(t, x, y):
-        return (x / np.sqrt(t)) ** k * delta_kernel_1d(nu, m, t, x, y)
-
-    return BoundFamily(
-        family_id=f"offdiag-moment[nu={nu},k={k},m={m}]",
-        order=order,
-        decay_exponent=gamma,
-        lhs=lhs,
-        prefactor=lambda t, x, y: t ** (-(m + 1) / 2.0) * _w_weight(order, t, x, y, gamma),
-        region=region,
+    return _gaussian_family(
+        f"offdiag-moment[nu={nu},k={k},m={m}]", (nu,),
+        lambda t, x, y: (x / np.sqrt(t)) ** k * delta_kernel_1d(nu, m, t, x, y),
+        lambda t, x, y: t ** (-(m + 1) / 2.0),
+        region=_offdiag,
         t_hi=1.0,
     )
 
 
 def large_time_moment_family(nu: float, k: int, m: int) -> BoundFamily:
     """t >= 1: |x^k delta^m p_t| with global decay e^(-t/2^(m+2))."""
-    order = MultiOrder((nu,))
-    gamma = nu + 0.5
-
-    def lhs(t, x, y):
-        return x**k * delta_kernel_1d(nu, m, t, x, y)
-
     rate = 1.0 / 2 ** (m + 2)
-    return BoundFamily(
-        family_id=f"large-time-moment[nu={nu},k={k},m={m}]",
-        order=order,
-        decay_exponent=gamma,
-        lhs=lhs,
-        prefactor=lambda t, x, y: np.exp(-rate * t)
-        * t ** (-(m + 1) / 2.0)
-        * _w_weight(order, t, x, y, gamma),
+    return _gaussian_family(
+        f"large-time-moment[nu={nu},k={k},m={m}]", (nu,),
+        lambda t, x, y: x**k * delta_kernel_1d(nu, m, t, x, y),
+        lambda t, x, y: np.exp(-rate * t) * t ** (-(m + 1) / 2.0),
         t_lo=1.0,
     )
 
@@ -366,13 +341,8 @@ def near_diagonal_family(nu: float, m: int) -> BoundFamily:
     """Small time near the diagonal: |delta^m p| plus the order-difference term."""
     if m < 1:
         raise ValueError("the near-diagonal family needs m >= 1")
-    order = MultiOrder((nu,))
-    gamma = nu + 0.5
     exp_base = operator_expansion(("delta",) * (m - 1), nu)
     exp_shift = operator_expansion(("delta",) * (m - 1), nu, base_shift=1)
-
-    def region(t, x, y):
-        return (x * y >= t) & (y >= 0.5 * x) & (y <= 2.0 * x)
 
     def lhs(t, x, y):
         main = np.abs(delta_kernel_1d(nu, m, t, x, y))
@@ -381,36 +351,31 @@ def near_diagonal_family(nu: float, m: int) -> BoundFamily:
         )
         return main + (x / t) * np.abs(diff)
 
-    return BoundFamily(
-        family_id=f"near-diagonal[nu={nu},m={m}]",
-        order=order,
-        decay_exponent=gamma,
-        lhs=lhs,
-        prefactor=lambda t, x, y: t ** (-(m + 1) / 2.0) * _w_weight(order, t, x, y, gamma),
-        region=region,
+    return _gaussian_family(
+        f"near-diagonal[nu={nu},m={m}]", (nu,), lhs,
+        lambda t, x, y: t ** (-(m + 1) / 2.0),
+        region=lambda t, x, y: ~_offdiag(t, x, y),
         t_hi=1.0,
     )
+
+
+def _partial_time_factor(order: MultiOrder, k: int, j: int):
+    """[rho(x)^-k + t^(-k/2)] t^(-(j+n)/2) for |k| partial and |j| annihilation derivatives."""
+
+    def time_factor(t, x, y):
+        rx = np.atleast_1d(rho(order, np.reshape(x, (-1, order.n))))
+        return (rx ** (-float(k)) + t ** (-k / 2.0)) * t ** (-(j + order.n) / 2.0)
+
+    return time_factor
 
 
 def partial_delta_family(nu: float, k: int, j: int) -> BoundFamily:
     """|(d/dx)^k delta^j p_t| against [rho(x)^-k + t^(-k/2)] t^(-(j+1)/2)."""
     order = MultiOrder((nu,))
-    gamma = nu + 0.5
-
-    def prefactor(t, x, y):
-        rx = np.atleast_1d(rho(order, np.asarray(x)[:, None]))
-        return (
-            (rx ** (-float(k)) + t ** (-k / 2.0))
-            * t ** (-(j + 1) / 2.0)
-            * _w_weight(order, t, x, y, gamma)
-        )
-
-    return BoundFamily(
-        family_id=f"partial-delta-size[nu={nu},k={k},j={j}]",
-        order=order,
-        decay_exponent=gamma,
-        lhs=lambda t, x, y: partial_delta_kernel_1d(nu, k, j, t, x, y),
-        prefactor=prefactor,
+    return _gaussian_family(
+        f"partial-delta-size[nu={nu},k={k},j={j}]", order,
+        lambda t, x, y: partial_delta_kernel_1d(nu, k, j, t, x, y),
+        _partial_time_factor(order, k, j),
     )
 
 
@@ -418,41 +383,26 @@ def adjoint_shifted_family(nu: float, m: int, k: int, ell: int) -> BoundFamily:
     """|L^m (delta*)^k p^(nu+ell)| for ell >= k + 2m."""
     if ell < k + 2 * m:
         raise ValueError("order shift must be at least k + 2m")
-    order = MultiOrder((nu,))
-    gamma = nu + 0.5
-    return BoundFamily(
-        family_id=f"adjoint-shifted-size[nu={nu},m={m},k={k},ell={ell}]",
-        order=order,
-        decay_exponent=gamma,
-        lhs=lambda t, x, y: shifted_adjoint_kernel_1d(nu, m, k, ell, t, x, y),
-        prefactor=lambda t, x, y: t ** (-(k + 2 * m + 1) / 2.0)
-        * _w_weight(order, t, x, y, gamma),
+    return _gaussian_family(
+        f"adjoint-shifted-size[nu={nu},m={m},k={k},ell={ell}]", (nu,),
+        lambda t, x, y: shifted_adjoint_kernel_1d(nu, m, k, ell, t, x, y),
+        lambda t, x, y: t ** (-(k + 2 * m + 1) / 2.0),
     )
 
 
 def product_delta_family(order: MultiOrder, m) -> BoundFamily:
     """n-D product kernel: |delta^m p_t| <= C t^(-(n+|m|)/2) Gaussian W^-(nu_min+1/2)."""
-    order = as_order(order)
-    m = tuple(int(v) for v in np.atleast_1d(m))
-    gamma = order.nu_min + 0.5
-    total = sum(m)
-    return BoundFamily(
-        family_id=f"product-delta-size[nu={list(order.nu)},m={list(m)}]",
-        order=order,
-        decay_exponent=gamma,
-        lhs=lambda t, x, y: delta_kernel(order, m, t, x, y),
-        prefactor=lambda t, x, y: t ** (-(order.n + total) / 2.0)
-        * _w_weight(order, t, x, y, gamma),
+    order, m = as_order(order), _index(m)
+    return _gaussian_family(
+        f"product-delta-size[nu={list(order.nu)},m={list(m)}]", order,
+        lambda t, x, y: delta_kernel(order, m, t, x, y),
+        lambda t, x, y: t ** (-(order.n + sum(m)) / 2.0),
     )
 
 
 def product_partial_family(order: MultiOrder, k, j) -> BoundFamily:
     """n-D mixed partial/annihilation derivative size bound."""
-    order = as_order(order)
-    k = tuple(int(v) for v in np.atleast_1d(k))
-    j = tuple(int(v) for v in np.atleast_1d(j))
-    gamma = order.nu_min + 0.5
-    ktot, jtot = sum(k), sum(j)
+    order, k, j = as_order(order), _index(k), _index(j)
 
     def lhs(t, x, y):
         return axis_product(
@@ -460,32 +410,17 @@ def product_partial_family(order: MultiOrder, k, j) -> BoundFamily:
             lambda ax, xa, ya: partial_delta_kernel_1d(order.nu[ax], k[ax], j[ax], t, xa, ya),
         )
 
-    def prefactor(t, x, y):
-        rx = np.atleast_1d(rho(order, x))
-        return (
-            (rx ** (-float(ktot)) + t ** (-ktot / 2.0))
-            * t ** (-(jtot + order.n) / 2.0)
-            * _w_weight(order, t, x, y, gamma)
-        )
-
-    return BoundFamily(
-        family_id=f"product-partial-size[nu={list(order.nu)},k={list(k)},j={list(j)}]",
-        order=order,
-        decay_exponent=gamma,
-        lhs=lhs,
-        prefactor=prefactor,
+    return _gaussian_family(
+        f"product-partial-size[nu={list(order.nu)},k={list(k)},j={list(j)}]", order,
+        lhs, _partial_time_factor(order, sum(k), sum(j)),
     )
 
 
 def product_adjoint_family(order: MultiOrder, m: int, k, ell) -> BoundFamily:
     """n-D |L^m (delta*)^k p^(nu+ell)|; generator powers distribute over axes."""
-    order = as_order(order)
-    k = tuple(int(v) for v in np.atleast_1d(k))
-    ell = tuple(int(v) for v in np.atleast_1d(ell))
+    order, k, ell = as_order(order), _index(k), _index(ell)
     if m not in (0, 1):
         raise ValueError("only generator powers 0 and 1 are implemented in n-D")
-    gamma = order.nu_min + 0.5
-    ktot = sum(k)
 
     def lhs(t, x, y):
         def term(which):  # the generator acts on axis `which` only (None: nowhere)
@@ -500,40 +435,41 @@ def product_adjoint_family(order: MultiOrder, m: int, k, ell) -> BoundFamily:
             return term(None)
         return sum(term(which) for which in range(order.n))  # L = sum_j L_j
 
-    return BoundFamily(
-        family_id=f"product-adjoint-size[nu={list(order.nu)},m={m},k={list(k)},ell={list(ell)}]",
-        order=order,
-        decay_exponent=gamma,
-        lhs=lhs,
-        prefactor=lambda t, x, y: t ** (-(ktot + 2 * m + order.n) / 2.0)
-        * _w_weight(order, t, x, y, gamma),
+    return _gaussian_family(
+        f"product-adjoint-size[nu={list(order.nu)},m={m},k={list(k)},ell={list(ell)}]", order,
+        lhs,
+        lambda t, x, y: t ** (-(sum(k) + 2 * m + order.n) / 2.0),
     )
 
 
-def _riesz_prefactor(order: MultiOrder, x, y):
-    """Riesz size majorant |x-y|^(-n) (1 + |x-y|/rho(x) + |x-y|/rho(y))^(-gamma)."""
-    d = np.sqrt(_dist2(x, y))
-    return d ** (-float(order.n)) * critical_weight(order, d, x, y) ** (-(order.nu_min + 0.5))
+def _riesz_family(name: str, order: MultiOrder, k, kernel) -> BoundFamily:
+    """|kernel(order, k, t, x, y)| <= C |x-y|^(-n) (1 + |x-y|/rho(x) + |x-y|/rho(y))^(-gamma).
+
+    No Gaussian factor: the bound is uniform in t.
+    """
+    order, k = as_order(order), _index(k)
+    gamma = _gamma(order)
+
+    def prefactor(t, x, y):
+        d = np.sqrt(_dist2(x, y))
+        return d ** (-float(order.n)) * critical_weight(order, d, x, y) ** (-gamma)
+
+    return BoundFamily(
+        family_id=f"{name}[nu={list(order.nu)},k={list(k)}]",
+        order=order,
+        decay_exponent=gamma,
+        lhs=lambda t, x, y: kernel(order, k, t, x, y),
+        prefactor=prefactor,
+        gaussian=False,
+    )
 
 
 def riesz_size_family(order: MultiOrder, k) -> BoundFamily:
     """Riesz kernel size |K(x,y)| |x-y|^n (1 + |x-y|/rho)^gamma <= C."""
     from .operators import riesz_kernel  # deferred to avoid an import cycle
 
-    order = as_order(order)
-    k = tuple(int(v) for v in np.atleast_1d(k))
-    gamma = order.nu_min + 0.5
-
-    def lhs(t, x, y):
-        return riesz_kernel(order, k, x, y)
-
-    return BoundFamily(
-        family_id=f"riesz-size[nu={list(order.nu)},k={list(k)}]",
-        order=order,
-        decay_exponent=gamma,
-        lhs=lhs,
-        prefactor=lambda t, x, y: _riesz_prefactor(order, x, y),
-        gaussian=False,
+    return _riesz_family(
+        "riesz-size", order, k, lambda order, k, t, x, y: riesz_kernel(order, k, x, y)
     )
 
 
@@ -541,25 +477,14 @@ def riesz_heat_size_family(order: MultiOrder, k) -> BoundFamily:
     """Heat-composed Riesz kernels, uniform in the extra time parameter."""
     from .operators import riesz_heat_composite_kernel
 
-    order = as_order(order)
-    k = tuple(int(v) for v in np.atleast_1d(k))
-    gamma = order.nu_min + 0.5
-
-    def lhs(t, x, y):
+    def kernel(order, k, t, x, y):
         out = np.empty(np.asarray(t).shape)
         for tv in np.unique(t):
             m = np.asarray(t) == tv
             out[m] = riesz_heat_composite_kernel(order, k, float(tv), x[m], y[m])
         return out
 
-    return BoundFamily(
-        family_id=f"riesz-heat-size[nu={list(order.nu)},k={list(k)}]",
-        order=order,
-        decay_exponent=gamma,
-        lhs=lhs,
-        prefactor=lambda t, x, y: _riesz_prefactor(order, x, y),
-        gaussian=False,
-    )
+    return _riesz_family("riesz-heat-size", order, k, kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -585,9 +510,7 @@ def _grid_riesz_1d(fast: bool) -> dict:
 def _grid_riesz_2d(fast: bool) -> dict:
     cx = np.linspace(0.3, 3.0, 6 if fast else 10)
     cy = np.linspace(0.35, 3.05, 7 if fast else 11)
-    x = np.stack(np.meshgrid(cx, cx, indexing="ij"), axis=-1).reshape(-1, 2)
-    y = np.stack(np.meshgrid(cy, cy, indexing="ij"), axis=-1).reshape(-1, 2)
-    return pair_samples(x, y)
+    return pair_samples(lattice(cx, cx), lattice(cy, cy))
 
 
 def _grid_riesz_heat(fast: bool) -> dict:

@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from .config import ConfigError, SuiteConfig
+from .grids import cross_pairs
 from .heat import kernel_nd
 from .operators import riesz_kernel
 from .special import MultiOrder
@@ -32,18 +33,12 @@ def _load_config(args) -> SuiteConfig:
 
 
 def _dump_pairs(config: SuiteConfig, n_points: int):
-    """Deterministic pair set: 1-D uses the full coordinate product, higher
-    dimensions pair points along the main diagonal of the box."""
+    """Deterministic pair set: all pairs of points on the main diagonal of
+    the box (in 1-D, the full coordinate product), as (N, n) rows."""
     order = MultiOrder(config.order)
     lo = max(config.box_lo, 0.05)
-    coords = np.linspace(lo, config.box_hi, n_points)
-    if order.n == 1:
-        x = np.repeat(coords, n_points)[:, None]
-        y = np.tile(coords, n_points)[:, None]
-    else:
-        diag = coords[:, None] * np.ones(order.n)
-        x = np.repeat(diag, n_points, axis=0)
-        y = np.tile(diag, (n_points, 1))
+    diag = np.linspace(lo, config.box_hi, n_points)[:, None] * np.ones(order.n)
+    x, y = cross_pairs(diag, diag)
     return order, x, y
 
 
@@ -76,8 +71,7 @@ def dump_kernel(kind: str, config: SuiteConfig, out, t_values=(0.25, 1.0), k=Non
         keep = np.linalg.norm(x - y, axis=-1) > 1e-12
         skipped = int(np.sum(~keep))
         xk, yk = x[keep], y[keep]
-        vals = riesz_kernel(order, kvec, xk.squeeze(axis=-1) if n == 1 else xk,
-                            yk.squeeze(axis=-1) if n == 1 else yk)
+        vals = riesz_kernel(order, kvec, xk, yk)
         kstr = ";".join(str(v) for v in kvec)
         out.write(",".join([*xcols, *ycols, "k", "value"]) + "\n")
         for xi, yi, v in zip(xk, yk, np.atleast_1d(vals)):

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .grids import lattice
 from .special import MultiOrder, as_order
 
 __all__ = [
@@ -40,8 +41,8 @@ def rho(order: MultiOrder, x):
         x = x[None]
     if x.shape[-1] != order.n:
         raise ValueError("point dimension does not match order dimension")
-    if np.any(x <= 0.0):
-        raise ValueError("points must lie in the open positive orthant")
+    if not np.all(x > 0.0):
+        raise ValueError("points must lie in the open positive orthant (and not be NaN)")
     norm = np.sqrt(np.sum(x * x, axis=-1))
     entries = [1.0 / norm, np.ones_like(norm)]
     for j in order.active_axes:
@@ -62,8 +63,8 @@ def rho_axis(nu_j: float, x_j):
     if nu_j < -0.5:
         raise ValueError("order must be >= -1/2")
     x = np.asarray(x_j, dtype=float)
-    if np.any(x <= 0.0):
-        raise ValueError("points must be strictly positive")
+    if not np.all(x > 0.0):
+        raise ValueError("points must be strictly positive (and not NaN)")
     first = x if nu_j > -0.5 else np.ones_like(x)
     val = np.minimum(first, 1.0 / x) / 16.0
     return val if val.ndim else float(val)
@@ -188,9 +189,7 @@ class Covering:
 
     def verify(self, points_per_axis: int = 200) -> dict:
         """Invariant checks: disjointness, coverage, overlap bound, partition sum."""
-        lo = np.asarray(self.box_lo)
-        hi = np.asarray(self.box_hi)
-        axes = [np.linspace(a, b, points_per_axis) for a, b in zip(lo, hi)]
+        axes = [np.linspace(a, b, points_per_axis) for a, b in zip(self.box_lo, self.box_hi)]
         r_max = float(self.radii.max())
 
         # pairwise fifth-radius disjointness: a pair can only conflict when
@@ -226,7 +225,7 @@ class Covering:
         ]
         for corner in itertools.product(*[range(0, ax.size, s) for ax, s in zip(axes, steps)]):
             tile = [ax[c : c + s] for ax, c, s in zip(axes, corner, steps)]
-            block = np.stack(np.meshgrid(*tile, indexing="ij"), axis=-1).reshape(-1, lo.size)
+            block = lattice(*tile)
             gap = np.maximum(block.min(axis=0) - self.centers, 0.0) + np.maximum(
                 self.centers - block.max(axis=0), 0.0
             )
@@ -270,7 +269,7 @@ class Covering:
         }
 
 
-def build_covering(order: MultiOrder, box_lo, box_hi, min_margin: float = 0.05) -> Covering:
+def build_covering(order: MultiOrder, box_lo, box_hi) -> Covering:
     """Greedy maximal packing of fifth-radius balls at the critical scale.
 
     Candidate centers sweep a lattice with spacing min(rho)/10 in
@@ -278,7 +277,7 @@ def build_covering(order: MultiOrder, box_lo, box_hi, min_margin: float = 0.05) 
     ball is disjoint from all previously accepted ones.  By slow
     variation the accepted full-radius balls cover the box.
 
-    The box must stay at least ``min_margin`` away from the coordinate
+    The box must stay at least 0.05 away from the coordinate
     hyperplanes; coverings of boxes touching the boundary are not defined.
     """
     order = as_order(order)
@@ -286,12 +285,10 @@ def build_covering(order: MultiOrder, box_lo, box_hi, min_margin: float = 0.05) 
     hi = np.broadcast_to(np.asarray(box_hi, dtype=float), (order.n,)).copy()
     if np.any(hi <= lo):
         raise ValueError("box needs hi > lo componentwise")
-    if np.any(lo < min_margin):
-        raise ValueError(f"box must keep a margin of {min_margin} from the boundary")
+    if np.any(lo < 0.05):
+        raise ValueError("box must keep a margin of 0.05 from the boundary")
 
-    probe = np.stack(
-        np.meshgrid(*[np.linspace(a, b, 41) for a, b in zip(lo, hi)], indexing="ij"), axis=-1
-    ).reshape(-1, order.n)
+    probe = lattice(*[np.linspace(a, b, 41) for a, b in zip(lo, hi)])
     rho_min = float(np.min(rho(order, probe)))
     spacing = rho_min / 10.0
 
@@ -302,8 +299,8 @@ def build_covering(order: MultiOrder, box_lo, box_hi, min_margin: float = 0.05) 
             f"covering lattice would have {n_candidates} candidates "
             f"(limit {MAX_COVERING_CANDIDATES}); use a smaller box"
         )
-    lattice = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, order.n)
-    lattice_rho = np.atleast_1d(rho(order, lattice))
+    candidates = lattice(*axes)
+    lattice_rho = np.atleast_1d(rho(order, candidates))
 
     # sweep the lattice row by row (the last axis varies fastest).  A row is
     # checked at once against the balls accepted in earlier rows, then
@@ -311,11 +308,11 @@ def build_covering(order: MultiOrder, box_lo, box_hi, min_margin: float = 0.05) 
     # accepted centers stay in lexicographic order, so sorted by x_0.
     reach = 2.0 * float(np.max(lattice_rho)) / 5.0
     row_len = axes[-1].size
-    acc_pts = np.empty_like(lattice)
+    acc_pts = np.empty_like(candidates)
     acc_r = np.empty_like(lattice_rho)
     n_acc = 0
-    for start in range(0, lattice.shape[0], row_len):
-        cand = lattice[start : start + row_len]
+    for start in range(0, candidates.shape[0], row_len):
+        cand = candidates[start : start + row_len]
         rc = lattice_rho[start : start + row_len]
         free = np.ones(row_len, dtype=bool)
         if order.n > 1 and n_acc:

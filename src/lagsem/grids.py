@@ -9,7 +9,19 @@ from functools import lru_cache
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
-__all__ = ["QuadAxis", "Grid", "GridFunction", "gauss_legendre_axis"]
+__all__ = ["QuadAxis", "Grid", "GridFunction", "gauss_legendre_axis", "lattice", "cross_pairs"]
+
+
+def lattice(*coords) -> np.ndarray:
+    """Tensor product of 1-D coordinate arrays as (N, n) point rows in C order."""
+    mesh = np.meshgrid(*coords, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def cross_pairs(a, b):
+    """All pairs (a_i, b_j) of two row sets, a-major: a repeated and b tiled along axis 0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return np.repeat(a, len(b), axis=0), np.tile(b, (len(a),) + (1,) * (b.ndim - 1))
 
 
 @lru_cache(maxsize=64)
@@ -93,8 +105,7 @@ class Grid:
 
     def points(self) -> np.ndarray:
         """All nodes as an (N, ndim) array in C order."""
-        mesh = np.meshgrid(*(ax.nodes for ax in self.axes), indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        return lattice(*(ax.nodes for ax in self.axes))
 
 
 @dataclass

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .critical import Ball, rho
-from .grids import Grid, GridFunction, gauss_legendre_axis
+from .grids import Grid, GridFunction, gauss_legendre_axis, lattice
 from .operators import default_time_ladder, maximal_function
 from .special import MultiOrder, as_order
 
@@ -120,13 +120,13 @@ class Atom:
     func: GridFunction
 
 
-def check_atom(atom: Atom, sup_tol: float = 1e-12, moment_tol: float = 1e-10) -> dict:
+def check_atom(atom: Atom) -> dict:
     """Verify the three atom properties; radii above critical only warn.
 
     Returns a dict with the measured sup, the allowed bound, the scaled
     moment values, and boolean fields; ``passed`` means support and size
     hold and, when the radius is below the critical radius at the center,
-    all required moments vanish to tolerance (relative to the L1 mass).
+    all required moments vanish to 1e-10 relative to the L1 mass.
     """
     order, ball = atom.order, atom.ball
     pts = atom.func.grid.points()
@@ -136,7 +136,7 @@ def check_atom(atom: Atom, sup_tol: float = 1e-12, moment_tol: float = 1e-10) ->
 
     sup = float(np.max(np.abs(vals)))
     bound = ball.volume ** (-1.0 / atom.p)
-    size_ok = sup <= bound * (1.0 + sup_tol)
+    size_ok = sup <= bound * (1.0 + 1e-12)
     outside_max = float(np.max(np.abs(vals) * (~inside))) if np.any(~inside) else 0.0
     support_ok = outside_max <= 1e-12 * max(sup, 1.0)
 
@@ -152,7 +152,7 @@ def check_atom(atom: Atom, sup_tol: float = 1e-12, moment_tol: float = 1e-10) ->
         for beta, row in zip(betas, basis):
             m = float(np.sum(w * vals * row))
             moments[",".join(map(str, beta))] = m
-            moments_ok &= abs(m) <= moment_tol * l1
+            moments_ok &= abs(m) <= 1e-10 * l1
 
     return {
         "sup": sup,
@@ -177,24 +177,20 @@ def random_atom(
     order: MultiOrder,
     p: float,
     seed=None,
-    rng=None,
-    center_box=(0.5, 2.5),
     nodes_per_axis: int = 48,
-    max_tries: int = 10,
 ) -> Atom:
     """Draw a random atom: bumps minus their moment-matching polynomial.
 
-    The center is uniform in the given box, the radius log-uniform in
+    The center is uniform in [0.5, 2.5]^n, the radius log-uniform in
     [critical/8, critical), so the moment condition always applies.  A few
     random bumps are multiplied by a smooth ball cutoff; subtracting the
     cutoff-weighted minimizing polynomial kills the required moments
     exactly, and the result is rescaled to saturate the size bound.
     """
     order = as_order(order)
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
-        center = rng.uniform(center_box[0], center_box[1], size=order.n)
+    rng = np.random.default_rng(seed)
+    for _ in range(10):  # a degenerate draw is retried
+        center = rng.uniform(0.5, 2.5, size=order.n)
         critical = float(rho(order, center[None, :])[0])
         radius = critical * math.exp(rng.uniform(math.log(1.0 / 8.0), 0.0)) * 0.999
         ball = Ball(tuple(center), radius)
@@ -287,14 +283,7 @@ class BmoReport:
     q: float = 1.0
 
     def to_json_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "oscillation_sup": self.oscillation_sup,
-            "size_sup": self.size_sup,
-            "n_balls": self.n_balls,
-            "p": self.p,
-            "q": self.q,
-        }
+        return asdict(self)
 
 
 def bmo_norm(
@@ -302,15 +291,15 @@ def bmo_norm(
     f: GridFunction,
     p: float = 1.0,
     q: float = 1.0,
-    centers=None,
     radius_factors=(0.125, 0.25, 0.5, 1.0, 2.0),
     nodes_per_axis: int = 64,
 ) -> BmoReport:
     """Two-branch oscillation norm over a deterministic multiscale family.
 
-    Balls with radius below the critical radius contribute the L^q mean
-    deviation from the minimizing polynomial; larger balls contribute the
-    plain L^q mean of |f|.  Both are scaled by |B|^(1 - 1/p); the reported
+    Balls are centered on the lattice 0.4, 0.4 + h, ..., 3.2 per axis
+    (h = 0.2 in 1-D, 0.4 otherwise).  Balls with radius below the critical
+    radius contribute the L^q mean deviation from the minimizing
+    polynomial; larger balls contribute the plain L^q mean of |f|.  Both are scaled by |B|^(1 - 1/p); the reported
     value is the sup over the family.  Averages use local quadrature with
     the function interpolated from its grid, so f should be resolved on
     scales around rho/8.  Different q give comparable values (the space
@@ -323,14 +312,8 @@ def bmo_norm(
         raise ValueError("the averaging exponent must be >= 1")
     degree = moment_degree(order, p)
     scale_exp = 1.0 / p - 1.0
-    if centers is None:
-        step = 0.2 if order.n == 1 else 0.4
-        axis = np.arange(0.4, 3.2001, step)
-        centers = np.stack(
-            np.meshgrid(*([axis] * order.n), indexing="ij"), axis=-1
-        ).reshape(-1, order.n)
-    else:
-        centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    axis = np.arange(0.4, 3.2001, 0.2 if order.n == 1 else 0.4)
+    centers = lattice(*[axis] * order.n)
 
     osc_sup = 0.0
     size_sup = 0.0

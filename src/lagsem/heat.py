@@ -42,10 +42,11 @@ def _as_float_arrays(*vals):
 
 
 def _check_1d_domain(t, x, y):
-    if np.any(t <= 0.0):
-        raise ValueError("time must be strictly positive")
-    if np.any(x <= 0.0) or np.any(y <= 0.0):
-        raise ValueError("space arguments must be strictly positive")
+    # written as "not all > 0" so that NaN is refused too
+    if not np.all(t > 0.0):
+        raise ValueError("time must be strictly positive (and not NaN)")
+    if not (np.all(x > 0.0) and np.all(y > 0.0)):
+        raise ValueError("space arguments must be strictly positive (and not NaN)")
 
 
 def _time_factors(t):
@@ -367,8 +368,8 @@ def kernel_spectral(order: MultiOrder, t: float, x, y, k_max: int) -> float:
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     t = float(t)
-    if t <= 0.0:
-        raise ValueError("time must be strictly positive")
+    if not t > 0.0:
+        raise ValueError("time must be strictly positive (and not NaN)")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if x.size != order.n or y.size != order.n:

@@ -345,8 +345,8 @@ def laguerre_function_table(nu: float, x, k_max: int) -> np.ndarray:
     if k_max < 0 or k_max > MAX_DEGREE:
         raise ValueError(f"degree must lie in [0, {MAX_DEGREE}]")
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise ValueError("evaluation points must be strictly positive")
+    if not np.all(x > 0.0):
+        raise ValueError("evaluation points must be strictly positive (and not NaN)")
     y = x * x
     outer = np.exp(0.5 * math.log(2.0) + (nu + 0.5) * np.log(x) - 0.5 * y)
     table = np.empty((k_max + 1,) + x.shape, dtype=float)

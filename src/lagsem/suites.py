@@ -45,10 +45,6 @@ def _axis_nu(config: SuiteConfig) -> float:
     return float(config.order[0])
 
 
-def _line_grid(hi: float = 12.0, per_unit: int = 64) -> Grid:
-    return Grid((gauss_legendre_axis(0.0, hi, nodes_per_unit=per_unit),))
-
-
 def check_bessel_identities(config: SuiteConfig) -> CheckResult:
     z = np.geomspace(1e-3, 300.0, 25 if config.fast else 60)
     worst = 0.0
@@ -268,7 +264,7 @@ def check_duality(config: SuiteConfig) -> CheckResult:
     order = _order(config)
     if order.n > 1:
         return CheckResult("duality-bounded", True, None, {"skipped": "1-D check"})
-    grid = _line_grid(8.0, per_unit=96)
+    grid = Grid((gauss_legendre_axis(0.0, 8.0, nodes_per_unit=96),))
     f = _random_band_function(config, grid, k_max=15)
     norm = bmo_norm(order, f, p=config.atom_p)
     worst = 0.0

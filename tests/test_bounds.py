@@ -50,6 +50,13 @@ def test_pair_samples_with_times():
     assert sorted(set(s["t"])) == [0.1, 0.5, 2.0]
 
 
+def test_pair_samples_read_rows_as_points_and_flat_lists_as_coordinates():
+    s = pair_samples([[1.0, 2.0]], [[3.0, 4.0]])  # one 2-D point each
+    assert np.array_equal(s["x"], [[1.0, 2.0]]) and np.array_equal(s["y"], [[3.0, 4.0]])
+    s = pair_samples([1.0], [2.0, 3.0])
+    assert np.array_equal(s["x"], [1.0, 1.0]) and np.array_equal(s["y"], [2.0, 3.0])
+
+
 def test_report_fields_and_json():
     rep = fit_gaussian_bound(heat_size_family(0.5), _small_grid())
     assert rep.passed
@@ -149,3 +156,132 @@ def test_standard_suite_fast_grid_all_pass():
         assert rep.passed, rep.family_id
         assert math.isfinite(rep.fitted_C)
         assert rep.n_samples > 0
+
+
+# (family id, decay_exponent, gaussian, t_lo, t_hi, n_samples, fitted_C) of
+# every standard_bound_suite(fast=True) task; fitted_C changes in the last
+# bits when a prefactor is evaluated in another order
+FAMILY_TABLE = [
+    ('hermite-weighted-partial[l=0,k=1,N=1]', 1.0, True, 0.0, math.inf, 6912, 46.99463846717724),
+    ('hermite-weighted-partial[l=0,k=1,N=2]', 2.0, True, 0.0, math.inf, 6912, 1038.6938931241934),
+    ('hermite-weighted-partial[l=1,k=1,N=2]', 2.0, True, 0.0, math.inf, 6912, 3183.61335703523),
+    ('hermite-weighted-partial[l=0,k=2,N=2]', 2.0, True, 0.0, math.inf, 6912, 8237.856129007096),
+    ('hermite-delta[k=1,N=1]', 1.0, True, 0.0, math.inf, 6912, 46.8914803596868),
+    ('hermite-delta[k=1,N=2]', 2.0, True, 0.0, math.inf, 6912, 690.79492165885),
+    ('hermite-delta[k=2,N=1]', 1.0, True, 0.0, math.inf, 6912, 913.6091972055976),
+    ('hermite-delta[k=2,N=2]', 2.0, True, 0.0, math.inf, 6912, 8222.482774850378),
+    ('heat-size[nu=0.5]', 1.0, True, 0.0, math.inf, 6912, 14.101676913686978),
+    ('heat-size[nu=1.0]', 1.5, True, 0.0, math.inf, 6912, 78.03088303225806),
+    ('offdiag-moment[nu=0.5,k=1,m=0]', 1.0, True, 0.0, 1.0, 2345, 249.97764787886018),
+    ('offdiag-moment[nu=0.5,k=1,m=1]', 1.0, True, 0.0, 1.0, 2345, 4781.497437168124),
+    ('offdiag-moment[nu=0.5,k=2,m=1]', 1.0, True, 0.0, 1.0, 2345, 191259.89748672498),
+    ('large-time-moment[nu=0.5,k=1,m=0]', 1.0, True, 1.0, math.inf, 2304, 1.1980618018415194),
+    ('large-time-moment[nu=0.5,k=1,m=1]', 1.0, True, 1.0, math.inf, 2304, 0.0100483053298207),
+    ('large-time-moment[nu=0.5,k=2,m=2]', 1.0, True, 1.0, math.inf, 2304, 0.011041490683043022),
+    ('near-diagonal[nu=0.5,m=1]', 1.0, True, 0.0, 1.0, 2263, 26.41558560139922),
+    ('near-diagonal[nu=0.5,m=2]', 1.0, True, 0.0, 1.0, 2263, 249.32562489483072),
+    ('delta-size[nu=0.5,k=1]', 1.0, True, 0.0, math.inf, 6912, 119.5374359292031),
+    ('delta-size[nu=0.5,k=2]', 1.0, True, 0.0, math.inf, 6912, 2283.4174676328926),
+    ('delta-size[nu=1.3,k=1]', 1.8, True, 0.0, math.inf, 6912, 1718.3449344790185),
+    ('partial-delta-size[nu=0.5,k=1,j=0]', 1.0, True, 0.0, math.inf, 6912, 16.470402213252353),
+    ('partial-delta-size[nu=0.5,k=1,j=1]', 1.0, True, 0.0, math.inf, 6912, 314.62756839274914),
+    ('partial-delta-size[nu=0.5,k=2,j=0]', 1.0, True, 0.0, math.inf, 6912, 144.41098208478084),
+    ('adjoint-shifted-size[nu=0.5,m=0,k=1,ell=1]', 1.0, True, 0.0, math.inf, 6912, 121.95225231833534),
+    ('adjoint-shifted-size[nu=0.5,m=0,k=2,ell=2]', 1.0, True, 0.0, math.inf, 6912, 2274.4358926227806),
+    ('adjoint-shifted-size[nu=0.5,m=1,k=0,ell=2]', 1.0, True, 0.0, math.inf, 6912, 2066.0350692385887),
+    ('adjoint-shifted-size[nu=0.5,m=1,k=1,ell=3]', 1.0, True, 0.0, math.inf, 6912, 37054.75041285824),
+    ('product-delta-size[nu=[0.5, 1.0],m=[0, 0]]', 1.0, True, 0.0, math.inf, 3125, 1.7256923053099895),
+    ('product-delta-size[nu=[0.5, 1.0],m=[1, 0]]', 1.0, True, 0.0, math.inf, 3125, 12.820388646453234),
+    ('product-delta-size[nu=[0.5, 1.0],m=[1, 1]]', 1.0, True, 0.0, math.inf, 3125, 169.89342863167573),
+    ('product-partial-size[nu=[0.5, 1.0],k=[1, 0],j=[0, 0]]', 1.0, True, 0.0, math.inf, 3125, 2.298582236702296),
+    ('product-partial-size[nu=[0.5, 1.0],k=[1, 0],j=[0, 1]]', 1.0, True, 0.0, math.inf, 3125, 26.904503034973533),
+    ('product-adjoint-size[nu=[0.5, 1.0],m=0,k=[1, 0],ell=[1, 0]]', 1.0, True, 0.0, math.inf, 3125, 13.07937767677532),
+    ('product-adjoint-size[nu=[0.5, 1.0],m=1,k=[0, 0],ell=[2, 2]]', 1.0, True, 0.0, math.inf, 3125, 301.95178104167275),
+    ('riesz-size[nu=[0.5],k=[1]]', 1.0, False, 0.0, math.inf, 1640, 16.466875854448393),
+    ('riesz-size[nu=[0.5],k=[2]]', 1.0, False, 0.0, math.inf, 1640, 28.419000524124957),
+    ('riesz-size[nu=[0.5, 1.0],k=[1, 0]]', 1.0, False, 0.0, math.inf, 1764, 5.629032611889189),
+    ('riesz-heat-size[nu=[0.5],k=[1]]', 1.0, False, 0.0, math.inf, 1800, 23.63222211816703),
+]
+
+
+def test_standard_suite_family_table_is_pinned():
+    got = []
+    for task in standard_bound_suite(fast=True):
+        fam = task.family
+        rep = fit_gaussian_bound(fam, task.samples, c=task.fixed_c)
+        got.append((fam.family_id, fam.decay_exponent, fam.gaussian, fam.t_lo, fam.t_hi,
+                    rep.n_samples, rep.fitted_C))
+    assert got == FAMILY_TABLE
+
+
+# reference sample builders, each its own meshgrid or repeat/tile cross product
+
+
+def _reference_product_samples_1d(t_vals, x_vals, y_vals):
+    T, X, Y = np.meshgrid(
+        np.asarray(t_vals, float), np.asarray(x_vals, float), np.asarray(y_vals, float),
+        indexing="ij",
+    )
+    return {"t": T.ravel(), "x": X.ravel(), "y": Y.ravel()}
+
+
+def _reference_product_samples_2d(t_vals, coord_vals):
+    c = np.asarray(coord_vals, float)
+    pts = np.stack(np.meshgrid(c, c, indexing="ij"), axis=-1).reshape(-1, 2)
+    t = np.asarray(t_vals, float)
+    nt, npt = t.size, pts.shape[0]
+    T = np.repeat(t, npt * npt)
+    X = np.tile(np.repeat(pts, npt, axis=0), (nt, 1))
+    Y = np.tile(np.tile(pts, (npt, 1)), (nt, 1))
+    return {"t": T, "x": X, "y": Y}
+
+
+def _reference_pair_samples(x_points, y_points, t_vals=None):
+    x = np.atleast_2d(np.asarray(x_points, float))
+    y = np.atleast_2d(np.asarray(y_points, float))
+    if x.shape[0] == 1 and x.shape[1] > 1 and y.shape[0] == 1:
+        x, y = x.T, y.T
+    X = np.repeat(x, y.shape[0], axis=0)
+    Y = np.tile(y, (x.shape[0], 1))
+    keep = np.linalg.norm(X - Y, axis=-1) > 1e-12
+    X, Y = X[keep], Y[keep]
+    if t_vals is None:
+        return {"t": None, "x": X.squeeze(), "y": Y.squeeze()}
+    t = np.asarray(t_vals, float)
+    m = X.shape[0]
+    return {
+        "t": np.repeat(t, m),
+        "x": np.tile(X, (t.size, 1)).squeeze(),
+        "y": np.tile(Y, (t.size, 1)).squeeze(),
+    }
+
+
+@pytest.mark.parametrize("fast", [True, False])
+def test_sample_builders_match_reference_on_standard_grids(fast):
+    from lagsem.bounds import _grid_1d, _grid_2d, _grid_riesz_1d, _grid_riesz_2d, _grid_riesz_heat
+
+    def lat(c):
+        return np.stack(np.meshgrid(c, c, indexing="ij"), axis=-1).reshape(-1, 2)
+
+    t1 = np.geomspace(0.01, 10.0, 12 if fast else 20)
+    xy = np.linspace(0.1, 4.0, 24 if fast else 50)
+    t2 = np.geomspace(0.01, 10.0, 5 if fast else 8)
+    c2 = np.linspace(0.3, 3.0, 5 if fast else 7)
+    r1 = np.linspace(0.05, 4.0, 41 if fast else 101)
+    cx = np.linspace(0.3, 3.0, 6 if fast else 10)
+    cy = np.linspace(0.35, 3.05, 7 if fast else 11)
+    rh = np.linspace(0.05, 4.0, 25 if fast else 60)
+    pairs = [
+        (_grid_1d(fast), _reference_product_samples_1d(t1, xy, xy)),
+        (_grid_2d(fast), _reference_product_samples_2d(t2, c2)),
+        (_grid_riesz_1d(fast), _reference_pair_samples(r1, r1)),
+        (_grid_riesz_2d(fast), _reference_pair_samples(lat(cx), lat(cy))),
+        (_grid_riesz_heat(fast), _reference_pair_samples(rh, rh, t_vals=[0.01, 0.1, 1.0])),
+    ]
+    for got, want in pairs:
+        for key in ("t", "x", "y"):
+            if want[key] is None:
+                assert got[key] is None
+            else:
+                assert got[key].dtype == want[key].dtype
+                assert np.array_equal(got[key], want[key]), key

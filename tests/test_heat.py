@@ -30,6 +30,7 @@ from lagsem import (
     laguerre_function_table,
 )
 from lagsem import heat
+from lagsem.critical import rho
 from lagsem.heat import operator_expansion, partial_delta_kernel_1d, shifted_adjoint_kernel_1d
 from lagsem.special import ive
 
@@ -234,6 +235,22 @@ def test_domain_errors():
         kernel_1d_closed(0.5, 1.0, -1.0, 1.0)
     with pytest.raises(ValueError):
         kernel_spectral(MultiOrder((0.5,)), 0.5, (1.0, 2.0), (1.0,), k_max=10)
+
+
+def test_nan_arguments_are_refused_by_name():
+    nan = math.nan
+    order = MultiOrder((0.5,))
+    with pytest.raises(ValueError, match="time must be strictly positive"):
+        kernel_spectral(order, nan, 1.0, 1.5, 10)
+    with pytest.raises(ValueError, match="points must be strictly positive"):
+        kernel_spectral(order, 0.5, nan, 1.5, 10)
+    for kernel in (kernel_1d_closed, lambda nu, t, x, y: delta_kernel_1d(nu, 2, t, x, y)):
+        with pytest.raises(ValueError, match="time must be strictly positive"):
+            kernel(0.5, np.array([0.5, nan]), 1.0, 1.5)
+        with pytest.raises(ValueError, match="space arguments must be strictly positive"):
+            kernel(0.5, 0.5, np.array([1.0, nan]), 1.5)
+    with pytest.raises(ValueError, match="open positive orthant"):
+        rho(order, np.array([[1.0], [nan]]))
 
 
 # ---------------------------------------------------------------------------

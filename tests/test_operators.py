@@ -520,6 +520,17 @@ def test_riesz_kernel_rejects_diagonal():
         riesz_kernel(ORDER, (1,), 1.3, 1.3)
 
 
+def test_riesz_kernels_of_empty_batches_are_empty():
+    empty = np.array([])
+    for got in (
+        riesz_kernel(ORDER, (1,), empty, empty),
+        riesz_heat_composite_kernel(ORDER, (1,), 0.1, empty, empty),
+    ):
+        assert isinstance(got, np.ndarray) and got.shape == (0,)
+    rows = np.empty((0, 2))
+    assert riesz_kernel(MultiOrder((0.5, 1.0)), (1, 0), rows, rows).shape == (0,)
+
+
 def test_composite_kernel_reproduces_spectral_action():
     # quadrature-apply the mollified kernel to phi_1; the action must be the
     # damped multiplier -2/sqrt(lam_1) e^(-t lam_1) on phi_0 of the shifted
@@ -566,6 +577,13 @@ def test_cz_smoothness_check_passes():
     assert report["size_drift"] < 0.05
     assert report["smoothness_exponent"] >= ORDER.holder_exponent - 0.05
     assert math.isfinite(report["size_sup_fine"])
+
+
+def test_cz_smoothness_samples_three_dimensional_points():
+    # the pair grid is the n-D lattice, not a 2-D one read as n-D rows
+    report = verify_cz_smoothness(MultiOrder((0.5, 1.0, 0.5)), (1, 0, 0))
+    assert not report["skipped"]
+    assert math.isfinite(report["size_sup_coarse"]) and math.isfinite(report["size_sup_fine"])
 
 
 def test_cz_smoothness_skips_hermite_endpoint():

@@ -125,10 +125,10 @@ def _run(bench_file: str, src: str, json_path: str) -> dict:
         return {b["name"]: b for b in json.load(fh)["benchmarks"]}
 
 
-def compare_checkouts(bench_file: str, rounds: int, argv=None) -> int:
+def compare_checkouts(bench_file: str, argv=None) -> int:
     """Run the benchmarks of ``bench_file`` on two checkouts and write both.
 
-    The parent's ``src`` and this checkout's alternate ``rounds`` times,
+    The parent's ``src`` and this checkout's alternate ``ROUNDS`` times,
     and each benchmark's row holds its median over the rounds' medians
     and its work count (the ``pairs``, ``elements`` or ``samples`` entry of
     ``extra_info``) per second.
@@ -141,7 +141,7 @@ def compare_checkouts(bench_file: str, rounds: int, argv=None) -> int:
     sides = {"parent": os.path.abspath(args.parent_src), "change": os.path.join(root, "src")}
     medians = {side: {} for side in sides}
     with tempfile.TemporaryDirectory() as tmp:
-        for rnd in range(rounds):
+        for rnd in range(ROUNDS):
             # alternate which side runs first
             order = list(sides) if rnd % 2 == 0 else list(sides)[::-1]
             for side in order:
@@ -161,10 +161,10 @@ def compare_checkouts(bench_file: str, rounds: int, argv=None) -> int:
         row["change_over_parent"] = row["change"]["median_s"] / row["parent"]["median_s"]
         rows.append(row)
     with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump({"rounds": rounds, "rows": rows}, fh, indent=2)
+        json.dump({"rounds": ROUNDS, "rows": rows}, fh, indent=2)
         fh.write("\n")
     return 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(compare_checkouts(__file__, ROUNDS))
+    raise SystemExit(compare_checkouts(__file__))

@@ -13,9 +13,9 @@ or compare two checkouts and write a JSON table of both:
 
     python3 benchmarks/bench_bounds.py --parent-src ../parent/src --out layers.json
 
-which alternates the parent's ``src`` and this checkout's ``ROUNDS``
-times, as ``benchmarks/bench_bessel.py`` does.  ``BENCH_6.json`` holds
-such a table.
+which alternates the parent's ``src`` and this checkout's
+``bench_bessel.ROUNDS`` times, as ``benchmarks/bench_bessel.py`` does.
+``BENCH_6.json`` holds such a table.
 """
 
 from __future__ import annotations
@@ -24,10 +24,8 @@ import pytest
 
 from bench_bessel import compare_checkouts
 
-# fits per benchmark in one pytest run, and runs per checkout in the
-# two-checkout comparison
+# fits per benchmark in one pytest run
 ROUNDS_PER_RUN = 5
-ROUNDS = 5
 
 
 def pytest_generate_tests(metafunc):
@@ -55,4 +53,4 @@ def test_fit_gaussian_bound(benchmark, tasks, task_index):
 
 
 if __name__ == "__main__":
-    raise SystemExit(compare_checkouts(__file__, ROUNDS))
+    raise SystemExit(compare_checkouts(__file__))

@@ -247,11 +247,6 @@ def _index(v) -> tuple[int, ...]:
     return tuple(int(i) for i in np.atleast_1d(v))
 
 
-def _gamma(order: MultiOrder) -> float:
-    """Default weight exponent nu_min + 1/2; 0 when no axis is active."""
-    return order.nu_min + 0.5 if order.active_axes else 0.0
-
-
 def _w_weight(order: MultiOrder, t, x, y, exponent: float):
     return critical_weight(order, np.sqrt(t), x, y) ** (-exponent)
 
@@ -263,7 +258,11 @@ def _gaussian_family(family_id, order, lhs, time_factor, gamma=None, **window) -
     ``window`` holds the BoundFamily fields region, t_lo and t_hi.
     """
     order = as_order(order)
-    gamma = _gamma(order) if gamma is None else float(gamma)
+    if gamma is None:
+        # 1-D: nu + 1/2, which is 0 (no weight) at the Hermite endpoint;
+        # n-D: nu_min + 1/2 over the active axes, inf when none is active
+        gamma = order.nu[0] + 0.5 if order.n == 1 else order.nu_min + 0.5
+    gamma = float(gamma)
     return BoundFamily(
         family_id=family_id,
         order=order,
@@ -448,7 +447,7 @@ def _riesz_family(name: str, order: MultiOrder, k, kernel) -> BoundFamily:
     No Gaussian factor: the bound is uniform in t.
     """
     order, k = as_order(order), _index(k)
-    gamma = _gamma(order)
+    gamma = order.nu_min + 0.5
 
     def prefactor(t, x, y):
         d = np.sqrt(_dist2(x, y))

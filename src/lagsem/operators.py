@@ -433,17 +433,24 @@ def verify_cz_smoothness(order: MultiOrder, k) -> dict:
     below 1/4 are skipped: the stated rate is then too degenerate for a
     stable regression.  This uses the raw minimum over all axes, not the
     active-set convention, so any axis at the Hermite endpoint forces a
-    skip.
+    skip.  Orders of dimension 3 or more that are not skipped raise a
+    ValueError: the sup is taken over about 60 lattice points, too few to
+    locate it in 3-D.
     """
     order = as_order(order)
     k = _check_riesz_index(order, k)
     gamma = min(1.0, min(order.nu) + 0.5)
     if gamma < 0.25:
         return {"gamma": gamma, "skipped": True}
+    if order.n > 2:
+        raise ValueError(
+            "verify_cz_smoothness samples about 60 lattice points, too few to "
+            "locate the size sup in more than 2 dimensions"
+        )
 
     def weighted_sup(n_pts: int) -> float:
-        # every lattice point in 1-D, about 60 of them otherwise, each
-        # paired with all the others
+        # every lattice point in 1-D, about 60 of them in 2-D, each paired
+        # with all the others
         pts = lattice(*[np.linspace(0.1, 3.0, n_pts)] * order.n)
         sub = pts[:: max(1, pts.shape[0] // 60)]
         xs, ys = cross_pairs(sub, sub)
@@ -462,11 +469,8 @@ def verify_cz_smoothness(order: MultiOrder, k) -> dict:
     slopes = []
     for y0 in (1.5, 2.5):
         xs = 0.2 * 2.0 ** -np.arange(6, dtype=float)
-        if order.n == 1:
-            xpts, ypts = xs, np.full_like(xs, y0)
-        else:
-            xpts = np.column_stack([xs] + [np.full_like(xs, 1.0)] * (order.n - 1))
-            ypts = np.column_stack([np.full_like(xs, y0)] + [np.full_like(xs, 1.0)] * (order.n - 1))
+        xpts = np.column_stack([xs] + [np.full_like(xs, 1.0)] * (order.n - 1))
+        ypts = np.column_stack([np.full_like(xs, y0)] + [np.full_like(xs, 1.0)] * (order.n - 1))
         vals = np.abs(riesz_kernel(order, k, xpts, ypts))
         slope = float(np.polyfit(np.log(xs), np.log(vals), 1)[0])
         slopes.append(slope)

@@ -12,8 +12,10 @@ from lagsem.bounds import (
     heat_size_family,
     minimal_decay_constant,
     pair_samples,
+    product_delta_family,
     product_samples_1d,
     product_samples_2d,
+    riesz_heat_size_family,
     riesz_size_family,
     standard_bound_suite,
 )
@@ -144,6 +146,25 @@ def test_minimal_decay_constant_monotone_in_margin():
     loose = minimal_decay_constant(fam, grid, margin=4.0)
     tight = minimal_decay_constant(fam, grid, margin=1.5)
     assert loose <= tight
+
+
+def test_weight_exponent_at_the_hermite_endpoint():
+    # 1-D Gaussian families weight with nu + 1/2 = 0 at nu = -1/2; Riesz and
+    # n-D families use nu_min + 1/2 over the active axes, inf when none is
+    # active, so the prefactor vanishes and no finite constant fits
+    s1 = product_samples_1d([0.3, 1.0], np.linspace(0.2, 2.0, 5), np.linspace(0.2, 2.0, 5))
+    heat = heat_size_family(-0.5)
+    assert heat.decay_exponent == 0.0
+    assert math.isfinite(fit_gaussian_bound(heat, s1).fitted_C)
+    pairs = pair_samples(np.linspace(0.2, 2.0, 5), np.linspace(0.25, 2.05, 5), t_vals=[0.5])
+    hermite = MultiOrder((-0.5,))
+    for fam in (riesz_size_family(hermite, (1,)), riesz_heat_size_family(hermite, (1,))):
+        assert fam.decay_exponent == math.inf
+        assert fit_gaussian_bound(fam, pairs).fitted_C == math.inf
+    fam = product_delta_family(MultiOrder((-0.5, -0.5)), (1, 0))
+    assert fam.decay_exponent == math.inf
+    s2 = product_samples_2d([0.3, 1.0], np.linspace(0.3, 2.0, 4))
+    assert fit_gaussian_bound(fam, s2).fitted_C == math.inf
 
 
 def test_standard_suite_fast_grid_all_pass():

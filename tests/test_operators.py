@@ -579,11 +579,11 @@ def test_cz_smoothness_check_passes():
     assert math.isfinite(report["size_sup_fine"])
 
 
-def test_cz_smoothness_samples_three_dimensional_points():
-    # the pair grid is the n-D lattice, not a 2-D one read as n-D rows
-    report = verify_cz_smoothness(MultiOrder((0.5, 1.0, 0.5)), (1, 0, 0))
-    assert not report["skipped"]
-    assert math.isfinite(report["size_sup_coarse"]) and math.isfinite(report["size_sup_fine"])
+def test_cz_smoothness_refuses_three_dimensional_orders():
+    # about 60 lattice points cannot locate the size sup in 3-D
+    with pytest.raises(ValueError, match="more than 2 dimensions"):
+        verify_cz_smoothness(MultiOrder((0.5, 1.0, 0.5)), (1, 0, 0))
+    assert verify_cz_smoothness(MultiOrder((0.5, -0.5, 1.0)), (1, 0, 0))["skipped"]
 
 
 def test_cz_smoothness_skips_hermite_endpoint():

@@ -2,12 +2,22 @@
 
 Times ``ive`` per branch and the two 1-D kernel entry points:
 
-- ``ive`` series: the Bessel arguments of one Riesz kernel call
+- ``ive`` Riesz call: every Bessel argument of one Riesz kernel call
   (``riesz_kernel`` of order 1/2, k = 2, on 41 x 41 off-diagonal pairs in
-  [0.05, 4]) that take the batched power series, replayed call by call;
+  [0.05, 4]), replayed call by call with the same arrays, whatever branch
+  each element takes.  This is the row that compares two checkouts whose
+  branch rules differ;
+- ``ive`` series: the arguments of that call at or below the series
+  cutoff max(50, 2 alpha^2).  For orders other than half-integers these
+  all take the batched power series.  Half-integer orders up to 20.5 take
+  the closed form from z = max(1, alpha^2/2) on, so for them this row
+  times a mix of series and closed form, and against a checkout without
+  the closed form its two sides do not do the same work;
 - ``ive`` anchored: arguments whose leading series term underflows, summed
   by the scalar fallback anchored at the largest term;
-- ``ive`` Hankel: arguments above the series cutoff;
+- ``ive`` Hankel: order-1/2 arguments above the series cutoff.  With the
+  half-integer closed form they take that branch instead, so this row
+  then compares the closed form with the Hankel loop it replaced;
 - ``kernel_1d_closed`` and ``evaluate_expansion`` (through
   ``delta_kernel_1d`` with m = 2), on 16 times by 64 x 64 space pairs.
 
@@ -24,8 +34,8 @@ or compare two checkouts and write a JSON table of both:
 
 which runs the benchmarks on the parent's ``src`` and on this checkout's,
 alternating, ``ROUNDS`` times each, and records each benchmark's median
-over the rounds' medians.  The ``layers`` block of ``BENCH_4.json`` is such
-a table.
+over the rounds' medians.  The ``layers`` blocks of ``BENCH_4.json`` and
+``BENCH_7.json`` are such tables.
 """
 
 from __future__ import annotations
@@ -46,9 +56,8 @@ ROUNDS = 5
 
 
 @pytest.fixture(scope="module")
-def riesz_arguments():
+def riesz_calls():
     from lagsem import MultiOrder, heat, riesz_kernel
-    from lagsem.special import _series_cutoff
 
     seen = []
     real = heat.ive
@@ -65,7 +74,14 @@ def riesz_arguments():
         riesz_kernel(MultiOrder((0.5,)), (2,), x[off], y[off])
     finally:
         heat.ive = real
-    series = [(nu, z[(z > 0.0) & (z <= _series_cutoff(nu))]) for nu, z in seen]
+    return seen
+
+
+@pytest.fixture(scope="module")
+def riesz_arguments(riesz_calls):
+    from lagsem.special import _series_cutoff
+
+    series = [(nu, z[(z > 0.0) & (z <= _series_cutoff(nu))]) for nu, z in riesz_calls]
     return [(nu, z) for nu, z in series if z.size]
 
 
@@ -74,6 +90,14 @@ def space_pairs():
     t = np.geomspace(1e-3, 10.0, 16)[:, None, None]
     pts = np.linspace(0.05, 6.0, 64)
     return t, pts[None, :, None], pts[None, None, :]
+
+
+def test_ive_riesz_call(benchmark, riesz_calls):
+    from lagsem import ive
+
+    benchmark.extra_info["elements"] = sum(z.size for _, z in riesz_calls)
+    benchmark.extra_info["calls"] = len(riesz_calls)
+    benchmark(lambda: [ive(nu, z) for nu, z in riesz_calls])
 
 
 def test_ive_series(benchmark, riesz_arguments):

@@ -158,9 +158,9 @@ class Ball:
         return d < self.radius
 
 
-def _bump_profile(u: np.ndarray) -> np.ndarray:
-    # C^2 compactly supported profile (1 - u^2)^3 on u < 1
-    core = np.clip(1.0 - u * u, 0.0, None)
+def _bump_profile(u2: np.ndarray) -> np.ndarray:
+    # C^2 compactly supported profile (1 - u^2)^3 on u < 1, from u2 = u^2
+    core = np.clip(1.0 - u2, 0.0, None)
     return core * core * core
 
 
@@ -181,7 +181,8 @@ class Covering:
         """Normalized partition functions at (M, n) points, shape (n_balls, M)."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         d = np.linalg.norm(pts[None, :, :] - self.centers[:, None, :], axis=-1)
-        raw = _bump_profile(d / self.radii[:, None])
+        u = d / self.radii[:, None]
+        raw = _bump_profile(u * u)
         denom = raw.sum(axis=0)
         if np.any(denom <= 0.0):
             raise ValueError("partition undefined: a point is not interior to any ball")
@@ -239,8 +240,7 @@ class Covering:
             inside = rel2 < 1.0
             max_overlap = max(max_overlap, int(inside.sum(axis=0).max()))
             worst_margin = max(worst_margin, math.sqrt(float(rel2.min(axis=0).max())))
-            core = np.clip(1.0 - rel2, 0.0, None)
-            raw = core * core * core
+            raw = _bump_profile(rel2)
             sums = raw.sum(axis=0)
             if np.any(sums <= 0.0):
                 partition_err = math.inf

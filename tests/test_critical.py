@@ -149,6 +149,11 @@ def test_covering_bumps_supported_in_balls():
     for i, ball in enumerate(cov.balls()):
         outside = ~ball.contains(pts)
         assert np.all(bumps[i][outside] == 0.0)
+    # each bump is the profile (1 - u^2)^3, u = |x - c| / r, normalized over
+    # the balls (the sums above hold for any profile)
+    u = np.abs(pts[:, 0][None, :] - cov.centers[:, :1]) / cov.radii[:, None]
+    raw = np.clip(1.0 - u * u, 0.0, None) ** 3
+    np.testing.assert_allclose(bumps, raw / raw.sum(axis=0), rtol=1e-13, atol=0.0)
 
 
 def test_covering_two_dimensional_box():

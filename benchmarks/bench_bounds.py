@@ -47,7 +47,7 @@ def test_fit_gaussian_bound(benchmark, tasks, task_index):
     from lagsem.bounds import fit_gaussian_bound
 
     task = tasks[task_index]
-    args = (task.family, task.samples, task.fixed_c)
+    args = (task.family, task.samples)
     benchmark.extra_info["samples"] = fit_gaussian_bound(*args).n_samples
     benchmark.pedantic(fit_gaussian_bound, args=args, rounds=ROUNDS_PER_RUN, warmup_rounds=1)
 

@@ -32,6 +32,7 @@ from .heat import (
     partial_delta_kernel_1d,
     shifted_adjoint_kernel_1d,
 )
+from .operators import riesz_heat_composite_kernel, riesz_kernel
 from .special import MultiOrder, as_order
 
 __all__ = [
@@ -58,7 +59,6 @@ class BoundFitReport:
     fixed_c: float
     exponent_gamma: float
     n_samples: int
-    max_ratio: float
     violations: list = field(default_factory=list)
 
     @property
@@ -88,7 +88,6 @@ class BoundFamily:
 class FitTask:
     family: BoundFamily
     samples: dict
-    fixed_c: float = DEFAULT_DECAY_CONSTANT
 
 
 def _rows(points) -> np.ndarray:
@@ -194,7 +193,6 @@ def fit_gaussian_bound(
         fixed_c=c if family.gaussian else 0.0,
         exponent_gamma=family.decay_exponent,
         n_samples=int(ratios.size),
-        max_ratio=fitted,
         violations=violations,
     )
 
@@ -465,8 +463,6 @@ def _riesz_family(name: str, order: MultiOrder, k, kernel) -> BoundFamily:
 
 def riesz_size_family(order: MultiOrder, k) -> BoundFamily:
     """Riesz kernel size |K(x,y)| |x-y|^n (1 + |x-y|/rho)^gamma <= C."""
-    from .operators import riesz_kernel  # deferred to avoid an import cycle
-
     return _riesz_family(
         "riesz-size", order, k, lambda order, k, t, x, y: riesz_kernel(order, k, x, y)
     )
@@ -474,7 +470,6 @@ def riesz_size_family(order: MultiOrder, k) -> BoundFamily:
 
 def riesz_heat_size_family(order: MultiOrder, k) -> BoundFamily:
     """Heat-composed Riesz kernels, uniform in the extra time parameter."""
-    from .operators import riesz_heat_composite_kernel
 
     def kernel(order, k, t, x, y):
         out = np.empty(np.asarray(t).shape)

@@ -3,11 +3,13 @@
 The format is one ``key = value`` pair per line, ``#`` comments, blank
 lines ignored.  Parsing is strict: unknown keys and malformed values are
 errors that name the offending field, and a config survives a
-dump/parse round trip unchanged.
+dump/parse round trip unchanged.  A config validates its ranges when it
+is constructed, also by ``dataclasses.replace``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 __all__ = ["ConfigError", "SuiteConfig"]
@@ -28,8 +30,11 @@ class SuiteConfig:
     box_lo: float = 0.05
     box_hi: float = 4.0
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> "SuiteConfig":
-        if not self.order or any(not v >= -0.5 for v in self.order):
+        if not self.order or not all(math.isfinite(v) and v >= -0.5 for v in self.order):
             raise ConfigError("order: every entry must be a finite number >= -1/2")
         if len(self.order) > 3:
             raise ConfigError("order: at most three axes are supported")
@@ -41,26 +46,19 @@ class SuiteConfig:
             raise ConfigError("atom_p: must lie in (0, 1]")
         if self.n_atoms < 1:
             raise ConfigError("n_atoms: must be at least 1")
-        if not 0.0 <= self.box_lo < self.box_hi:
-            raise ConfigError("box_lo/box_hi: need 0 <= box_lo < box_hi")
+        if not 0.0 <= self.box_lo < self.box_hi < math.inf:
+            raise ConfigError("box_lo/box_hi: need 0 <= box_lo < box_hi < inf")
         return self
 
     def to_text(self) -> str:
-        lines = []
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if f.name == "order":
-                v = ",".join(repr(float(x)) for x in v)
-            elif isinstance(v, bool):
-                v = "true" if v else "false"
-            else:
-                v = repr(v)
-            lines.append(f"{f.name} = {v}")
-        return "\n".join(lines) + "\n"
+        return "".join(
+            f"{f.name} = {_FORMS[type(f.default)][1](getattr(self, f.name))}\n"
+            for f in fields(self)
+        )
 
     @classmethod
     def from_text(cls, text: str) -> "SuiteConfig":
-        known = {f.name: f for f in fields(cls)}
+        kinds = {f.name: type(f.default) for f in fields(cls)}
         values = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
@@ -70,15 +68,13 @@ class SuiteConfig:
                 raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
             key, _, val = line.partition("=")
             key, val = key.strip(), val.strip()
-            if key not in known:
+            if key not in kinds:
                 raise ConfigError(f"{key}: unknown configuration key")
             try:
-                values[key] = _parse_value(key, val)
-            except ConfigError:
-                raise
+                values[key] = _FORMS[kinds[key]][0](val)
             except ValueError:
                 raise ConfigError(f"{key}: cannot parse value {val!r}") from None
-        return cls(**values).validate()
+        return cls(**values)
 
     @classmethod
     def load(cls, path) -> "SuiteConfig":
@@ -90,30 +86,29 @@ class SuiteConfig:
             fh.write(self.to_text())
 
     def to_json_dict(self) -> dict:
-        return {
-            "order": [float(v) for v in self.order],
-            "k_max": self.k_max,
-            "seed": self.seed,
-            "fast": self.fast,
-            "atom_p": self.atom_p,
-            "n_atoms": self.n_atoms,
-            "box_lo": self.box_lo,
-            "box_hi": self.box_hi,
-        }
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out[f.name] = [float(v) for v in value] if isinstance(f.default, tuple) else value
+        return out
 
 
-def _parse_value(key: str, val: str):
-    if key == "order":
-        return tuple(float(part) for part in val.split(",") if part.strip() != "")
-    if key in ("k_max", "seed", "n_atoms"):
-        return int(val)
-    if key == "fast":
-        low = val.lower()
-        if low in ("true", "1", "yes"):
-            return True
-        if low in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"{key}: expected a boolean, got {val!r}")
-    if key in ("atom_p", "box_lo", "box_hi"):
-        return float(val)
-    raise ConfigError(f"{key}: unknown configuration key")
+def _parse_bool(text: str) -> bool:
+    low = text.lower()
+    if low in ("true", "1", "yes"):
+        return True
+    if low in ("false", "0", "no"):
+        return False
+    raise ValueError(text)
+
+
+# (parse, format) of a field's text form, by the type of the field's default
+_FORMS = {
+    tuple: (
+        lambda text: tuple(float(part) for part in text.split(",") if part.strip() != ""),
+        lambda value: ",".join(repr(float(v)) for v in value),
+    ),
+    bool: (_parse_bool, lambda value: "true" if value else "false"),
+    int: (int, repr),
+    float: (float, repr),
+}

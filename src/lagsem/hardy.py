@@ -226,13 +226,7 @@ class NormReport:
     eval_hi: tuple
 
     def to_json_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "p": self.p,
-            "n_times": self.n_times,
-            "eval_lo": list(self.eval_lo),
-            "eval_hi": list(self.eval_hi),
-        }
+        return asdict(self)
 
 
 def hardy_norm_maximal(

@@ -47,8 +47,8 @@ class SuiteReport:
     def all_passed(self) -> bool:
         return all(r.passed for r in self.results)
 
-    def to_json_dict(self, include_timings: bool = True) -> dict:
-        out = {
+    def to_json_dict(self) -> dict:
+        return {
             "version": __version__,
             "suite": self.suite,
             "config": self.config.to_json_dict(),
@@ -56,10 +56,8 @@ class SuiteReport:
             "n_passed": self.n_passed,
             "all_passed": self.all_passed,
             "checks": [r.to_json_dict() for r in self.results],
+            "timings": {r.check_id: round(r.seconds, 6) for r in self.results},
         }
-        if include_timings:
-            out["timings"] = {r.check_id: round(r.seconds, 6) for r in self.results}
-        return out
 
-    def to_json(self, include_timings: bool = True) -> str:
-        return json.dumps(self.to_json_dict(include_timings), indent=2, sort_keys=True) + "\n"
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"

@@ -1,7 +1,9 @@
 """Named verification checks grouped into runnable suites.
 
-Each check is a function of the suite configuration returning a
-CheckResult; run_suite executes a named group and wraps the results in a
+Each check is a function of the suite configuration returning
+``(passed, value, detail)``.  ``SUITES`` names each check by its id within
+its suite, and ``run_suite`` times every check of a named group, files its
+outcome as a CheckResult under that id and wraps the results in a
 SuiteReport.  Checks that are inherently one-dimensional use the first
 axis of the configured order.
 """
@@ -30,7 +32,10 @@ from .reports import CheckResult, SuiteReport
 from .special import MultiOrder, ive, laguerre_function_table
 from .hardy import bmo_norm, check_atom, duality_pairing, hardy_norm_maximal, random_atom
 
-__all__ = ["SUITE_NAMES", "run_suite"]
+__all__ = ["SUITES", "SUITE_NAMES", "run_suite"]
+
+# what a check returns: (passed, value or None, detail)
+Outcome = tuple[bool, float | None, dict]
 
 # largest tensor grid check_parseval builds: 576^2 points pass, 576^3 (about
 # 1.5 GB per float array) is refused before anything is allocated
@@ -45,27 +50,27 @@ def _axis_nu(config: SuiteConfig) -> float:
     return float(config.order[0])
 
 
-def check_bessel_identities(config: SuiteConfig) -> CheckResult:
+def check_bessel_identities(config: SuiteConfig) -> Outcome:
     z = np.geomspace(1e-3, 300.0, 25 if config.fast else 60)
     worst = 0.0
     for alpha in (-0.5, 0.0, 0.5, 1.3, 4.0):
         low, mid, high = ive(alpha, z), ive(alpha + 1.0, z), ive(alpha + 2.0, z)
         resid = np.abs(low - high - 2.0 * (alpha + 1.0) / z * mid) / np.abs(low)
         worst = max(worst, float(resid.max()))
-    return CheckResult("bessel-recurrence", worst < 1e-10, worst, {"tolerance": 1e-10})
+    return worst < 1e-10, worst, {"tolerance": 1e-10}
 
 
-def check_laguerre_orthonormality(config: SuiteConfig) -> CheckResult:
+def check_laguerre_orthonormality(config: SuiteConfig) -> Outcome:
     nu = _axis_nu(config)
     k_max = 8 if config.fast else 15
     axis = gauss_legendre_axis(0.0, 12.0, nodes_per_unit=96)
     table = laguerre_function_table(nu, axis.nodes, k_max)
     gram = (table * axis.weights) @ table.T
     err = float(np.max(np.abs(gram - np.eye(k_max + 1))))
-    return CheckResult("laguerre-orthonormality", err < 1e-8, err, {"k_max": k_max})
+    return err < 1e-8, err, {"k_max": k_max}
 
 
-def check_closed_vs_raw(config: SuiteConfig) -> CheckResult:
+def check_closed_vs_raw(config: SuiteConfig) -> Outcome:
     nu = _axis_nu(config)
     x = np.linspace(0.2, 3.0, 20)
     worst = 0.0
@@ -73,10 +78,10 @@ def check_closed_vs_raw(config: SuiteConfig) -> CheckResult:
         a = kernel_1d_closed(nu, t, x[:, None], x[None, :])
         b = kernel_1d_raw(nu, t, x[:, None], x[None, :])
         worst = max(worst, float(np.max(np.abs(a - b) / np.abs(a))))
-    return CheckResult("kernel-closed-vs-raw", worst < 1e-10, worst, {})
+    return worst < 1e-10, worst, {}
 
 
-def check_closed_vs_spectral(config: SuiteConfig) -> CheckResult:
+def check_closed_vs_spectral(config: SuiteConfig) -> Outcome:
     nu = _axis_nu(config)
     order = MultiOrder((nu,))
     x = np.linspace(0.3, 2.5, 8 if config.fast else 15)
@@ -87,10 +92,10 @@ def check_closed_vs_spectral(config: SuiteConfig) -> CheckResult:
             closed = float(kernel_1d_closed(nu, t, xi, yj))
             spectral = kernel_spectral(order, t, xi, yj, config.k_max)
             worst = max(worst, abs(closed - spectral) / abs(closed))
-    return CheckResult("kernel-closed-vs-spectral", worst < 1e-8, worst, {"k_max": config.k_max})
+    return worst < 1e-8, worst, {"k_max": config.k_max}
 
 
-def check_semigroup_law(config: SuiteConfig) -> CheckResult:
+def check_semigroup_law(config: SuiteConfig) -> Outcome:
     nu = _axis_nu(config)
     axis = gauss_legendre_axis(0.0, 12.0, nodes_per_unit=64)
     t = s = 0.25
@@ -104,10 +109,10 @@ def check_semigroup_law(config: SuiteConfig) -> CheckResult:
             composed = float(np.sum(axis.weights * left * right))
             direct = kernel_1d_closed(nu, t + s, x, y)
             worst = max(worst, abs(composed - direct) / abs(direct))
-    return CheckResult("semigroup-law", worst < 1e-6, worst, {"t": t, "s": s})
+    return worst < 1e-6, worst, {"t": t, "s": s}
 
 
-def check_eigenrelation(config: SuiteConfig) -> CheckResult:
+def check_eigenrelation(config: SuiteConfig) -> Outcome:
     # residual measured in L2, not pointwise: phi_k has interior zeros
     nu = _axis_nu(config)
     order = MultiOrder((nu,))
@@ -122,38 +127,31 @@ def check_eigenrelation(config: SuiteConfig) -> CheckResult:
             num = float(np.sum(axis.weights * resid**2))
             den = float(np.sum(axis.weights * table[k] ** 2))
             worst = max(worst, np.sqrt(num / den))
-    return CheckResult("semigroup-eigenrelation", worst < 1e-6, worst, {})
+    return worst < 1e-6, worst, {}
 
 
-def check_slow_variation_suite(config: SuiteConfig) -> CheckResult:
+def check_slow_variation_suite(config: SuiteConfig) -> Outcome:
     rep = check_slow_variation(
         _order(config), n_pairs=2000 if config.fast else 10000, seed=config.seed
     )
     dev = max(2.0 - rep.min_ratio * 2.0, rep.max_ratio / 2.0 - 1.0)
-    return CheckResult(
-        "critical-slow-variation",
-        rep.passed,
-        dev,
-        {"n_pairs": rep.n_pairs, "min_ratio": rep.min_ratio, "max_ratio": rep.max_ratio},
-    )
+    detail = {"n_pairs": rep.n_pairs, "min_ratio": rep.min_ratio, "max_ratio": rep.max_ratio}
+    return rep.passed, dev, detail
 
 
-def check_covering(config: SuiteConfig) -> CheckResult:
+def check_covering(config: SuiteConfig) -> Outcome:
     order = _order(config)
-    try:
-        cov = build_covering(order, 0.4, 1.6 if order.n > 1 else 2.4)
-    except ValueError as exc:  # e.g. a 3-D lattice over the candidate limit
-        return CheckResult("critical-covering", False, None, {"error": f"ValueError: {exc}"})
+    cov = build_covering(order, 0.4, 1.6 if order.n > 1 else 2.4)
     v = cov.verify(points_per_axis=60 if order.n > 1 else 200)
     passed = (
         v["fifth_radius_disjoint"]
         and v["covers_box"]
         and v["partition_sum_error"] < 1e-12
     )
-    return CheckResult("critical-covering", passed, v["partition_sum_error"], v)
+    return passed, v["partition_sum_error"], v
 
 
-def check_multiplier_contraction(config: SuiteConfig) -> CheckResult:
+def check_multiplier_contraction(config: SuiteConfig) -> Outcome:
     order = _order(config)
     k = tuple(1 if i == 0 else 0 for i in range(order.n))
     worst = 0.0
@@ -161,10 +159,10 @@ def check_multiplier_contraction(config: SuiteConfig) -> CheckResult:
         for m in range(1, 40):
             idx = tuple(m if i == 0 else 0 for i in range(order.n))
             worst = max(worst, abs(riesz_multiplier(order, k, idx, variant)))
-    return CheckResult("riesz-multiplier-contraction", worst < 1.0, worst, {})
+    return worst < 1.0, worst, {}
 
 
-def check_variant_relation(config: SuiteConfig) -> CheckResult:
+def check_variant_relation(config: SuiteConfig) -> Outcome:
     order = _order(config)
     k = tuple(2 if i == 0 else 0 for i in range(order.n))
     worst = 0.0
@@ -175,7 +173,7 @@ def check_variant_relation(config: SuiteConfig) -> CheckResult:
         lam = order.eigenvalue(idx)
         expected = single * lam / np.sqrt(lam * (lam - 2.0))
         worst = max(worst, abs(step - expected) / abs(expected))
-    return CheckResult("riesz-variant-relation", worst < 1e-12, worst, {})
+    return worst < 1e-12, worst, {}
 
 
 def _random_band_function(config: SuiteConfig, grid: Grid, k_max: int = 25) -> GridFunction:
@@ -197,19 +195,15 @@ def _parseval_grid(order: MultiOrder) -> Grid:
     return Grid((axis,) * order.n)
 
 
-def check_parseval(config: SuiteConfig) -> CheckResult:
+def check_parseval(config: SuiteConfig) -> Outcome:
     order = _order(config)
-    try:
-        grid = _parseval_grid(order)
-    except ValueError as exc:  # a 3-D grid over the point limit
-        return CheckResult("parseval", False, None, {"error": f"ValueError: {exc}"})
-    f = _random_band_function(config, grid)
+    f = _random_band_function(config, _parseval_grid(order))
     coeffs = analyze(order, f, 25)
     err = abs(f.norm_l2() - coeffs.norm_l2()) / coeffs.norm_l2()
-    return CheckResult("parseval", err < 1e-8, err, {})
+    return err < 1e-8, err, {}
 
 
-def check_composite_limit(config: SuiteConfig) -> CheckResult:
+def check_composite_limit(config: SuiteConfig) -> Outcome:
     order = _order(config)
     k = tuple(1 if i == 0 else 0 for i in range(order.n))
     base = np.array([0.7] * order.n)
@@ -222,22 +216,22 @@ def check_composite_limit(config: SuiteConfig) -> CheckResult:
             order, k, 1e-8, x if order.n > 1 else float(x[0]), y if order.n > 1 else float(y[0])
         )
         worst = max(worst, abs(kr - kc) / abs(kr))
-    return CheckResult("riesz-composite-limit", worst < 1e-6, worst, {})
+    return worst < 1e-6, worst, {}
 
 
-def check_bound_families(config: SuiteConfig) -> CheckResult:
+def check_bound_families(config: SuiteConfig) -> Outcome:
     detail = {}
     passed = True
     worst_c = 0.0
     for task in standard_bound_suite(fast=config.fast):
-        rep = fit_gaussian_bound(task.family, task.samples, task.fixed_c)
+        rep = fit_gaussian_bound(task.family, task.samples)
         detail[rep.family_id] = rep.fitted_C
         passed &= rep.passed
         worst_c = max(worst_c, rep.fitted_C)
-    return CheckResult("gaussian-bound-families", passed, worst_c, detail)
+    return passed, worst_c, detail
 
 
-def check_atoms(config: SuiteConfig) -> CheckResult:
+def check_atoms(config: SuiteConfig) -> Outcome:
     order = _order(config)
     passed = True
     worst = 0.0
@@ -247,23 +241,23 @@ def check_atoms(config: SuiteConfig) -> CheckResult:
         passed &= rep["passed"]
         if rep["moments"]:
             worst = max(worst, max(abs(v) for v in rep["moments"].values()))
-    return CheckResult("atom-validity", passed, worst, {"n_atoms": config.n_atoms})
+    return passed, worst, {"n_atoms": config.n_atoms}
 
 
-def check_hardy_norm(config: SuiteConfig) -> CheckResult:
+def check_hardy_norm(config: SuiteConfig) -> Outcome:
     order = _order(config)
     if order.n > 1:
-        return CheckResult("hardy-norm-finite", True, None, {"skipped": "1-D check"})
+        return True, None, {"skipped": "1-D check"}
     atom = random_atom(order, config.atom_p, seed=config.seed)
     rep = hardy_norm_maximal(order, atom, config.atom_p)
     ok = np.isfinite(rep.value) and rep.value > 0.0
-    return CheckResult("hardy-norm-finite", bool(ok), rep.value, rep.to_json_dict())
+    return bool(ok), rep.value, rep.to_json_dict()
 
 
-def check_duality(config: SuiteConfig) -> CheckResult:
+def check_duality(config: SuiteConfig) -> Outcome:
     order = _order(config)
     if order.n > 1:
-        return CheckResult("duality-bounded", True, None, {"skipped": "1-D check"})
+        return True, None, {"skipped": "1-D check"}
     grid = Grid((gauss_legendre_axis(0.0, 8.0, nodes_per_unit=96),))
     f = _random_band_function(config, grid, k_max=15)
     norm = bmo_norm(order, f, p=config.atom_p)
@@ -272,48 +266,56 @@ def check_duality(config: SuiteConfig) -> CheckResult:
         atom = random_atom(order, config.atom_p, seed=config.seed + 100 + i)
         worst = max(worst, abs(duality_pairing(order, f, atom)))
     ok = np.isfinite(worst) and np.isfinite(norm.value)
-    return CheckResult(
-        "duality-bounded", bool(ok), worst, {"dual_norm": norm.value, "n_atoms": 3}
-    )
+    return bool(ok), worst, {"dual_norm": norm.value, "n_atoms": 3}
 
 
 SUITES = {
-    "special": [check_bessel_identities, check_laguerre_orthonormality],
-    "kernel": [
-        check_closed_vs_raw,
-        check_closed_vs_spectral,
-        check_semigroup_law,
-        check_eigenrelation,
-    ],
-    "critical": [check_slow_variation_suite, check_covering],
-    "operators": [
-        check_multiplier_contraction,
-        check_variant_relation,
-        check_parseval,
-        check_composite_limit,
-    ],
-    "bounds": [check_bound_families],
-    "hardy": [check_atoms, check_hardy_norm, check_duality],
+    "special": {
+        "bessel-recurrence": check_bessel_identities,
+        "laguerre-orthonormality": check_laguerre_orthonormality,
+    },
+    "kernel": {
+        "kernel-closed-vs-raw": check_closed_vs_raw,
+        "kernel-closed-vs-spectral": check_closed_vs_spectral,
+        "semigroup-law": check_semigroup_law,
+        "semigroup-eigenrelation": check_eigenrelation,
+    },
+    "critical": {
+        "critical-slow-variation": check_slow_variation_suite,
+        "critical-covering": check_covering,
+    },
+    "operators": {
+        "riesz-multiplier-contraction": check_multiplier_contraction,
+        "riesz-variant-relation": check_variant_relation,
+        "parseval": check_parseval,
+        "riesz-composite-limit": check_composite_limit,
+    },
+    "bounds": {"gaussian-bound-families": check_bound_families},
+    "hardy": {
+        "atom-validity": check_atoms,
+        "hardy-norm-finite": check_hardy_norm,
+        "duality-bounded": check_duality,
+    },
 }
 
 SUITE_NAMES = tuple(SUITES) + ("all",)
 
 
 def run_suite(config: SuiteConfig, suite: str = "all") -> SuiteReport:
-    """Run one named suite (or all of them) and collect a report."""
-    config.validate()
+    """Run one named suite (or all of them) and collect a report.
+
+    Every result is filed under its registry id; a check that raises
+    fails with the exception in ``detail["error"]`` and no value.
+    """
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}")
-    checks = []
-    for name in SUITES if suite == "all" else (suite,):
-        checks.extend(SUITES[name])
     results = []
-    for fn in checks:
-        start = time.perf_counter()
-        try:
-            res = fn(config)
-        except Exception as exc:  # a crashing check is a failing check
-            res = CheckResult(fn.__name__, False, None, {"error": f"{type(exc).__name__}: {exc}"})
-        res.seconds = time.perf_counter() - start
-        results.append(res)
+    for name in SUITES if suite == "all" else (suite,):
+        for check_id, check in SUITES[name].items():
+            start = time.perf_counter()
+            try:
+                passed, value, detail = check(config)
+            except Exception as exc:  # a crashing check is a failing check
+                passed, value, detail = False, None, {"error": f"{type(exc).__name__}: {exc}"}
+            results.append(CheckResult(check_id, passed, value, detail, time.perf_counter() - start))
     return SuiteReport(suite, config, results)

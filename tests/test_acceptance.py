@@ -230,7 +230,7 @@ def test_criterion_06_bound_fit_suite(announce):
         n_raw = int(np.asarray(task.samples["x"]).shape[0])
         min_samples = n_raw if min_samples is None else min(min_samples, n_raw)
         ok &= n_raw >= 10**4
-        rep = fit_gaussian_bound(task.family, task.samples, task.fixed_c)
+        rep = fit_gaussian_bound(task.family, task.samples)
         good = rep.passed and math.isfinite(rep.fitted_C) and len(rep.violations) == 0
         if not good:
             ok = False

@@ -63,13 +63,12 @@ def test_report_fields_and_json():
     rep = fit_gaussian_bound(heat_size_family(0.5), _small_grid())
     assert rep.passed
     assert rep.violations == []
-    assert rep.fitted_C == rep.max_ratio
     assert rep.fitted_C > 0.0
     assert rep.n_samples == 8 * 12 * 12
     blob = rep.to_json_dict()
     assert set(blob) == {
         "family_id", "fitted_C", "fixed_c", "exponent_gamma",
-        "n_samples", "max_ratio", "violations",
+        "n_samples", "violations",
     }
     assert blob["fixed_c"] == 4.0
 
@@ -173,7 +172,7 @@ def test_standard_suite_fast_grid_all_pass():
     assert len(ids) == len(set(ids))
     assert len(tasks) >= 30
     for task in tasks:
-        rep = fit_gaussian_bound(task.family, task.samples, c=task.fixed_c)
+        rep = fit_gaussian_bound(task.family, task.samples)
         assert rep.passed, rep.family_id
         assert math.isfinite(rep.fitted_C)
         assert rep.n_samples > 0
@@ -230,7 +229,7 @@ def test_standard_suite_family_table_is_pinned():
     got = []
     for task in standard_bound_suite(fast=True):
         fam = task.family
-        rep = fit_gaussian_bound(fam, task.samples, c=task.fixed_c)
+        rep = fit_gaussian_bound(fam, task.samples)
         got.append((fam.family_id, fam.decay_exponent, fam.gaussian, fam.t_lo, fam.t_hi,
                     rep.n_samples, rep.fitted_C))
     assert got == FAMILY_TABLE

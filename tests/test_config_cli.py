@@ -2,9 +2,13 @@
 
 import io
 import json
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lagsem import suites
 from lagsem.cli import dump_kernel, main
 from lagsem.config import ConfigError, SuiteConfig
 from lagsem.reports import CheckResult, SuiteReport
@@ -60,6 +64,42 @@ def test_config_range_checks():
         SuiteConfig(k_max=500).validate()
     with pytest.raises(ConfigError, match="box_lo"):
         SuiteConfig(box_lo=3.0, box_hi=1.0).validate()
+
+
+@st.composite
+def _configs(draw):
+    box_lo = draw(st.floats(min_value=0.0, max_value=1e6))
+    return SuiteConfig(
+        order=tuple(draw(st.lists(st.floats(min_value=-0.5, max_value=1e6), min_size=1, max_size=3))),
+        k_max=draw(st.integers(0, 200)),
+        seed=draw(st.integers(-(2**63), 2**63)),
+        fast=draw(st.booleans()),
+        atom_p=draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True)),
+        n_atoms=draw(st.integers(1, 10**6)),
+        box_lo=box_lo,
+        box_hi=draw(st.floats(min_value=box_lo, max_value=1e9, exclude_min=True)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_configs())
+def test_config_text_and_json_forms_round_trip(cfg):
+    assert SuiteConfig.from_text(cfg.to_text()) == cfg
+    blob = cfg.to_json_dict()
+    assert list(blob) == [f.name for f in fields(SuiteConfig)]
+    assert json.loads(json.dumps(blob)) == blob
+    assert SuiteConfig(**dict(blob, order=tuple(blob["order"]))) == cfg
+
+
+# one bad value per field type: unparseable for int and bool, parsed but
+# not finite for the order tuple and the floats
+_BAD_TEXT = {tuple: "0.5,inf", int: "2.5", bool: "maybe", float: "inf"}
+
+
+@pytest.mark.parametrize("field", fields(SuiteConfig), ids=lambda f: f.name)
+def test_config_bad_value_names_field(field):
+    with pytest.raises(ConfigError, match=field.name):
+        SuiteConfig.from_text(f"{field.name} = {_BAD_TEXT[type(field.default)]}\n")
 
 
 def test_config_missing_equals_reports_line():
@@ -142,10 +182,31 @@ def test_cli_run_special_suite_end_to_end(tmp_path, capsys):
 
 def test_report_deterministic_without_timings():
     cfg = SuiteConfig(seed=5)
-    first = run_suite(cfg, "special").to_json(include_timings=False)
-    second = run_suite(cfg, "special").to_json(include_timings=False)
-    assert first == second
-    assert "timings" not in json.loads(first)
+    first = json.loads(run_suite(cfg, "special").to_json())
+    second = json.loads(run_suite(cfg, "special").to_json())
+    assert set(first.pop("timings")) == set(second.pop("timings")) == {
+        "bessel-recurrence", "laguerre-orthonormality",
+    }
+    assert json.dumps(first, indent=2, sort_keys=True) == json.dumps(second, indent=2, sort_keys=True)
+
+
+def test_raising_check_fails_under_its_registry_id(monkeypatch):
+    def broken(config):
+        raise RuntimeError("deliberate failure")
+
+    monkeypatch.setitem(suites.SUITES["special"], "bessel-recurrence", broken)
+    blob = run_suite(SuiteConfig(), "special").to_json_dict()
+    assert [c["check_id"] for c in blob["checks"]] == ["bessel-recurrence", "laguerre-orthonormality"]
+    assert list(blob["timings"]) == ["bessel-recurrence", "laguerre-orthonormality"]
+    failed, passed = blob["checks"]
+    assert failed == {
+        "check_id": "bessel-recurrence",
+        "passed": False,
+        "value": None,
+        "detail": {"error": "RuntimeError: deliberate failure"},
+    }
+    assert passed["passed"] and passed["value"] is not None
+    assert (blob["n_checks"], blob["n_passed"], blob["all_passed"]) == (2, 1, False)
 
 
 def test_run_suite_rejects_unknown_name():
@@ -213,6 +274,14 @@ def test_cli_dump_deterministic_bytes(tmp_path):
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_cli_dump_heat_default_times(tmp_path):
+    out = tmp_path / "heat.csv"
+    assert main(["dump", "--kind", "heat", "--out", str(out), "--points", "3"]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 2 * 9
+    assert sorted({float(row.split(",")[0]) for row in rows}) == [0.25, 1.0]
 
 
 def test_cli_seed_override(tmp_path, monkeypatch, capsys):

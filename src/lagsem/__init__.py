@@ -5,8 +5,6 @@ __version__ = "0.1.0"
 
 from .special import (
     MultiOrder,
-    ScaledBesselValue,
-    bessel_i_scaled,
     ive,
     laguerre_function,
     laguerre_function_table,
@@ -44,7 +42,6 @@ from .operators import (
     riesz_heat_composite_kernel,
     riesz_kernel,
     riesz_multiplier,
-    riesz_multiplier_table,
     riesz_spectral,
     semigroup_apply,
     square_function,
@@ -70,8 +67,6 @@ from .suites import SUITE_NAMES, run_suite
 __all__ = [
     "__version__",
     "MultiOrder",
-    "ScaledBesselValue",
-    "bessel_i_scaled",
     "ive",
     "laguerre_function",
     "laguerre_function_table",
@@ -104,7 +99,6 @@ __all__ = [
     "riesz_heat_composite_kernel",
     "riesz_kernel",
     "riesz_multiplier",
-    "riesz_multiplier_table",
     "riesz_spectral",
     "semigroup_apply",
     "square_function",

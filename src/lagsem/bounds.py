@@ -470,15 +470,7 @@ def riesz_size_family(order: MultiOrder, k) -> BoundFamily:
 
 def riesz_heat_size_family(order: MultiOrder, k) -> BoundFamily:
     """Heat-composed Riesz kernels, uniform in the extra time parameter."""
-
-    def kernel(order, k, t, x, y):
-        out = np.empty(np.asarray(t).shape)
-        for tv in np.unique(t):
-            m = np.asarray(t) == tv
-            out[m] = riesz_heat_composite_kernel(order, k, float(tv), x[m], y[m])
-        return out
-
-    return _riesz_family("riesz-heat-size", order, k, kernel)
+    return _riesz_family("riesz-heat-size", order, k, riesz_heat_composite_kernel)
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,14 @@
 The format is one ``key = value`` pair per line, ``#`` comments, blank
 lines ignored.  Parsing is strict: unknown keys and malformed values are
 errors that name the offending field, and a config survives a
-dump/parse round trip unchanged.  A config validates its ranges when it
-is constructed, also by ``dataclasses.replace``.
+dump/parse round trip unchanged.  A config checks its types and ranges
+when it is constructed, also by ``dataclasses.replace``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 __all__ = ["ConfigError", "SuiteConfig"]
@@ -31,6 +32,10 @@ class SuiteConfig:
     box_hi: float = 4.0
 
     def __post_init__(self):
+        # each field takes the type of its default, so the config is
+        # hashable and its text form reads back to an equal config
+        for f in fields(self):
+            object.__setattr__(self, f.name, _typed(f.name, type(f.default), getattr(self, f.name)))
         self.validate()
 
     def validate(self) -> "SuiteConfig":
@@ -40,8 +45,6 @@ class SuiteConfig:
             raise ConfigError("order: at most three axes are supported")
         if not 0 <= self.k_max <= 200:
             raise ConfigError("k_max: must lie in [0, 200]")
-        if not isinstance(self.seed, int):
-            raise ConfigError("seed: must be an integer")
         if not 0.0 < self.atom_p <= 1.0:
             raise ConfigError("atom_p: must lie in (0, 1]")
         if self.n_atoms < 1:
@@ -89,8 +92,22 @@ class SuiteConfig:
         out = {}
         for f in fields(self):
             value = getattr(self, f.name)
-            out[f.name] = [float(v) for v in value] if isinstance(f.default, tuple) else value
+            out[f.name] = list(value) if isinstance(f.default, tuple) else value
         return out
+
+
+def _typed(name: str, kind: type, value):
+    """value as the type of its field's default; a ConfigError names the field otherwise."""
+    if kind is tuple and not isinstance(value, str):
+        try:
+            return tuple(float(v) for v in value)
+        except (TypeError, ValueError):
+            pass
+    elif kind is float and isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    elif type(value) is kind:  # int and bool exactly: a bool is no int here
+        return value
+    raise ConfigError(f"{name}: must be of type {kind.__name__}")
 
 
 def _parse_bool(text: str) -> bool:

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import gammaln, roots_legendre
 
 from .critical import critical_weight
-from .grids import Grid, GridFunction, cross_pairs, lattice
+from .grids import Grid, GridFunction, cross_pairs
 from .heat import delta_kernel, kernel_1d_closed
 from .special import MultiOrder, as_order, laguerre_function_table
 
@@ -33,7 +33,6 @@ __all__ = [
     "square_function",
     "default_time_ladder",
     "riesz_multiplier",
-    "riesz_multiplier_table",
     "riesz_spectral",
     "riesz_kernel",
     "riesz_heat_composite_kernel",
@@ -318,19 +317,6 @@ def riesz_spectral(
     return SpectralCoefficients(order.shifted(k), out)
 
 
-def riesz_multiplier_table(
-    order: MultiOrder, k, k_max: int = 20, variant: str = "single_power"
-) -> dict:
-    """Multipliers keyed by the comma-joined source multi-index."""
-    order = as_order(order)
-    k = _check_riesz_index(order, k)
-    grid = _riesz_multipliers(order, k, np.ix_(*[np.arange(k_max + 1 - kj) for kj in k]), variant)
-    return {
-        ",".join(str(a + kj) for a, kj in zip(alpha, k)): float(grid[alpha])
-        for alpha in np.ndindex(grid.shape)
-    }
-
-
 def _pair_arrays(order: MultiOrder, x, y):
     """Point pairs as (N, n) arrays, their distances, and whether x was one point."""
     x = np.asarray(x, dtype=float)
@@ -344,57 +330,43 @@ def _pair_arrays(order: MultiOrder, x, y):
 _GAP_CUTOFF = 60.0
 
 
-def _riesz_time_integral(order: MultiOrder, k, x, y, t_shift: float = 0.0):
+def _riesz_time_integral(order: MultiOrder, k, x, y, t_shift=0.0):
     """(1/Gamma(|k|/2)) int_0^inf t^(|k|/2 - 1) delta^k p_(t + shift) dt.
 
-    The substitution t = v^2 makes the integrand smooth through t = 0 for
-    off-diagonal pairs; geometric panels in v resolve every pair scale at
-    once, and log-spaced panels cover large times if the v panels end
-    early.  Both stop at one cutoff, lam0 t >= 60, with lam0 = 2|nu| + 2n
-    the bottom of the spectrum: for large t the integrand decays like
-    e^(-lam0 (shift + t)), so past the cutoff it is below e^(-60) times
-    its size at t = 0 of the same decay, whatever the shift, and later
-    panels could not change the sum.
+    The shift is a scalar or broadcasts against the pairs.  The
+    substitution t = v^2 makes the integrand smooth through t = 0 for
+    off-diagonal pairs, and geometric panels in v resolve every pair scale
+    at once.  They run from d_min/16 to the cutoff lam0 t >= 60, with
+    lam0 = 2|nu| + 2n the bottom of the spectrum: for large t the
+    integrand decays like e^(-lam0 (shift + t)), so past the cutoff it is
+    below e^(-60) times its size at t = 0 of the same decay, whatever the
+    shift, and later panels could not change the sum.
     """
     xx, yy, d, scalar = _pair_arrays(order, x, y)
     if np.any(d < 1e-9):
         raise ValueError("the kernel is singular on the diagonal; x and y must differ")
+    try:
+        np.broadcast_to(t_shift, d.shape)
+    except ValueError:
+        raise ValueError("time must be a scalar or one time per point pair") from None
     if d.size == 0:
         return np.zeros(d.shape)
-    s = sum(k) / 2.0
     lam0 = order.degree_eigenvalue(0)
-
-    def decayed(t: float) -> bool:
-        return lam0 * t >= _GAP_CUTOFF
-
-    v_small = max(float(d.min()) / 16.0, 1e-6)
-    v_hi = math.e * float(d.max())
-    bounds = [0.0, v_small]
-    while bounds[-1] < v_hi and not decayed(bounds[-1] ** 2):
+    bounds = [0.0, max(float(d.min()) / 16.0, 1e-6)]
+    while lam0 * bounds[-1] ** 2 < _GAP_CUTOFF:
         bounds.append(bounds[-1] * 2.0)
-    nodes16, weights16 = roots_legendre(16)
-    total = np.zeros(d.shape)
+    nodes, weights = roots_legendre(16)
+    # (t, weight * dt/dv * t^(|k|/2 - 1)) per node; the power is taken per
+    # scalar node, because numpy's array power can differ in the last bit
+    ladder = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        vs = 0.5 * (hi - lo) * nodes16 + 0.5 * (hi + lo)
-        ws = 0.5 * (hi - lo) * weights16
-        for v, w in zip(vs, ws):
-            g = delta_kernel(order, k, t_shift + v * v, xx, yy)
-            total += w * 2.0 * v ** (sum(k) - 1) * g
-
-    # remaining large-time part, integrated in log time
-    a = bounds[-1] ** 2
-    nodes24, weights24 = roots_legendre(24)
-    while not decayed(a):
-        lo_u, hi_u = math.log(a), math.log(a) + 4.0
-        us = 0.5 * (hi_u - lo_u) * nodes24 + 0.5 * (hi_u + lo_u)
-        ws = 0.5 * (hi_u - lo_u) * weights24
-        for u, w in zip(us, ws):
-            tt = math.exp(u)
-            g = delta_kernel(order, k, t_shift + tt, xx, yy)
-            total += w * tt**s * g
-        a = math.exp(hi_u)
-
-    total *= math.exp(-gammaln(s))
+        vs = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
+        ws = 0.5 * (hi - lo) * weights
+        ladder += [(v * v, w * 2.0 * v ** (sum(k) - 1)) for v, w in zip(vs, ws)]
+    total = np.zeros(d.shape)
+    for t, c in ladder:
+        total += c * delta_kernel(order, k, t_shift + t, xx, yy)
+    total *= math.exp(-gammaln(sum(k) / 2.0))
     return float(total[0]) if scalar else total
 
 
@@ -410,70 +382,62 @@ def riesz_heat_composite_kernel(order: MultiOrder, k, t, x, y):
 
     Equals the Riesz kernel with every heat time shifted by t, so it tends
     to riesz_kernel as t -> 0 and is bounded by the same size estimates
-    uniformly in t.
+    uniformly in t.  t is one time for all pairs or broadcasts against
+    them, so a sample set with one time per pair takes one call.
     """
     order = as_order(order)
     k = _check_riesz_index(order, k)
-    if np.ndim(t) != 0:
-        raise ValueError("time must be a scalar")
-    t = float(t)
-    if not (t >= 0.0 and math.isfinite(t)):
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t) & (t >= 0.0)):
         raise ValueError("time must be finite and nonnegative")
-    return _riesz_time_integral(order, k, x, y, t_shift=t)
+    return _riesz_time_integral(order, k, x, y, t_shift=t if t.ndim else float(t))
 
 
 def verify_cz_smoothness(order: MultiOrder, k) -> dict:
-    """Size and smoothness diagnostics for the Riesz kernel.
+    """Size and smoothness diagnostics for the Riesz kernel of a 1-D order.
 
-    Checks that the weighted size quantity |K| d^n W^gamma has a finite
-    sup that drifts by less than 5% from a 25-point to a 49-point pair
-    grid per axis, and that the kernel vanishes at the boundary of the
-    orthant at least like the Hoelder rate gamma = min(1, min_j nu_j + 1/2),
-    measured by log-log regression along a ray x -> 0.  Orders with gamma
-    below 1/4 are skipped: the stated rate is then too degenerate for a
-    stable regression.  This uses the raw minimum over all axes, not the
+    Checks that the weighted size quantity |K| d W^gamma has a finite sup
+    over all pairs of a lattice that drifts by less than 5% from 25 to 49
+    points, and that the kernel vanishes at the boundary at least like
+    the Hoelder rate gamma = min(1, min_j nu_j + 1/2), measured by log-log
+    regression along a ray x -> 0.  Orders with gamma below 1/4 are
+    skipped: the stated rate is then too degenerate for a stable
+    regression.  This uses the raw minimum over all axes, not the
     active-set convention, so any axis at the Hermite endpoint forces a
-    skip.  Orders of dimension 3 or more that are not skipped raise a
-    ValueError: the sup is taken over about 60 lattice points, too few to
-    locate it in 3-D.
+    skip.  Orders of dimension 2 or more that are not skipped raise a
+    ValueError: a lattice fine enough to locate the sup in n-D has too
+    many pairs to evaluate.
     """
     order = as_order(order)
     k = _check_riesz_index(order, k)
     gamma = min(1.0, min(order.nu) + 0.5)
     if gamma < 0.25:
         return {"gamma": gamma, "skipped": True}
-    if order.n > 2:
+    if order.n > 1:
         raise ValueError(
-            "verify_cz_smoothness samples about 60 lattice points, too few to "
-            "locate the size sup in more than 2 dimensions"
+            "verify_cz_smoothness covers 1-D orders only; a lattice fine enough "
+            "to locate the size sup in more than 1 dimension has too many pairs"
         )
 
     def weighted_sup(n_pts: int) -> float:
-        # every lattice point in 1-D, about 60 of them in 2-D, each paired
-        # with all the others
-        pts = lattice(*[np.linspace(0.1, 3.0, n_pts)] * order.n)
-        sub = pts[:: max(1, pts.shape[0] // 60)]
-        xs, ys = cross_pairs(sub, sub)
-        dd = np.linalg.norm(xs - ys, axis=-1)
-        keep = dd > 1e-9
-        xs, ys, dd = xs[keep], ys[keep], dd[keep]
+        pts = np.linspace(0.1, 3.0, n_pts)
+        xs, ys = cross_pairs(pts, pts)
+        keep = xs != ys
+        xs, ys = xs[keep], ys[keep]
+        dd = np.abs(xs - ys)
         vals = np.abs(riesz_kernel(order, k, xs, ys))
-        w = critical_weight(order, dd, xs, ys)
-        return float(np.max(vals * dd ** float(order.n) * w**gamma))
+        return float(np.max(vals * dd * critical_weight(order, dd, xs, ys) ** gamma))
 
     sup_coarse = weighted_sup(25)
     sup_fine = weighted_sup(49)
     drift = abs(sup_fine - sup_coarse) / sup_fine
 
-    # boundary decay rate along the first axis
+    # boundary decay rate along a ray x -> 0
+    xs = 0.2 * 2.0 ** -np.arange(6, dtype=float)
     slopes = []
     for y0 in (1.5, 2.5):
-        xs = 0.2 * 2.0 ** -np.arange(6, dtype=float)
-        xpts = np.column_stack([xs] + [np.full_like(xs, 1.0)] * (order.n - 1))
-        ypts = np.column_stack([np.full_like(xs, y0)] + [np.full_like(xs, 1.0)] * (order.n - 1))
-        vals = np.abs(riesz_kernel(order, k, xpts, ypts))
-        slope = float(np.polyfit(np.log(xs), np.log(vals), 1)[0])
-        slopes.append(slope)
+        vals = np.abs(riesz_kernel(order, k, xs, np.full_like(xs, y0)))
+        slopes.append(float(np.polyfit(np.log(xs), np.log(vals), 1)[0]))
     smoothness = min(slopes)
 
     return {

@@ -17,9 +17,7 @@ from scipy.special import gammaln
 
 __all__ = [
     "MultiOrder",
-    "ScaledBesselValue",
     "as_order",
-    "bessel_i_scaled",
     "ive",
     "laguerre_polynomial",
     "laguerre_function",
@@ -99,15 +97,6 @@ class MultiOrder:
 def as_order(order) -> MultiOrder:
     """``order`` itself if it is a MultiOrder, otherwise MultiOrder(order)."""
     return order if isinstance(order, MultiOrder) else MultiOrder(order)
-
-
-@dataclass(frozen=True)
-class ScaledBesselValue:
-    """Value of exp(-z) * I_order(z) together with its inputs."""
-
-    order: float
-    argument: float
-    scaled_value: float
 
 
 def _series_cutoff(alpha: float) -> float:
@@ -360,25 +349,6 @@ def ive(alpha: float, z):
     if zz.ndim == 0:
         return float(out[0])
     return out.reshape(zz.shape)
-
-
-def bessel_i_scaled(alpha: float, z: float) -> ScaledBesselValue:
-    """Evaluate the exponentially scaled modified Bessel function.
-
-    Parameters
-    ----------
-    alpha : float
-        Order, must be > -1 (orders >= -1/2 are the ones used by the
-        heat kernels).
-    z : float
-        Nonnegative argument.
-
-    Returns
-    -------
-    ScaledBesselValue
-        Record holding exp(-z) * I_alpha(z).
-    """
-    return ScaledBesselValue(float(alpha), float(z), float(ive(alpha, float(z))))
 
 
 def laguerre_polynomial(k: int, alpha: float, x):

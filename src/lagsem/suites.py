@@ -206,16 +206,13 @@ def check_parseval(config: SuiteConfig) -> Outcome:
 def check_composite_limit(config: SuiteConfig) -> Outcome:
     order = _order(config)
     k = tuple(1 if i == 0 else 0 for i in range(order.n))
-    base = np.array([0.7] * order.n)
+    x = np.full((1, order.n), 0.7)
     worst = 0.0
     for gap in (0.3, 1.0):
-        x = base
-        y = base + gap / np.sqrt(order.n)
-        kr = riesz_kernel(order, k, x if order.n > 1 else float(x[0]), y if order.n > 1 else float(y[0]))
-        kc = riesz_heat_composite_kernel(
-            order, k, 1e-8, x if order.n > 1 else float(x[0]), y if order.n > 1 else float(y[0])
-        )
-        worst = max(worst, abs(kr - kc) / abs(kr))
+        y = x + gap / np.sqrt(order.n)
+        kr = riesz_kernel(order, k, x, y)[0]
+        kc = riesz_heat_composite_kernel(order, k, 1e-8, x, y)[0]
+        worst = max(worst, float(abs(kr - kc) / abs(kr)))
     return worst < 1e-6, worst, {}
 
 

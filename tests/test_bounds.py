@@ -147,6 +147,21 @@ def test_minimal_decay_constant_monotone_in_margin():
     assert loose <= tight
 
 
+def test_riesz_heat_family_takes_one_call_per_sample_set():
+    # one time per pair in one call gives the bits of one call per distinct time
+    from lagsem.bounds import _grid_riesz_heat
+    from lagsem.operators import riesz_heat_composite_kernel
+
+    order = MultiOrder((0.5,))
+    samples = _grid_riesz_heat(fast=True)
+    t, x, y = samples["t"], samples["x"], samples["y"]
+    per_time = np.empty(t.shape)
+    for tv in np.unique(t):
+        at = t == tv
+        per_time[at] = riesz_heat_composite_kernel(order, (1,), float(tv), x[at], y[at])
+    assert np.array_equal(riesz_heat_size_family(order, (1,)).lhs(t, x, y), per_time)
+
+
 def test_weight_exponent_at_the_hermite_endpoint():
     # 1-D Gaussian families weight with nu + 1/2 = 0 at nu = -1/2; Riesz and
     # n-D families use nu_min + 1/2 over the active axes, inf when none is

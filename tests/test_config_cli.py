@@ -4,6 +4,7 @@ import io
 import json
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -100,6 +101,22 @@ _BAD_TEXT = {tuple: "0.5,inf", int: "2.5", bool: "maybe", float: "inf"}
 def test_config_bad_value_names_field(field):
     with pytest.raises(ConfigError, match=field.name):
         SuiteConfig.from_text(f"{field.name} = {_BAD_TEXT[type(field.default)]}\n")
+
+
+def test_config_fields_take_the_type_of_their_default():
+    # a sequence order becomes a float tuple, a real number a float: the
+    # config is hashable and its text form reads back to an equal config
+    cfg = SuiteConfig(order=[0.5, 1], atom_p=np.float64(0.8), box_hi=5)
+    assert cfg.order == (0.5, 1.0) and all(type(v) is float for v in cfg.order)
+    assert type(cfg.atom_p) is float and type(cfg.box_hi) is float
+    assert hash(cfg) == hash(SuiteConfig(order=(0.5, 1.0), atom_p=0.8, box_hi=5.0))
+    assert SuiteConfig.from_text(cfg.to_text()) == cfg
+    # a value whose text form from_text would reject is refused up front
+    for name, value in (("k_max", 2.5), ("k_max", True), ("n_atoms", "5"), ("seed", 7.0),
+                        ("fast", 1), ("fast", "true"), ("atom_p", "0.5"), ("box_lo", False),
+                        ("order", 0.5), ("order", "0.5"), ("order", ["x"])):
+        with pytest.raises(ConfigError, match=name):
+            SuiteConfig(**{name: value})
 
 
 def test_config_missing_equals_reports_line():

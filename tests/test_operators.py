@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from lagsem import (
     Grid,
@@ -21,7 +22,6 @@ from lagsem import (
     riesz_heat_composite_kernel,
     riesz_kernel,
     riesz_multiplier,
-    riesz_multiplier_table,
     riesz_spectral,
     semigroup_apply,
     square_function,
@@ -29,6 +29,7 @@ from lagsem import (
     verify_cz_smoothness,
 )
 from lagsem.config import SuiteConfig
+from lagsem.heat import delta_kernel_1d
 from lagsem.special import laguerre_function_table
 from lagsem.suites import check_parseval, run_suite
 
@@ -377,14 +378,6 @@ def test_riesz_variant_exact_relation():
         assert stepwise / single == pytest.approx(expected, rel=1e-12)
 
 
-def test_riesz_multiplier_table_keys():
-    order = MultiOrder((0.5, 1.0))
-    table = riesz_multiplier_table(order, (1, 2), k_max=4)
-    assert set(table) == {f"{a},{b}" for a in range(1, 5) for b in range(2, 5)}
-    assert all(abs(v) < 1.0 for v in table.values())
-    assert table["1,2"] == riesz_multiplier(order, (1, 2), (1, 2))
-
-
 _NUS = (-0.5, 0.0, 0.5, 1.3)
 
 
@@ -395,17 +388,15 @@ _NUS = (-0.5, 0.0, 0.5, 1.3)
     ([(1, 0, 0), (0, 1, 1), (1, 1, 1), (2, 0, 1)], 6),
 ])
 def test_riesz_multiplier_point_table_and_grid_are_equal(ks, k_max, variant):
-    # one formula behind all three, so they agree to the last bit
+    # one formula behind the point and the grid view, so they agree to the last bit
     n = len(ks[0])
     for i in range(len(_NUS)):
         order = MultiOrder(tuple(_NUS[(i + j) % len(_NUS)] for j in range(n)))
         ones = SpectralCoefficients(order, np.ones((k_max + 1,) * n))
         for k in ks:
-            table = riesz_multiplier_table(order, k, k_max, variant)
             grid = riesz_spectral(order, k, ones, variant).coeffs
             for m in itertools.product(*[range(kj, k_max + 1) for kj in k]):
                 point = riesz_multiplier(order, k, m, variant)
-                assert table[",".join(map(str, m))] == point, (order, k, m)
                 assert grid[tuple(mj - kj for mj, kj in zip(m, k))] == point, (order, k, m)
 
 
@@ -496,11 +487,16 @@ def test_riesz_kernels_pinned_across_distances(case):
     np.testing.assert_allclose(fn(), want, rtol=1e-13, atol=0.0)
 
 
+# the short-span pairs of the riesz-composite-limit check: x = 0.7, gaps 0.3 and 1.0
+_SHORT_X = np.array([0.7, 0.7])
+_SHORT_Y = np.array([1.0, 1.7])
+
+
 @pytest.mark.parametrize("t_shift", [0.0, 1.0, 25.0])
 def test_riesz_time_nodes_stop_at_spectral_gap_cutoff(monkeypatch, t_shift):
-    # the v panels double until lam0 v^2 >= 60, whatever the shift, so the
-    # last one ends below twice the crossing v and no node lies past
-    # shift + 4 * 60 / lam0
+    # the v panels double until lam0 v^2 >= 60, whatever the shift and the
+    # pair span, so the last one ends below twice the crossing v and no
+    # node lies past shift + 4 * 60 / lam0
     from lagsem import operators
 
     times = []
@@ -510,10 +506,34 @@ def test_riesz_time_nodes_stop_at_spectral_gap_cutoff(monkeypatch, t_shift):
         return delta_kernel(order, k, t, x, y)
 
     monkeypatch.setattr(operators, "delta_kernel", spy)
-    riesz_heat_composite_kernel(ORDER, (1,), t_shift, _X1, _Y1)
     lam0 = 2.0 * ORDER.total + 2.0 * ORDER.n
-    assert lam0 * (max(times) - t_shift) < 4.0 * 60.0
-    assert lam0 * (max(times) - t_shift) > 60.0
+    for x, y in ((_X1, _Y1), (_SHORT_X[:1], _SHORT_Y[:1]), (_SHORT_X[1:], _SHORT_Y[1:])):
+        times.clear()
+        riesz_heat_composite_kernel(ORDER, (1,), t_shift, x, y)
+        assert lam0 * (max(times) - t_shift) < 4.0 * 60.0
+        assert lam0 * (max(times) - t_shift) > 60.0
+
+
+@pytest.mark.parametrize("t_shift", [0.0, 1e-8])
+@pytest.mark.parametrize("pair", [0, 1], ids=["gap0.3", "gap1.0"])
+def test_riesz_ladder_matches_adaptive_quadrature_on_short_spans(pair, t_shift):
+    # the v-ladder against adaptive quad of the same t-integral,
+    # (1/Gamma(1/2)) int_0^inf t^(-1/2) delta p_(t + shift)(x, y) dt
+    x, y = _SHORT_X[pair], _SHORT_Y[pair]
+    d2 = (y - x) ** 2
+
+    def integrand(t):
+        return t**-0.5 * delta_kernel_1d(0.5, 1, t_shift + t, x, y)
+
+    cuts = [0.0, d2 / 16.0, d2, 1.0, 10.0, np.inf]
+    spans = zip(cuts, cuts[1:])
+    want = sum(quad(integrand, a, b, epsabs=0.0, epsrel=1e-13, limit=500)[0] for a, b in spans)
+    want /= math.sqrt(math.pi)
+    if t_shift == 0.0:
+        got = riesz_kernel(ORDER, (1,), x, y)
+    else:
+        got = riesz_heat_composite_kernel(ORDER, (1,), t_shift, x, y)
+    assert abs(got - want) <= 1e-13 * abs(want)
 
 
 def test_riesz_kernel_rejects_diagonal():
@@ -565,10 +585,13 @@ def test_composite_kernel_decays_monotonically_in_time():
 
 
 def test_composite_kernel_time_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nonnegative"):
         riesz_heat_composite_kernel(ORDER, (1,), -1.0, 0.7, 1.5)
-    with pytest.raises(ValueError):
-        riesz_heat_composite_kernel(ORDER, (1,), np.array([0.1, 0.2]), 0.7, 1.5)
+    with pytest.raises(ValueError, match="nonnegative"):
+        riesz_heat_composite_kernel(ORDER, (1,), np.array([0.1, np.nan, 0.3]), _X1[:3], _Y1[:3])
+    # two times cannot broadcast against three pairs
+    with pytest.raises(ValueError, match="one time per point pair"):
+        riesz_heat_composite_kernel(ORDER, (1,), np.array([0.1, 0.2]), _X1[:3], _Y1[:3])
 
 
 def test_cz_smoothness_check_passes():
@@ -581,10 +604,13 @@ def test_cz_smoothness_check_passes():
 
 
 def test_cz_smoothness_refuses_three_dimensional_orders():
-    # about 60 lattice points cannot locate the size sup in 3-D
-    with pytest.raises(ValueError, match="more than 2 dimensions"):
-        verify_cz_smoothness(MultiOrder((0.5, 1.0, 0.5)), (1, 0, 0))
+    # a lattice that locates the size sup beyond 1-D has too many pairs;
+    # the Hermite skip still comes first
+    for order, k in (((0.5, 1.0), (1, 0)), ((0.5, 1.0, 0.5), (1, 0, 0))):
+        with pytest.raises(ValueError, match="1-D orders only"):
+            verify_cz_smoothness(MultiOrder(order), k)
     assert verify_cz_smoothness(MultiOrder((0.5, -0.5, 1.0)), (1, 0, 0))["skipped"]
+    assert verify_cz_smoothness(MultiOrder((-0.5, 1.0)), (0, 1))["skipped"]
 
 
 def test_cz_smoothness_skips_hermite_endpoint():

@@ -17,7 +17,6 @@ from scipy.special import gammaln
 from lagsem import (
     Grid,
     MultiOrder,
-    bessel_i_scaled,
     ive,
     laguerre_function,
     laguerre_function_table,
@@ -249,10 +248,6 @@ def test_ive_of_empty_input(shape):
 
 
 def test_scaled_bessel_value_fields_and_bounds():
-    val = bessel_i_scaled(0.7, 3.0)
-    assert val.order == 0.7
-    assert val.argument == 3.0
-    assert 0.0 < val.scaled_value <= 1.0
     # e^{-z} I_alpha(z) <= 1 for alpha >= 0
     for alpha in (0.0, 0.4, 2.0, 9.0):
         z = np.geomspace(1e-6, 1e4, 80)
@@ -266,8 +261,6 @@ def test_ive_domain_errors():
         ive(0.5, -1.0)
     with pytest.raises(ValueError):
         ive(-1.2, 1.0)
-    with pytest.raises(ValueError):
-        bessel_i_scaled(0.5, -0.1)
 
 
 def test_bessel_derivative_identity():

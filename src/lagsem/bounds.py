@@ -32,7 +32,7 @@ from .heat import (
     partial_delta_kernel_1d,
     shifted_adjoint_kernel_1d,
 )
-from .operators import riesz_heat_composite_kernel, riesz_kernel
+from .operators import _check_riesz_index, riesz_heat_composite_kernel, riesz_kernel
 from .special import MultiOrder, as_order
 
 __all__ = [
@@ -241,10 +241,6 @@ def minimal_decay_constant(
 # family constructors
 
 
-def _index(v) -> tuple[int, ...]:
-    return tuple(int(i) for i in np.atleast_1d(v))
-
-
 def _w_weight(order: MultiOrder, t, x, y, exponent: float):
     return critical_weight(order, np.sqrt(t), x, y) ** (-exponent)
 
@@ -389,7 +385,8 @@ def adjoint_shifted_family(nu: float, m: int, k: int, ell: int) -> BoundFamily:
 
 def product_delta_family(order: MultiOrder, m) -> BoundFamily:
     """n-D product kernel: |delta^m p_t| <= C t^(-(n+|m|)/2) Gaussian W^-(nu_min+1/2)."""
-    order, m = as_order(order), _index(m)
+    order = as_order(order)
+    m = order.index(m)
     return _gaussian_family(
         f"product-delta-size[nu={list(order.nu)},m={list(m)}]", order,
         lambda t, x, y: delta_kernel(order, m, t, x, y),
@@ -399,7 +396,8 @@ def product_delta_family(order: MultiOrder, m) -> BoundFamily:
 
 def product_partial_family(order: MultiOrder, k, j) -> BoundFamily:
     """n-D mixed partial/annihilation derivative size bound."""
-    order, k, j = as_order(order), _index(k), _index(j)
+    order = as_order(order)
+    k, j = order.index(k), order.index(j)
 
     def lhs(t, x, y):
         return axis_product(
@@ -415,7 +413,8 @@ def product_partial_family(order: MultiOrder, k, j) -> BoundFamily:
 
 def product_adjoint_family(order: MultiOrder, m: int, k, ell) -> BoundFamily:
     """n-D |L^m (delta*)^k p^(nu+ell)|; generator powers distribute over axes."""
-    order, k, ell = as_order(order), _index(k), _index(ell)
+    order = as_order(order)
+    k, ell = order.index(k), order.index(ell)
     if m not in (0, 1):
         raise ValueError("only generator powers 0 and 1 are implemented in n-D")
 
@@ -444,7 +443,8 @@ def _riesz_family(name: str, order: MultiOrder, k, kernel) -> BoundFamily:
 
     No Gaussian factor: the bound is uniform in t.
     """
-    order, k = as_order(order), _index(k)
+    order = as_order(order)
+    k = _check_riesz_index(order, k)
     gamma = order.nu_min + 0.5
 
     def prefactor(t, x, y):

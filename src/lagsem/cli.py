@@ -67,7 +67,7 @@ def dump_kernel(kind: str, config: SuiteConfig, out, t_values=(0.25, 1.0), k=Non
                 rows += 1
         return {"rows": rows, "skipped": skipped}
     if kind == "riesz":
-        kvec = tuple(int(v) for v in (k if k is not None else [1] + [0] * (n - 1)))
+        kvec = order.index(k if k is not None else [1] + [0] * (n - 1))
         keep = np.linalg.norm(x - y, axis=-1) > 1e-12
         skipped = int(np.sum(~keep))
         xk, yk = x[keep], y[keep]

@@ -13,6 +13,9 @@ import math
 import numbers
 from dataclasses import dataclass, fields
 
+from .hardy import _check_exponent
+from .special import MultiOrder
+
 __all__ = ["ConfigError", "SuiteConfig"]
 
 
@@ -39,14 +42,12 @@ class SuiteConfig:
         self.validate()
 
     def validate(self) -> "SuiteConfig":
-        if not self.order or not all(math.isfinite(v) and v >= -0.5 for v in self.order):
-            raise ConfigError("order: every entry must be a finite number >= -1/2")
+        _by_rule("order", MultiOrder, self.order)
         if len(self.order) > 3:
             raise ConfigError("order: at most three axes are supported")
         if not 0 <= self.k_max <= 200:
             raise ConfigError("k_max: must lie in [0, 200]")
-        if not 0.0 < self.atom_p <= 1.0:
-            raise ConfigError("atom_p: must lie in (0, 1]")
+        _by_rule("atom_p", _check_exponent, self.atom_p)
         if self.n_atoms < 1:
             raise ConfigError("n_atoms: must be at least 1")
         if not 0.0 <= self.box_lo < self.box_hi < math.inf:
@@ -94,6 +95,14 @@ class SuiteConfig:
             value = getattr(self, f.name)
             out[f.name] = list(value) if isinstance(f.default, tuple) else value
         return out
+
+
+def _by_rule(name: str, rule, value) -> None:
+    """rule(value), its ValueError raised again as a ConfigError that names the field."""
+    try:
+        rule(value)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
 
 
 def _typed(name: str, kind: type, value):

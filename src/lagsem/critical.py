@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import lattice
-from .special import MultiOrder, as_order
+from .special import MultiOrder, _check_order, as_order
 
 __all__ = [
     "rho",
@@ -60,8 +60,7 @@ def critical_weight(order: MultiOrder, s, x, y):
 
 def rho_axis(nu_j: float, x_j):
     """Per-axis critical scale: min{x, 1/x}/16 for active orders, min{1, 1/x}/16 otherwise."""
-    if nu_j < -0.5:
-        raise ValueError("order must be >= -1/2")
+    nu_j = _check_order(nu_j)
     x = np.asarray(x_j, dtype=float)
     if not np.all(x > 0.0):
         raise ValueError("points must be strictly positive (and not NaN)")
@@ -172,9 +171,6 @@ class Covering:
     box_hi: tuple
     centers: np.ndarray
     radii: np.ndarray
-
-    def balls(self) -> list[Ball]:
-        return [Ball(tuple(c), float(r)) for c, r in zip(self.centers, self.radii)]
 
     def bump_values(self, pts) -> np.ndarray:
         """Normalized partition functions at (M, n) points, shape (n_balls, M)."""

@@ -148,9 +148,3 @@ class GridFunction:
             fill_value=0.0,
         )
         return itp(pts)
-
-    def __add__(self, other):
-        return GridFunction(self.grid, self.values + other.values)
-
-    def __sub__(self, other):
-        return GridFunction(self.grid, self.values - other.values)

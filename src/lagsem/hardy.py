@@ -38,10 +38,17 @@ __all__ = [
 ]
 
 
+def _check_exponent(p) -> float:
+    """The exponent rule: p as a float, or ValueError unless 0 < p <= 1."""
+    p = float(p)
+    if not 0.0 < p <= 1.0:
+        raise ValueError(f"the atomic exponent p must lie in (0, 1], got {p}")
+    return p
+
+
 def moment_degree(order: MultiOrder, p: float) -> int:
     """Highest vanishing-moment degree required of an atom for exponent p."""
-    if not 0.0 < p <= 1.0:
-        raise ValueError("the atomic exponent must lie in (0, 1]")
+    p = _check_exponent(p)
     order = as_order(order)
     return int(math.floor(order.n * (1.0 / p - 1.0)))
 
@@ -118,6 +125,9 @@ class Atom:
     p: float
     ball: Ball
     func: GridFunction
+
+    def __post_init__(self):
+        _check_exponent(self.p)
 
 
 def check_atom(atom: Atom) -> dict:
@@ -244,8 +254,7 @@ def hardy_norm_maximal(
     (truncation outside contributes only the far tail of |Mf|^p).
     """
     order = as_order(order)
-    if not 0.0 < p <= 1.0:
-        raise ValueError("the exponent must lie in (0, 1]")
+    _check_exponent(p)
     if isinstance(f, Atom):
         ball = f.ball
         if t_grid is None:
@@ -300,11 +309,9 @@ def bmo_norm(
     does not depend on q); q = 1 is the default.
     """
     order = as_order(order)
-    if not 0.0 < p <= 1.0:
-        raise ValueError("the exponent must lie in (0, 1]")
+    degree = moment_degree(order, p)
     if q < 1.0:
         raise ValueError("the averaging exponent must be >= 1")
-    degree = moment_degree(order, p)
     scale_exp = 1.0 / p - 1.0
     axis = np.arange(0.4, 3.2001, 0.2 if order.n == 1 else 0.4)
     centers = lattice(*[axis] * order.n)

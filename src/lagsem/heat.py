@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .special import MultiOrder, as_order, ive, laguerre_function_table
+from .special import MultiOrder, _check_order, _multi_index, as_order, ive, laguerre_function_table
 
 __all__ = [
     "kernel_1d_closed",
@@ -37,16 +37,15 @@ __all__ = [
 ]
 
 
-def _as_float_arrays(*vals):
-    return [np.asarray(v, dtype=float) for v in vals]
-
-
 def _check_1d_domain(t, x, y):
+    """t, x and y as float arrays, or ValueError unless every entry is > 0."""
+    t, x, y = (np.asarray(v, dtype=float) for v in (t, x, y))
     # written as "not all > 0" so that NaN is refused too
     if not np.all(t > 0.0):
         raise ValueError("time must be strictly positive (and not NaN)")
     if not (np.all(x > 0.0) and np.all(y > 0.0)):
         raise ValueError("space arguments must be strictly positive (and not NaN)")
+    return t, x, y
 
 
 def _time_factors(t):
@@ -131,10 +130,8 @@ def kernel_1d_closed(nu: float, t, x, y):
     exp(-z) I_nu(z) are each bounded, so the product never overflows even
     for very small t, unlike the textbook form.
     """
-    if nu < -0.5:
-        raise ValueError("order must be >= -1/2")
-    t, x, y = _as_float_arrays(t, x, y)
-    _check_1d_domain(t, x, y)
+    nu = _check_order(nu)
+    t, x, y = _check_1d_domain(t, x, y)
     shape = np.broadcast_shapes(t.shape, x.shape, y.shape)
     (val,) = _kernel_1d((nu,), _time_factors(t), np.atleast_1d(x), np.atleast_1d(y))
     return val.reshape(shape) if shape else float(val[0])
@@ -146,10 +143,8 @@ def kernel_1d_raw(nu: float, t, x, y):
     Kept as an independent cross-check of the factorized evaluation on
     arguments where exp(z) is representable.
     """
-    if nu < -0.5:
-        raise ValueError("order must be >= -1/2")
-    t, x, y = _as_float_arrays(t, x, y)
-    _check_1d_domain(t, x, y)
+    nu = _check_order(nu)
+    t, x, y = _check_1d_domain(t, x, y)
     t, x, y = np.broadcast_arrays(t, x, y)
     r = np.exp(-4.0 * t)
     omr = -np.expm1(-4.0 * t)
@@ -271,8 +266,7 @@ def operator_expansion(ops: tuple, nu: float, base_shift: int = 0) -> tuple:
 
 def evaluate_expansion(expansion: tuple, nu: float, t, x, y):
     """Evaluate a cached expansion at broadcastable (t, x, y)."""
-    t, x, y = _as_float_arrays(t, x, y)
-    _check_1d_domain(t, x, y)
+    t, x, y = _check_1d_domain(t, x, y)
     shape = np.broadcast_shapes(t.shape, x.shape, y.shape)
     if not expansion:
         return np.zeros(shape) if shape else 0.0
@@ -281,8 +275,7 @@ def evaluate_expansion(expansion: tuple, nu: float, t, x, y):
     _, _, sr, omr, _ = factors
     # each kernel, time power and space power once per call, not per term
     h_set, s_set, a_set, d_set, j_set = (set(v) for v in zip(*(key for key, _ in expansion)))
-    if nu + min(j_set) < -0.5:
-        raise ValueError("order must be >= -1/2")
+    _check_order(nu + min(j_set))
     shifts = sorted(j_set)
     kernels = dict(zip(shifts, _kernel_1d(tuple(nu + j for j in shifts), factors, x, y)))
     sr_pow = {h: sr**h for h in h_set if h}
@@ -307,19 +300,13 @@ def evaluate_expansion(expansion: tuple, nu: float, t, x, y):
 
 def delta_kernel_1d(nu: float, m: int, t, x, y):
     """m-fold annihilation derivative of the 1-D kernel in x."""
-    if m < 0 or m != int(m):
-        raise ValueError("derivative count must be a nonnegative integer")
-    if nu < -0.5:
-        raise ValueError("order must be >= -1/2")
-    if m == 0:
-        return kernel_1d_closed(nu, t, x, y)
-    exp = operator_expansion(("delta",) * int(m), float(nu))
-    return evaluate_expansion(exp, float(nu), t, x, y)
+    return partial_delta_kernel_1d(nu, 0, m, t, x, y)
 
 
 def partial_delta_kernel_1d(nu: float, n_partial: int, n_delta: int, t, x, y):
     """Mixed derivative (d/dx)^k delta^j of the 1-D kernel."""
-    ops = ("partial",) * int(n_partial) + ("delta",) * int(n_delta)
+    n_partial, n_delta = _multi_index((n_partial, n_delta), 2)
+    ops = ("partial",) * n_partial + ("delta",) * n_delta
     if not ops:
         return kernel_1d_closed(nu, t, x, y)
     exp = operator_expansion(ops, float(nu))
@@ -332,8 +319,9 @@ def shifted_adjoint_kernel_1d(nu: float, m: int, k: int, ell: int, t, x, y):
     Evaluates L^m (delta*)^k p_t^(nu + ell); the shift ell >= k + 2m keeps
     the composition inside the admissible order range.
     """
-    ops = ("generator",) * int(m) + ("dstar",) * int(k)
-    exp = operator_expansion(ops, float(nu), base_shift=int(ell))
+    m, k, ell = _multi_index((m, k, ell), 3)
+    ops = ("generator",) * m + ("dstar",) * k
+    exp = operator_expansion(ops, float(nu), base_shift=ell)
     return evaluate_expansion(exp, float(nu), t, x, y)
 
 
@@ -344,12 +332,7 @@ def delta_kernel(order: MultiOrder, m, t, x, y):
     the x_j variable.  x, y have shape (..., n).
     """
     order = as_order(order)
-    m = np.atleast_1d(np.asarray(m))
-    if m.size != order.n:
-        raise ValueError("derivative multi-index length does not match dimension")
-    if np.any(m < 0) or not np.all(m == m.astype(int)):
-        raise ValueError("derivative multi-index entries must be nonnegative integers")
-    m = m.astype(int)
+    m = order.index(m)
     return axis_product(
         order, x, y, lambda j, xj, yj: delta_kernel_1d(order.nu[j], m[j], t, xj, yj)
     )
@@ -365,8 +348,7 @@ def kernel_spectral(order: MultiOrder, t: float, x, y, k_max: int) -> float:
     Sums exp(-t(4|k| + 2|nu| + 2n)) phi_k(x) phi_k(y) over |k| <= k_max.
     """
     order = as_order(order)
-    if k_max < 0:
-        raise ValueError("k_max must be nonnegative")
+    (k_max,) = _multi_index(k_max, 1)
     t = float(t)
     if not t > 0.0:
         raise ValueError("time must be strictly positive (and not NaN)")

@@ -15,10 +15,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, roots_legendre
+from scipy.special import gammaln
 
 from .critical import critical_weight
-from .grids import Grid, GridFunction, cross_pairs
+from .grids import Grid, GridFunction, _leggauss, cross_pairs
 from .heat import delta_kernel, kernel_1d_closed
 from .special import MultiOrder, as_order, laguerre_function_table
 
@@ -81,11 +81,16 @@ def _tables(order: MultiOrder, grid: Grid, k_max: int) -> list[np.ndarray]:
     ]
 
 
+def _check_grids(order: MultiOrder, *grids: Grid) -> None:
+    """The grid rule: every grid has one axis per component of the order."""
+    if any(grid.ndim != order.n for grid in grids):
+        raise ValueError("grid dimension does not match the order")
+
+
 def analyze(order: MultiOrder, f: GridFunction, k_max: int = DEFAULT_KMAX) -> SpectralCoefficients:
     """Expansion coefficients <f, phi_k> for all multi-indices up to k_max."""
     order = as_order(order)
-    if f.grid.ndim != order.n:
-        raise ValueError("grid dimension does not match the order")
+    _check_grids(order, f.grid)
     arr = f.values * f.grid.weights_nd()
     for ax, table in enumerate(_tables(order, f.grid, k_max)):
         # contracted axes stack in front, so original axis `ax` stays at `ax`
@@ -96,8 +101,7 @@ def analyze(order: MultiOrder, f: GridFunction, k_max: int = DEFAULT_KMAX) -> Sp
 def synthesize(coeffs: SpectralCoefficients, grid: Grid) -> GridFunction:
     """Evaluate sum_k c_k phi_k on a quadrature grid."""
     order = coeffs.order
-    if grid.ndim != order.n:
-        raise ValueError("grid dimension does not match the order")
+    _check_grids(order, grid)
     arr = coeffs.coeffs
     for table in _tables(order, grid, coeffs.k_max):
         arr = np.tensordot(arr, table, axes=(0, 0))
@@ -110,8 +114,7 @@ def _kernel_apply(order: MultiOrder, t: float, f: GridFunction, target: Grid) ->
     The kernel is a product of 1-D kernels, so the integral factors into
     one (target nodes) x (source nodes) matrix per axis.
     """
-    if f.grid.ndim != order.n or target.ndim != order.n:
-        raise ValueError("grid dimension does not match the order")
+    _check_grids(order, f.grid, target)
     arr = f.values * f.grid.weights_nd()
     for nu_j, ev, src in zip(order.nu, target.axes, f.grid.axes):
         kmat = kernel_1d_closed(nu_j, t, ev.nodes[:, None], src.nodes[None, :])
@@ -201,6 +204,8 @@ def square_function(
     the exact L^2 identity ||Sf||_2^2 = (omega_n / 8) ||f||_2^2.
     """
     order = as_order(order)
+    target = eval_grid if eval_grid is not None else f.grid
+    _check_grids(order, target)
     coeffs = analyze(order, f, k_max)
     lam = coeffs.eigenvalues()
     lam_min = float(lam.min())
@@ -216,7 +221,6 @@ def square_function(
     w_log = np.full(n_levels, dlog)
     w_log[0] = w_log[-1] = 0.5 * dlog
 
-    target = eval_grid if eval_grid is not None else f.grid
     xpts = target.points()
     ypts = f.grid.points()
     wy = f.grid.weights_nd().ravel()
@@ -242,11 +246,9 @@ def square_function(
 
 
 def _check_riesz_index(order: MultiOrder, k) -> tuple[int, ...]:
-    k = tuple(int(v) for v in np.atleast_1d(k))
-    if len(k) != order.n:
-        raise ValueError("derivative multi-index length must match the dimension")
-    if any(v < 0 for v in k) or sum(k) == 0:
-        raise ValueError("derivative multi-index must be nonnegative with |k| >= 1")
+    k = order.index(k)
+    if sum(k) == 0:
+        raise ValueError("a Riesz transform needs a derivative multi-index with |k| >= 1")
     return k
 
 
@@ -285,8 +287,8 @@ def riesz_multiplier(order: MultiOrder, k, m, variant: str = "single_power") -> 
     """
     order = as_order(order)
     k = _check_riesz_index(order, k)
-    m = tuple(int(v) for v in np.atleast_1d(m))
-    if len(m) != order.n or any(mj < kj for mj, kj in zip(m, k)):
+    m = order.index(m)
+    if any(mj < kj for mj, kj in zip(m, k)):
         raise ValueError("source index must dominate the derivative index")
     return float(_riesz_multipliers(order, k, [mj - kj for mj, kj in zip(m, k)], variant))
 
@@ -355,7 +357,7 @@ def _riesz_time_integral(order: MultiOrder, k, x, y, t_shift=0.0):
     bounds = [0.0, max(float(d.min()) / 16.0, 1e-6)]
     while lam0 * bounds[-1] ** 2 < _GAP_CUTOFF:
         bounds.append(bounds[-1] * 2.0)
-    nodes, weights = roots_legendre(16)
+    nodes, weights = _leggauss(16)
     # (t, weight * dt/dv * t^(|k|/2 - 1)) per node; the power is taken per
     # scalar node, because numpy's array power can differ in the last bit
     ladder = []

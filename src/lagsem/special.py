@@ -30,6 +30,24 @@ _LOG2 = math.log(2.0)
 _TINY = float(np.finfo(float).tiny)
 
 
+def _check_order(nu) -> float:
+    """The order rule: nu as a float, or ValueError unless it is finite and >= -1/2."""
+    nu = float(nu)
+    if not (math.isfinite(nu) and nu >= -0.5):
+        raise ValueError(f"order must be finite and >= -1/2, got {nu}")
+    return nu
+
+
+def _multi_index(k, n: int) -> tuple[int, ...]:
+    """The multi-index rule: k (a scalar if n = 1) as n nonnegative ints, else ValueError."""
+    entries = np.atleast_1d(k).tolist()
+    if len(entries) != n or not all(
+        isinstance(v, (int, float)) and v >= 0 and float(v).is_integer() for v in entries
+    ):
+        raise ValueError(f"multi-index needs n = {n} entries, each a nonnegative integer; got {k!r}")
+    return tuple(int(v) for v in entries)
+
+
 @dataclass(frozen=True)
 class MultiOrder:
     """Vector of Laguerre orders, one component per axis, each >= -1/2.
@@ -47,12 +65,9 @@ class MultiOrder:
         raw = self.nu
         if np.isscalar(raw):
             raw = (raw,)
-        comps = tuple(float(v) for v in raw)
+        comps = tuple(_check_order(v) for v in raw)
         if not comps:
             raise ValueError("order vector needs at least one component")
-        for v in comps:
-            if not math.isfinite(v) or v < -0.5:
-                raise ValueError(f"order components must be finite and >= -1/2, got {v}")
         object.__setattr__(self, "nu", comps)
 
     @property
@@ -76,22 +91,21 @@ class MultiOrder:
     def holder_exponent(self) -> float:
         return min(1.0, self.nu_min + 0.5)
 
+    def index(self, k) -> tuple[int, ...]:
+        """k as a multi-index of this dimension: n nonnegative integers, else ValueError."""
+        return _multi_index(k, self.n)
+
     def eigenvalue(self, k) -> float:
         """Eigenvalue 4|k| + 2|nu| + 2n attached to the multi-index k."""
-        k = np.atleast_1d(np.asarray(k))
-        if k.size != self.n:
-            raise ValueError("multi-index length does not match dimension")
-        return float(self.degree_eigenvalue(k.sum()))
+        return float(self.degree_eigenvalue(sum(self.index(k))))
 
     def degree_eigenvalue(self, degree):
         """Eigenvalue 4|k| + 2|nu| + 2n of the total degree |k| (int or integer array)."""
         return 4.0 * degree + 2.0 * self.total + 2.0 * self.n
 
     def shifted(self, delta) -> "MultiOrder":
-        delta = np.atleast_1d(np.asarray(delta, dtype=float))
-        if delta.size != self.n:
-            raise ValueError("shift length does not match dimension")
-        return MultiOrder(tuple(v + d for v, d in zip(self.nu, delta)))
+        """The order nu + delta reached by the multi-index delta of derivatives."""
+        return MultiOrder(tuple(v + d for v, d in zip(self.nu, self.index(delta))))
 
 
 def as_order(order) -> MultiOrder:
@@ -333,8 +347,8 @@ def ive(alpha: float, z):
     size, and their rounding is what remains.
     """
     alpha = float(alpha)
-    if not alpha > -1.0:
-        raise ValueError(f"Bessel order must be > -1, got {alpha}")
+    if not (math.isfinite(alpha) and alpha > -1.0):
+        raise ValueError(f"Bessel order must be finite and > -1, got {alpha}")
     zz = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(zz)) or np.any(zz < 0.0):
         raise ValueError("Bessel argument must be finite and >= 0")
@@ -358,9 +372,7 @@ def laguerre_polynomial(k: int, alpha: float, x):
     the eigenfunctions.  Total function of (alpha, x); k must be a
     nonnegative integer.
     """
-    if k != int(k) or k < 0:
-        raise ValueError("degree must be a nonnegative integer")
-    k = int(k)
+    (k,) = _multi_index(k, 1)
     x = np.asarray(x, dtype=float)
     prev = np.ones_like(x)
     if k == 0:
@@ -389,9 +401,9 @@ def laguerre_function_table(nu: float, x, k_max: int) -> np.ndarray:
     so the normalization never leaves the representable range, then
     multiplies by sqrt(2) x^(nu+1/2) exp(-x^2/2).
     """
-    if nu < -0.5:
-        raise ValueError("order must be >= -1/2")
-    if k_max < 0 or k_max > MAX_DEGREE:
+    nu = _check_order(nu)
+    (k_max,) = _multi_index(k_max, 1)
+    if k_max > MAX_DEGREE:
         raise ValueError(f"degree must lie in [0, {MAX_DEGREE}]")
     x = np.asarray(x, dtype=float)
     if not np.all(x > 0.0):
@@ -418,17 +430,13 @@ def laguerre_function(k, order: MultiOrder, x) -> float:
     of the 1-D normalized Laguerre functions.
     """
     order = as_order(order)
-    kk = np.atleast_1d(np.asarray(k))
-    if kk.size != order.n:
-        raise ValueError("multi-index length does not match order dimension")
-    if np.any(kk < 0) or not np.all(kk == kk.astype(int)):
-        raise ValueError("multi-index entries must be nonnegative integers")
+    kk = order.index(k)
     xx = np.atleast_1d(np.asarray(x, dtype=float))
     if xx.size != order.n:
         raise ValueError("point dimension does not match order dimension")
     if np.any(xx <= 0.0):
         raise ValueError("points must lie in the open positive orthant")
     val = 1.0
-    for kj, nuj, xj in zip(kk.astype(int), order.nu, xx):
+    for kj, nuj, xj in zip(kk, order.nu, xx):
         val *= float(laguerre_function_table(nuj, np.asarray(xj), kj)[kj])
     return val

@@ -12,7 +12,9 @@ from lagsem.bounds import (
     heat_size_family,
     minimal_decay_constant,
     pair_samples,
+    product_adjoint_family,
     product_delta_family,
+    product_partial_family,
     product_samples_1d,
     product_samples_2d,
     riesz_heat_size_family,
@@ -196,7 +198,9 @@ def test_standard_suite_fast_grid_all_pass():
 # (family id, decay_exponent, gaussian, t_lo, t_hi, n_samples, fitted_C) of
 # every standard_bound_suite(fast=True) task; fitted_C changes in the last
 # bits when a prefactor is evaluated in another order or a Bessel branch
-# changes (the half-integer closed form moved 19 of them by up to 4.2e-15)
+# changes (the half-integer closed form moved 19 of them by up to 4.2e-15;
+# numpy's 16-node Gauss-Legendre rule in the Riesz ladder, in place of
+# scipy's, moved the last three Riesz rows by up to 1.3e-15)
 FAMILY_TABLE = [
     ('hermite-weighted-partial[l=0,k=1,N=1]', 1.0, True, 0.0, math.inf, 6912, 46.99463846717717),
     ('hermite-weighted-partial[l=0,k=1,N=2]', 2.0, True, 0.0, math.inf, 6912, 1038.6938931241934),
@@ -234,10 +238,26 @@ FAMILY_TABLE = [
     ('product-adjoint-size[nu=[0.5, 1.0],m=0,k=[1, 0],ell=[1, 0]]', 1.0, True, 0.0, math.inf, 3125, 13.079377676775374),
     ('product-adjoint-size[nu=[0.5, 1.0],m=1,k=[0, 0],ell=[2, 2]]', 1.0, True, 0.0, math.inf, 3125, 301.95178104167326),
     ('riesz-size[nu=[0.5],k=[1]]', 1.0, False, 0.0, math.inf, 1640, 16.4668758544484),
-    ('riesz-size[nu=[0.5],k=[2]]', 1.0, False, 0.0, math.inf, 1640, 28.41900052412491),
-    ('riesz-size[nu=[0.5, 1.0],k=[1, 0]]', 1.0, False, 0.0, math.inf, 1764, 5.629032611889196),
-    ('riesz-heat-size[nu=[0.5],k=[1]]', 1.0, False, 0.0, math.inf, 1800, 23.63222211816703),
+    ('riesz-size[nu=[0.5],k=[2]]', 1.0, False, 0.0, math.inf, 1640, 28.419000524124947),
+    ('riesz-size[nu=[0.5, 1.0],k=[1, 0]]', 1.0, False, 0.0, math.inf, 1764, 5.629032611889195),
+    ('riesz-heat-size[nu=[0.5],k=[1]]', 1.0, False, 0.0, math.inf, 1800, 23.63222211816702),
 ]
+
+
+def test_families_refuse_bad_multi_indices_when_built():
+    order2 = MultiOrder((0.5, 1.0))
+    builds = (
+        lambda: product_delta_family(order2, (1.9, 0)),
+        lambda: product_delta_family(order2, (-1, 0)),
+        lambda: product_partial_family(order2, (1, 0, 0), (0, 0)),
+        lambda: product_adjoint_family(order2, 0, (1, 0), (0.5, 0)),
+        lambda: riesz_size_family(order2, (-1, 2)),
+    )
+    for build in builds:
+        with pytest.raises(ValueError, match="each a nonnegative integer"):
+            build()
+    with pytest.raises(ValueError, match=r"\|k\| >= 1"):
+        riesz_heat_size_family(MultiOrder((0.5,)), (0,))
 
 
 def test_standard_suite_family_table_is_pinned():

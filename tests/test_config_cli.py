@@ -275,6 +275,11 @@ def test_dump_rejects_unknown_kind():
         dump_kernel("wave", SuiteConfig(), io.StringIO())
 
 
+def test_dump_refuses_a_non_integer_riesz_index():
+    with pytest.raises(ValueError, match="each a nonnegative integer"):
+        dump_kernel("riesz", SuiteConfig(), io.StringIO(), k=[1.5])
+
+
 def test_cli_dump_writes_file_and_warns(tmp_path, capsys):
     out = tmp_path / "riesz.csv"
     assert main(["dump", "--kind", "riesz", "--out", str(out), "--points", "10"]) == 0

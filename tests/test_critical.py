@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lagsem import (
+    Ball,
     MultiOrder,
     SuiteConfig,
     build_covering,
@@ -117,7 +118,7 @@ def test_covering_single_ball_for_tiny_box():
     # packing accepts exactly one center and its bump is identically 1
     order = MultiOrder((0.5,))
     cov = build_covering(order, 1.0, 1.018)
-    assert len(cov.balls()) == 1
+    assert len(cov.radii) == 1
     pts = np.linspace(1.0, 1.018, 50)[:, None]
     bumps = cov.bump_values(pts)
     assert np.max(np.abs(bumps[0] - 1.0)) < 1e-15
@@ -133,9 +134,8 @@ def test_covering_one_dimensional_box():
     # constant on this box is 5
     assert report["max_overlap"] <= 6
     assert report["partition_sum_error"] < 1e-12
-    for ball in cov.balls():
-        expected = rho(order, np.asarray(ball.center)[None, :])[0]
-        assert ball.radius == pytest.approx(float(expected))
+    for center, radius in zip(cov.centers, cov.radii):
+        assert radius == pytest.approx(float(rho(order, center[None, :])[0]))
 
 
 def test_covering_bumps_supported_in_balls():
@@ -146,8 +146,8 @@ def test_covering_bumps_supported_in_balls():
     assert np.all(bumps >= 0.0)
     assert np.all(bumps <= 1.0 + 1e-15)
     assert np.max(np.abs(bumps.sum(axis=0) - 1.0)) < 1e-12
-    for i, ball in enumerate(cov.balls()):
-        outside = ~ball.contains(pts)
+    for i, (center, radius) in enumerate(zip(cov.centers, cov.radii)):
+        outside = ~Ball(tuple(center), float(radius)).contains(pts)
         assert np.all(bumps[i][outside] == 0.0)
     # each bump is the profile (1 - u^2)^3, u = |x - c| / r, normalized over
     # the balls (the sums above hold for any profile)
@@ -254,7 +254,7 @@ def test_covering_rejects_oversized_lattice_before_allocating():
 def test_covering_json_round_trip():
     cov = build_covering(MultiOrder((0.5,)), 0.8, 1.4)
     blob = cov.to_json_dict()
-    assert len(blob["balls"]) == len(cov.balls())
-    for entry, ball in zip(blob["balls"], cov.balls()):
-        assert entry["radius"] == ball.radius
-        assert tuple(entry["center"]) == tuple(ball.center)
+    assert len(blob["balls"]) == len(cov.radii)
+    for entry, center, radius in zip(blob["balls"], cov.centers, cov.radii):
+        assert entry["radius"] == radius
+        assert tuple(entry["center"]) == tuple(center)

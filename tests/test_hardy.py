@@ -262,6 +262,19 @@ def test_bmo_parameter_validation():
         bmo_norm(ORDER, f, q=0.5)
 
 
+@pytest.mark.parametrize("p", [0.0, 1.5, math.nan])
+def test_exponent_rule_is_named_by_every_caller(p):
+    f = _smooth_field(1)
+    for call in (
+        lambda: moment_degree(ORDER, p),
+        lambda: hardy_norm_maximal(ORDER, f, p),
+        lambda: bmo_norm(ORDER, f, p=p),
+        lambda: Atom(ORDER, p, Ball((1.0,), 0.05), f),
+    ):
+        with pytest.raises(ValueError, match=r"exponent p must lie in \(0, 1\]"):
+            call()
+
+
 def test_hardy_norm_of_zero():
     grid = Grid.box((0.05,), (4.0,), nodes_per_unit=24)
     z = GridFunction(grid, np.zeros(grid.shape))

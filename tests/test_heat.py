@@ -30,7 +30,7 @@ from lagsem import (
     laguerre_function_table,
 )
 from lagsem import heat
-from lagsem.critical import rho
+from lagsem.critical import rho, rho_axis
 from lagsem.heat import operator_expansion, partial_delta_kernel_1d, shifted_adjoint_kernel_1d
 from lagsem.special import ive
 
@@ -251,6 +251,37 @@ def test_nan_arguments_are_refused_by_name():
             kernel(0.5, 0.5, np.array([1.0, nan]), 1.5)
     with pytest.raises(ValueError, match="open positive orthant"):
         rho(order, np.array([[1.0], [nan]]))
+
+
+@pytest.mark.parametrize("nu", [math.inf, math.nan, -0.6])
+def test_order_rule_is_named_by_every_caller(nu):
+    calls = (
+        lambda: MultiOrder((nu,)),
+        lambda: laguerre_function_table(nu, [1.0], 2),
+        lambda: kernel_1d_closed(nu, 0.5, 1.0, 1.2),
+        lambda: kernel_1d_raw(nu, 0.5, 1.0, 1.2),
+        lambda: delta_kernel_1d(nu, 1, 0.5, 1.0, 1.2),
+        lambda: partial_delta_kernel_1d(nu, 1, 0, 0.5, 1.0, 1.2),
+        lambda: rho_axis(nu, 1.0),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="order must be finite and >= -1/2"):
+            call()
+
+
+def test_derivative_counts_follow_the_multi_index_rule():
+    order = MultiOrder((0.5, 1.0))
+    x, y = np.array([1.0, 1.2]), np.array([1.3, 0.9])
+    calls = (
+        lambda: delta_kernel(order, (1.5, 0), 0.5, x, y),
+        lambda: delta_kernel(order, (1,), 0.5, x, y),
+        lambda: delta_kernel_1d(0.5, -1, 0.5, 1.0, 1.2),
+        lambda: partial_delta_kernel_1d(0.5, -1, 0, 0.5, 1.0, 1.2),
+        lambda: shifted_adjoint_kernel_1d(0.5, 0, 1.5, 2, 0.5, 1.0, 1.2),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="each a nonnegative integer"):
+            call()
 
 
 # ---------------------------------------------------------------------------

@@ -79,7 +79,7 @@ def test_round_trip_gaussian_bump():
     grid = _grid_1d()
     f = _bump(grid)
     back = synthesize(analyze(ORDER, f, k_max=60), grid)
-    assert (back - f).norm_l2() / f.norm_l2() < 1e-6
+    assert GridFunction(grid, back.values - f.values).norm_l2() / f.norm_l2() < 1e-6
 
 
 def test_round_trip_two_dimensional():
@@ -91,7 +91,7 @@ def test_round_trip_two_dimensional():
     vals = np.exp(-2.0 * ((pts[:, 0] - 3.0) ** 2 + (pts[:, 1] - 3.0) ** 2))
     f = GridFunction(grid, vals.reshape(grid.shape))
     back = synthesize(analyze(order, f, k_max=50), grid)
-    assert (back - f).norm_l2() / f.norm_l2() < 1e-6
+    assert GridFunction(grid, back.values - f.values).norm_l2() / f.norm_l2() < 1e-6
 
 
 def test_parseval():
@@ -139,7 +139,7 @@ def test_semigroup_strong_continuity():
     grid = _grid_1d()
     f = _bump(grid)
     out = semigroup_apply(ORDER, f, 1e-4)
-    assert (out - f).norm_l2() / f.norm_l2() < 0.01
+    assert GridFunction(grid, out.values - f.values).norm_l2() / f.norm_l2() < 0.01
 
 
 def test_semigroup_methods_agree():
@@ -232,6 +232,8 @@ def test_kernel_routes_match_dense_product_kernel(
             semigroup_apply(order, source, 0.3, method="kernel", eval_grid=grid)
         with pytest.raises(ValueError, match="grid dimension does not match the order"):
             maximal_function(order, source, t_grid=times, eval_grid=grid)
+        with pytest.raises(ValueError, match="grid dimension does not match the order"):
+            square_function(order, source, eval_grid=grid, k_max=4)
 
 
 def test_maximal_eigenfunction_recovers_itself():
@@ -431,6 +433,17 @@ def test_riesz_index_validation():
         riesz_multiplier(ORDER, (2,), (1,))
     with pytest.raises(ValueError):
         riesz_multiplier(ORDER, (1,), (1,), variant="other")
+    # a non-integer or negative index is refused, not truncated to the
+    # integer below it
+    for call in (
+        lambda: riesz_kernel(ORDER, (1.5,), 0.5, 1.0),
+        lambda: riesz_multiplier(ORDER, (1,), (3.7,)),
+        lambda: riesz_heat_composite_kernel(ORDER, (-1,), 0.1, 0.5, 1.0),
+    ):
+        with pytest.raises(ValueError, match="each a nonnegative integer"):
+            call()
+    with pytest.raises(ValueError, match=r"\|k\| >= 1"):
+        riesz_kernel(ORDER, (0,), 0.5, 1.0)
 
 
 def test_riesz_kernel_regression_value():

@@ -18,6 +18,7 @@ from lagsem import (
     Grid,
     MultiOrder,
     ive,
+    kernel_spectral,
     laguerre_function,
     laguerre_function_table,
     laguerre_polynomial,
@@ -261,6 +262,9 @@ def test_ive_domain_errors():
         ive(0.5, -1.0)
     with pytest.raises(ValueError):
         ive(-1.2, 1.0)
+    for alpha in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite and > -1"):
+            ive(alpha, 1.0)
 
 
 def test_bessel_derivative_identity():
@@ -379,6 +383,30 @@ def test_multi_order_derived_fields():
     assert hermite.active_axes == ()
     assert hermite.holder_exponent == 1.0
     assert math.isclose(MultiOrder((0.5,)).eigenvalue((3,)), 4 * 3 + 2 * 0.5 + 2)
+
+
+@pytest.mark.parametrize("k", [(-2,), (1.5,), (1, 0), (math.nan,), (math.inf,)])
+def test_multi_index_rule_is_named_by_every_caller(k):
+    order = MultiOrder((0.5,))
+    calls = (
+        order.index,
+        order.eigenvalue,
+        lambda kk: laguerre_function(kk, order, (1.0,)),
+        lambda kk: laguerre_polynomial(kk, 0.5, 1.0),
+        lambda kk: laguerre_function_table(0.5, [1.0], kk),
+        lambda kk: kernel_spectral(order, 0.5, 1.0, 1.2, kk),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="each a nonnegative integer"):
+            call(k)
+
+
+def test_multi_index_takes_integral_entries_of_any_type():
+    order = MultiOrder((0.5, 1.0))
+    for k in ((2, 0), [2.0, 0.0], np.array([2, 0]), np.array([2.0, 0.0])):
+        got = order.index(k)
+        assert got == (2, 0) and all(type(v) is int for v in got)
+    assert MultiOrder((0.5,)).index(3) == (3,)
 
 
 def test_multi_order_rejects_bad_components():

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 __all__ = ["QuadAxis", "Grid", "GridFunction", "gauss_legendre_axis", "lattice", "cross_pairs"]
 
@@ -138,13 +138,32 @@ class GridFunction:
         return mass ** (1.0 / p)
 
     def interp(self, pts) -> np.ndarray:
-        """Linear interpolation at (M, ndim) points, zero outside the box."""
+        """Multilinear interpolation at (M, ndim) points, zero outside the box.
+
+        Each axis finds the node cell of every point (the last cell owns the
+        upper face) and the point's fractional distance in it; the value is
+        the sum over the 2^ndim cell corners, in ``itertools.product`` order,
+        of the corner value times the product of its axis weights.  That is
+        the arithmetic of scipy's linear ``RegularGridInterpolator`` in 1-D
+        and from 3-D on, so those agree bit for bit; in 2-D scipy forms
+        (value * w0) * w1 instead, which differs by rounding.
+        """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        itp = RegularGridInterpolator(
-            tuple(ax.nodes for ax in self.grid.axes),
-            self.values,
-            method="linear",
-            bounds_error=False,
-            fill_value=0.0,
-        )
-        return itp(pts)
+        if pts.ndim != 2 or pts.shape[1] != self.grid.ndim:
+            raise ValueError(f"interp needs (M, {self.grid.ndim}) points, got shape {pts.shape}")
+        cells, fractions = [], []
+        outside = np.zeros(len(pts), dtype=bool)
+        for ax, x in zip(self.grid.axes, pts.T):
+            nodes = ax.nodes
+            i = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, nodes.size - 2)
+            cells.append(i)
+            fractions.append((x - nodes[i]) / (nodes[i + 1] - nodes[i]))
+            outside |= (x < nodes[0]) | (x > nodes[-1])
+        out = np.zeros(len(pts))
+        for corner in itertools.product((0, 1), repeat=self.grid.ndim):
+            weight = 1.0
+            for c, y in zip(corner, fractions):
+                weight = weight * (y if c else 1.0 - y)
+            out += self.values[tuple(i + c for c, i in zip(corner, cells))] * weight
+        out[outside] = 0.0
+        return out

@@ -19,7 +19,7 @@ import numpy as np
 
 from .critical import Ball, rho
 from .grids import Grid, GridFunction, gauss_legendre_axis, lattice
-from .operators import default_time_ladder, maximal_function
+from .operators import _check_grids, default_time_ladder, maximal_function
 from .special import MultiOrder, as_order
 
 __all__ = [
@@ -347,8 +347,13 @@ def duality_pairing(order: MultiOrder, f: GridFunction, atom: Atom) -> float:
 
     The pairing extends continuously to the dual space: its size is
     controlled by the two-branch oscillation norm of f uniformly over
-    atoms, which is what the verification suite samples.
+    atoms, which is what the verification suite samples.  The atom must be
+    an atom of ``order`` and f must live on a grid of its dimension.
     """
+    order = as_order(order)
+    if atom.order != order:
+        raise ValueError(f"the atom has order {atom.order.nu}, not the pairing's order {order.nu}")
+    _check_grids(order, f.grid)
     grid = atom.func.grid
     if f.grid is grid:
         fv = f.values.ravel()

@@ -15,12 +15,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .critical import critical_weight
 from .grids import Grid, GridFunction, _leggauss, cross_pairs
 from .heat import delta_kernel, kernel_1d_closed
-from .special import MultiOrder, as_order, laguerre_function_table
+from .special import MultiOrder, as_order, gammaln, laguerre_function_table
 
 __all__ = [
     "DEFAULT_KMAX",
@@ -178,8 +177,8 @@ def maximal_function(
     if t_grid is None:
         t_grid = default_time_ladder(f.grid)
     t_grid = np.asarray(t_grid, dtype=float)
-    if np.any(t_grid <= 0.0):
-        raise ValueError("time grid must be strictly positive")
+    if not np.all(np.isfinite(t_grid) & (t_grid > 0.0)):
+        raise ValueError("time must be finite and positive")
     target = eval_grid if eval_grid is not None else f.grid
     best = np.zeros(target.shape)
     for t in t_grid:
@@ -323,6 +322,10 @@ def _pair_arrays(order: MultiOrder, x, y):
     """Point pairs as (N, n) arrays, their distances, and whether x was one point."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    for a in (x, y):
+        # 1-D orders also take scalars and flat coordinate lists
+        if not ((a.ndim >= 1 and a.shape[-1] == order.n) or (order.n == 1 and a.ndim <= 1)):
+            raise ValueError("point dimension does not match order dimension")
     scalar = x.ndim == 0 or (order.n > 1 and x.ndim == 1)
     xx = np.atleast_1d(x).reshape(-1, order.n)
     yy = np.atleast_1d(y).reshape(-1, order.n)

@@ -13,11 +13,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "MultiOrder",
     "as_order",
+    "gammaln",
     "ive",
     "laguerre_polynomial",
     "laguerre_function",
@@ -111,6 +111,86 @@ class MultiOrder:
 def as_order(order) -> MultiOrder:
     """``order`` itself if it is a MultiOrder, otherwise MultiOrder(order)."""
     return order if isinstance(order, MultiOrder) else MultiOrder(order)
+
+
+# Cephes lgam (S. L. Moshier, Cephes Mathematical Library), the routine
+# behind scipy.special.gammaln: _LGAM_A is the Stirling correction series,
+# _LGAM_B / _LGAM_C the rational approximation on [2, 3).  Kept in its
+# operation order, it returns scipy's value bit for bit; math.lgamma does
+# not (lgamma(3.0) is 0.693147180559945, not log 2).
+_LGAM_A = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+_LGAM_B = (
+    -1.37825152569120859100e3,
+    -3.88016315134637840924e4,
+    -3.31612992738871184744e5,
+    -1.16237097492762307383e6,
+    -1.72173700820839662146e6,
+    -8.53555664245765465627e5,
+)
+_LGAM_C = (
+    1.0,
+    -3.51815701436523470549e2,
+    -1.70642106651881159223e4,
+    -2.20528590553854454839e5,
+    -1.13933444367982507207e6,
+    -2.53252307177582951285e6,
+    -2.01889141433532773231e6,
+)
+_LOG_SQRT_2PI = 0.91893853320467274178
+_LGAM_MAX = 2.556348e305
+
+
+def _polevl(x: float, coef) -> float:
+    """Horner evaluation, highest coefficient first (Cephes polevl).
+
+    np.polyval gives the same bits but takes over ten times as long on a scalar.
+    """
+    acc = coef[0]
+    for c in coef[1:]:
+        acc = acc * x + c
+    return acc
+
+
+def gammaln(x: float) -> float:
+    """log Gamma(x) for scalar x > 0: a port of Cephes lgam.
+
+    Below 13 the argument is shifted into [2, 3) by the recurrence and the
+    rational approximation is applied there; from 13 on Stirling's series
+    is used, with its correction dropped above 1e8.
+    """
+    x = float(x)
+    if not x > 0.0:
+        raise ValueError(f"gammaln needs x > 0, got {x}")
+    if x < 13.0:
+        z, shift, u = 1.0, 0.0, x
+        while u >= 3.0:
+            shift -= 1.0
+            u = x + shift
+            z *= u
+        while u < 2.0:
+            z /= u
+            shift += 1.0
+            u = x + shift
+        if u == 2.0:
+            return math.log(z)
+        x += shift - 2.0
+        return math.log(z) + x * _polevl(x, _LGAM_B) / _polevl(x, _LGAM_C)
+    if x > _LGAM_MAX:
+        return math.inf
+    q = (x - 0.5) * math.log(x) - x + _LOG_SQRT_2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    return q + _polevl(p, _LGAM_A) / x
 
 
 def _series_cutoff(alpha: float) -> float:

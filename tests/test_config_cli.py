@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -9,11 +12,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lagsem
 from lagsem import suites
 from lagsem.cli import dump_kernel, main
 from lagsem.config import ConfigError, SuiteConfig
 from lagsem.reports import CheckResult, SuiteReport
 from lagsem.suites import SUITE_NAMES, run_suite
+
+
+def test_package_and_cli_import_numpy_only():
+    # scipy is a test dependency only; it is a reference in tests/
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lagsem.__file__)))
+    code = "import sys, lagsem, lagsem.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_config_defaults_validate():

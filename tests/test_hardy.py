@@ -322,6 +322,17 @@ def test_duality_self_pairing_is_one():
     assert duality_pairing(ORDER, f, atom) == pytest.approx(1.0, rel=1e-12)
 
 
+def test_duality_refuses_an_atom_or_function_of_another_order():
+    atom = random_atom(MultiOrder((1.0,)), 1.0, seed=8)
+    f = GridFunction(atom.func.grid, np.ones(atom.func.grid.shape))
+    assert duality_pairing(1.0, f, atom) == duality_pairing(MultiOrder((1.0,)), f, atom)
+    with pytest.raises(ValueError, match="not the pairing's order"):
+        duality_pairing(ORDER, f, atom)
+    flat = Grid.box((0.5, 0.5), (2.5, 2.5), nodes_per_unit=8)
+    with pytest.raises(ValueError, match="grid dimension does not match the order"):
+        duality_pairing(1.0, GridFunction(flat, np.ones(flat.shape)), atom)
+
+
 def test_duality_bilinearity():
     atom = random_atom(ORDER, 1.0, seed=10)
     grid = atom.func.grid

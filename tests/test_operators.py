@@ -272,6 +272,15 @@ def test_maximal_rejects_nonpositive_times():
         maximal_function(ORDER, _bump(grid, center=2.0), t_grid=[0.0, 1.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_maximal_refuses_nan_and_infinite_times(bad):
+    # refused at the t_grid check, under the time rule's own message, not
+    # deep inside kernel_1d_closed
+    grid = _grid_1d(nodes_per_unit=16, hi=6.0)
+    with pytest.raises(ValueError, match="time must be finite and positive"):
+        maximal_function(ORDER, _bump(grid, center=2.0), t_grid=[0.1, bad])
+
+
 def test_square_function_of_zero():
     grid = _grid_1d(nodes_per_unit=16, hi=6.0)
     z = GridFunction(grid, np.zeros(grid.shape))
@@ -444,6 +453,19 @@ def test_riesz_index_validation():
             call()
     with pytest.raises(ValueError, match=r"\|k\| >= 1"):
         riesz_kernel(ORDER, (0,), 0.5, 1.0)
+
+
+def test_riesz_kernels_refuse_points_of_another_dimension():
+    order = MultiOrder((0.5, 1.0))
+    for call in (
+        lambda: riesz_kernel(order, (1, 0), np.ones(3), 2 * np.ones(3)),
+        lambda: riesz_kernel(order, (1, 0), np.ones((2, 3)), 2 * np.ones((2, 3))),
+        lambda: riesz_kernel(order, (1, 0), 1.0, 2.0),
+        lambda: riesz_heat_composite_kernel(order, (1, 0), 0.1, np.ones(2), 2 * np.ones(3)),
+        lambda: riesz_kernel(ORDER, (1,), np.ones((3, 2)), 2 * np.ones((3, 2))),
+    ):
+        with pytest.raises(ValueError, match="point dimension does not match order dimension"):
+            call()
 
 
 def test_riesz_kernel_regression_value():

@@ -267,6 +267,50 @@ def test_ive_domain_errors():
             ive(alpha, 1.0)
 
 
+def test_gammaln_is_scipys_bit_for_bit():
+    # one sweep per branch of Cephes lgam: the recurrence into [2, 3) below
+    # 13, Stirling with the A series on [13, 1000), the short correction
+    # from 1000 on and the bare Stirling sum above 1e8
+    rng = np.random.default_rng(17)
+    xs = np.concatenate([
+        np.geomspace(1e-3, 1e9, 3001),
+        rng.uniform(1e-3, 13.0, 2000),
+        rng.uniform(13.0, 1000.0, 2000),
+        rng.uniform(1000.0, 1e8, 1000),
+        np.arange(1, 401) * 0.5,
+        [np.nextafter(13.0, 0.0), 13.0, np.nextafter(1000.0, 0.0), 1000.0, 1e8,
+         np.nextafter(1e8, np.inf), 1e300, 3e305],
+    ])
+    got = np.array([special.gammaln(x) for x in xs])
+    assert np.array_equal(got, gammaln(xs))
+
+
+def test_gammaln_matches_scipy_at_every_argument_the_suites_use(monkeypatch):
+    from lagsem import operators
+    from lagsem.config import SuiteConfig
+    from lagsem.suites import run_suite
+
+    port, seen = special.gammaln, set()
+
+    def recording(x):
+        seen.add(float(x))
+        return port(x)
+
+    # alpha + 1 in the Bessel series and |k|/2 in the Riesz time integral
+    monkeypatch.setattr(special, "gammaln", recording)
+    monkeypatch.setattr(operators, "gammaln", recording)
+    run_suite(SuiteConfig(), "all")
+    assert {1.5, 2.0, 2.3, 7.5} <= seen
+    for x in sorted(seen):
+        assert port(x) == gammaln(x), x
+
+
+def test_gammaln_domain_errors():
+    for x in (0.0, -1.5, math.nan):
+        with pytest.raises(ValueError, match="x > 0"):
+            special.gammaln(x)
+
+
 def test_bessel_derivative_identity():
     # d/dz (z^{-a} I_a(z)) = z^{-a} I_{a+1}(z), central differences
     for alpha in (-0.5, 0.0, 0.8, 1.7):

@@ -9,10 +9,15 @@ Times ``ive`` per branch and the two 1-D kernel entry points:
   branch rules differ;
 - ``ive`` series: the arguments of that call at or below the series
   cutoff max(50, 2 alpha^2).  For orders other than half-integers these
-  all take the batched power series.  Half-integer orders up to 20.5 take
-  the closed form from z = max(1, alpha^2/2) on, so for them this row
-  times a mix of series and closed form, and against a checkout without
-  the closed form its two sides do not do the same work;
+  all take the batched power series.  Orders +-1/2 take the closed form
+  on every z > 0, and the other half-integer orders up to 20.5 from
+  z = max(1, alpha^2/2) on, so for them this row times a mix of series
+  and closed form, and against a checkout with another branch rule its
+  two sides do not do the same work;
+- ``ive`` order 1/2 below 1: z in (0, 1), which the power series summed
+  before the closed form took every z > 0 at orders +-1/2;
+- ``ive`` order 3/2 below 1e-2: z in [1e-8, 1e-2], where the bound over
+  the batch stops the power series after a few terms;
 - ``ive`` anchored: arguments whose leading series term underflows, summed
   by the scalar fallback anchored at the largest term;
 - ``ive`` Hankel: order-1/2 arguments above the series cutoff.  With the
@@ -34,8 +39,8 @@ or compare two checkouts and write a JSON table of both:
 
 which runs the benchmarks on the parent's ``src`` and on this checkout's,
 alternating, ``ROUNDS`` times each, and records each benchmark's median
-over the rounds' medians.  The ``layers`` blocks of ``BENCH_4.json`` and
-``BENCH_7.json`` are such tables.
+over the rounds' medians.  The ``layers`` blocks of ``BENCH_4.json``,
+``BENCH_7.json`` and ``BENCH_12.json`` are such tables.
 """
 
 from __future__ import annotations
@@ -106,6 +111,22 @@ def test_ive_series(benchmark, riesz_arguments):
     benchmark.extra_info["elements"] = sum(z.size for _, z in riesz_arguments)
     benchmark.extra_info["calls"] = len(riesz_arguments)
     benchmark(lambda: [ive(nu, z) for nu, z in riesz_arguments])
+
+
+def test_ive_half_below_one(benchmark):
+    from lagsem import ive
+
+    z = np.geomspace(1e-8, 1.0, 20_001)[:-1]
+    benchmark.extra_info["elements"] = z.size
+    benchmark(ive, 0.5, z)
+
+
+def test_ive_series_small_z(benchmark):
+    from lagsem import ive
+
+    z = np.geomspace(1e-8, 1e-2, 20_000)
+    benchmark.extra_info["elements"] = z.size
+    benchmark(ive, 1.5, z)
 
 
 def test_ive_anchored(benchmark):

@@ -38,14 +38,22 @@ __all__ = [
 
 
 def _check_1d_domain(t, x, y):
-    """t, x and y as float arrays, or ValueError unless every entry is > 0."""
+    """t, x and y as float arrays, or ValueError unless every entry is > 0 and x, y are finite.
+
+    t = inf is allowed: the kernel is 0 there, its t -> inf limit.
+    """
     t, x, y = (np.asarray(v, dtype=float) for v in (t, x, y))
     # written as "not all > 0" so that NaN is refused too
     if not np.all(t > 0.0):
         raise ValueError("time must be strictly positive (and not NaN)")
-    if not (np.all(x > 0.0) and np.all(y > 0.0)):
-        raise ValueError("space arguments must be strictly positive (and not NaN)")
+    _check_space(x, y)
     return t, x, y
+
+
+def _check_space(*coords: np.ndarray) -> None:
+    """ValueError unless every coordinate lies in (0, inf); NaN is refused too."""
+    if not all(np.all((c > 0.0) & (c < math.inf)) for c in coords):
+        raise ValueError("space arguments must be strictly positive and finite")
 
 
 def _time_factors(t):

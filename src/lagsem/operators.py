@@ -18,7 +18,7 @@ import numpy as np
 
 from .critical import critical_weight
 from .grids import Grid, GridFunction, _leggauss, cross_pairs
-from .heat import delta_kernel, kernel_1d_closed
+from .heat import _check_space, delta_kernel, kernel_1d_closed
 from .special import MultiOrder, as_order, gammaln, laguerre_function_table
 
 __all__ = [
@@ -326,6 +326,8 @@ def _pair_arrays(order: MultiOrder, x, y):
         # 1-D orders also take scalars and flat coordinate lists
         if not ((a.ndim >= 1 and a.shape[-1] == order.n) or (order.n == 1 and a.ndim <= 1)):
             raise ValueError("point dimension does not match order dimension")
+    # an infinite coordinate would turn the Riesz v-ladder into NaN
+    _check_space(x, y)
     scalar = x.ndim == 0 or (order.n > 1 and x.ndim == 1)
     xx = np.atleast_1d(x).reshape(-1, order.n)
     yy = np.atleast_1d(y).reshape(-1, order.n)

@@ -28,6 +28,7 @@ MAX_DEGREE = 200
 
 _LOG2 = math.log(2.0)
 _TINY = float(np.finfo(float).tiny)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def _check_order(nu) -> float:
@@ -212,10 +213,13 @@ _HALF_INTEGER_CAP = 20.5
 def _closed_form_start(alpha: float) -> float:
     """Smallest z given the closed form of half-integer orders; inf for other orders.
 
-    From max(1, alpha^2/2) on, each Hankel term is at most 1/k of the one
-    before, so the finite sum has no cancellation to speak of; below 1 the
-    order-1/2 form loses bits in 1 - exp(-2z).
+    Orders +-1/2 have no Hankel terms, and their form is exact on every
+    z > 0, so they start at 0.  Other half-integer orders start at
+    max(1, alpha^2/2): from there on each Hankel term is at most 1/k of
+    the one before, so the finite sum has no cancellation to speak of.
     """
+    if abs(alpha) == 0.5:
+        return 0.0
     if -0.5 <= alpha <= _HALF_INTEGER_CAP and (alpha + 0.5).is_integer():
         return max(1.0, 0.5 * alpha * alpha)
     return math.inf
@@ -233,6 +237,28 @@ def _log_half(z: np.ndarray) -> np.ndarray:
         return np.where(z < _TINY, np.log(z) - _LOG2, np.log(0.5 * z))
 
 
+def _series_term_count(alpha: float, zmax: float) -> int:
+    """Terms after the first that the batched series adds for arguments up to zmax.
+
+    The count is the index of the largest term plus slack for the tail to
+    fall below eps, cut short where an a-priori bound stops the sum
+    earlier.  For every element, term k over term 0 is at most
+    ratio_k = prod_(i<k) q_max / ((i+1)(alpha+i+1)), q_max = zmax^2/4, and
+    the total is at least term 0.  Once ratio_k < 1e-18 (it has then
+    passed its peak, so every later factor is below 1) no term from k on
+    is above 1e-18 of any element's total: adding it would not change a
+    bit, by the same argument as the retirement in ``_ive_series_batch``.
+    """
+    kpk = max(0.0, 0.5 * (-(alpha + 2.0) + math.sqrt(alpha * alpha + 4.0 * 0.25 * zmax * zmax)))
+    k_stop = int(kpk + 12.0 * math.sqrt(kpk + 1.0) + 40.0)
+    q_max, ratio = 0.25 * zmax * zmax, 1.0
+    for k in range(k_stop):
+        ratio *= q_max / ((k + 1.0) * (alpha + k + 1.0))
+        if ratio < 1e-18:
+            return k
+    return k_stop
+
+
 def _ive_series_batch(alpha: float, z: np.ndarray, lead: np.ndarray) -> np.ndarray:
     """Scaled power series with a shared term count.
 
@@ -240,22 +266,19 @@ def _ive_series_batch(alpha: float, z: np.ndarray, lead: np.ndarray) -> np.ndarr
     leading term; it must be > -650 so the term is representable.
     Callers route other elements to the anchored scalar fallback.
 
-    Every 16 terms the elements whose term has fallen to 1e-18 of their
-    total are written out and dropped.  Before its peak an element's term
-    is at least total/(k+1), so only elements past their peak retire; from
-    there on every further term is below half an ulp of the total, and
-    adding it would not change a bit.
+    The sum runs for ``_series_term_count`` terms.  Every 16 terms the
+    elements whose term has fallen to 1e-18 of their total are written
+    out and dropped.  Before its peak an element's term is at least
+    total/(k+1), so only elements past their peak retire; from there on
+    every further term is below half an ulp of the total, and adding it
+    would not change a bit.
     """
     q = 0.25 * z * z
     term = np.exp(lead)
     total = term.copy()
     out = total
     idx = np.arange(z.size)
-    zmax = float(z.max())
-    # index of the largest term, plus slack for the tail to fall below eps
-    kpk = max(0.0, 0.5 * (-(alpha + 2.0) + math.sqrt(alpha * alpha + 4.0 * 0.25 * zmax * zmax)))
-    k_stop = int(kpk + 12.0 * math.sqrt(kpk + 1.0) + 40.0)
-    for k in range(k_stop):
+    for k in range(_series_term_count(alpha, float(z.max()))):
         term *= q / ((k + 1.0) * (alpha + k + 1.0))
         total += term
         if (k & 15) == 15:
@@ -348,7 +371,16 @@ def _ive_half_integer(alpha: float, z: np.ndarray) -> np.ndarray:
     Summing even and odd terms apart and combining them at the end would
     cancel: up to 1.3e-15 off at alpha = 10.5 to 20.5, against 6.7e-16 in
     term order.
+
+    At alpha = +-1/2 there are no terms, and the form is
+    (1 -+ exp(-2z)) / (sqrt(2 pi) sqrt(z)) (DLMF 10.39.1), on every z > 0:
+    1 - exp(-2z) is taken as -expm1(-2z), so it keeps its bits as z -> 0.
+    The product 2 pi z rounds in the subnormal range (a single sqrt(2 pi z)
+    was off by 2.3e-2 below z = 1e-300), so the root stays two factors.
     """
+    if abs(alpha) == 0.5:
+        head = -np.expm1(-2.0 * z) if alpha > 0.0 else 1.0 + np.exp(-2.0 * z)
+        return head / (_SQRT_2PI * np.sqrt(z))
     n = round(alpha - 0.5)
     down, up = 1.0, 1.0
     for k, term in zip(range(1, n + 1), _hankel_terms(alpha, z)):
@@ -405,26 +437,35 @@ def ive(alpha: float, z):
 
     Branches, by order:
 
-    - half-integer alpha = n + 1/2 with -1/2 <= alpha <= 20.5: the exact
-      closed form (``_ive_half_integer``) from z = max(1, alpha^2/2) on,
-      the power series below;
+    - alpha = +-1/2: the exact closed form (``_ive_half_integer``) on
+      every z > 0;
+    - other half-integer alpha = n + 1/2 with 3/2 <= alpha <= 20.5: the
+      exact closed form from z = max(1, alpha^2/2) on, the power series
+      below;
     - every other order: the power series up to max(50, 2*alpha^2), the
       Hankel expansion above.
 
     The power series is summed in a batch while its leading term is
     representable, and by the scalar sum anchored at its largest term
-    otherwise.  The scaled form never overflows.  The batched series stops
-    summing an element once its terms can no longer change its total, so
-    converged elements retire early without changing a bit.
+    otherwise.  The scaled form never overflows.  The batched series adds
+    no term that an a-priori bound over the whole batch shows cannot
+    change a bit, and it stops summing an element once its own terms can
+    no longer change its total, so converged elements retire early; both
+    stops leave every bit as a full sum would.
 
-    Relative accuracy against mpmath (40 digits) on z in [1e-8, 2e4]: the
-    closed form is within 4.4e-16 (``test_ive_half_integer_orders_against_mpmath``),
-    and the Hankel branch within 4.4e-16 for 0 <= alpha <= 150.  The
-    series is within about 1e-14 for -1/2 <= alpha <= 3.5, 4e-14 at alpha
-    = 10.5, 8e-14 at 20.5 and 1e-13 at 30 (``test_ive_against_mpmath_sweep``), but
-    only 2e-11 at alpha = 80 and 3e-11 at alpha = 150: for z near 1e4 the
-    anchored sum forms the log of its peak term from parts near 1e5 in
-    size, and their rounding is what remains.
+    Relative accuracy against mpmath (40 digits), by branch:
+
+    - closed form at alpha = +-1/2: within 5e-16 on z in [5e-324, 2e4],
+      subnormal z included (``test_ive_half_orders_closed_form_against_mpmath``);
+    - closed form at the other half-integers: within 4.4e-16 on z from
+      max(1, alpha^2/2) to 2e4 (``test_ive_half_integer_orders_against_mpmath``);
+    - Hankel expansion: within 4.4e-16 for 0 <= alpha <= 150;
+    - power series, on z in [1e-8, the cutoff]: within about 1e-14 for
+      -1/2 < alpha <= 3.5, 4e-14 at alpha = 10.5, 8e-14 at 20.5 and 1e-13
+      at 30 (``test_ive_against_mpmath_sweep``), but only 2e-11 at alpha
+      = 80 and 3e-11 at alpha = 150: for z near 1e4 the anchored sum forms
+      the log of its peak term from parts near 1e5 in size, and their
+      rounding is what remains.
     """
     alpha = float(alpha)
     if not (math.isfinite(alpha) and alpha > -1.0):

@@ -253,6 +253,19 @@ def test_nan_arguments_are_refused_by_name():
         rho(order, np.array([[1.0], [nan]]))
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf])
+def test_infinite_space_arguments_are_refused_by_name(bad):
+    kernels = (kernel_1d_closed, lambda nu, t, x, y: delta_kernel_1d(nu, 1, t, x, y))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for kernel in kernels:
+            for x, y in ((bad, 1.0), (1.0, np.array([1.0, bad]))):
+                with pytest.raises(ValueError, match="space arguments must be strictly positive"):
+                    kernel(0.5, 1.0, x, y)
+            # t = inf is the t -> inf limit, and the kernel is 0 there
+            assert kernel(0.5, math.inf, 1.0, 2.0) == 0.0
+
+
 @pytest.mark.parametrize("nu", [math.inf, math.nan, -0.6])
 def test_order_rule_is_named_by_every_caller(nu):
     calls = (

@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -466,6 +467,24 @@ def test_riesz_kernels_refuse_points_of_another_dimension():
     ):
         with pytest.raises(ValueError, match="point dimension does not match order dimension"):
             call()
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0])
+def test_riesz_kernels_refuse_points_off_the_open_orthant(bad):
+    # an infinite distance used to turn the time ladder into NaN, and the
+    # call failed on the time rule after numpy's "invalid value" warning
+    order2 = MultiOrder((0.5, 1.0))
+    calls = (
+        lambda: riesz_kernel(ORDER, (1,), [1.0], [bad]),
+        lambda: riesz_kernel(ORDER, (1,), np.array([bad, 1.0]), np.array([2.0, 2.0])),
+        lambda: riesz_kernel(order2, (1, 0), np.array([[1.0, bad]]), np.array([[2.0, 2.0]])),
+        lambda: riesz_heat_composite_kernel(ORDER, (2,), 0.1, [1.0], [bad]),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for call in calls:
+            with pytest.raises(ValueError, match="space arguments must be strictly positive"):
+                call()
 
 
 def test_riesz_kernel_regression_value():

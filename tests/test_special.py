@@ -75,16 +75,15 @@ def test_ive_against_mpmath_sweep():
             assert math.isclose(got, want, rel_tol=tol), (alpha, z, got, want)
 
 
-# Half-integer orders: (tolerance below the closed-form switch, tolerance at
-# and above it).  Below the switch the power series is unchanged.  At and
-# above it the closed form measured 2.2e-16 to 3.3e-16 on this sweep, where
-# the series and Hankel branches it replaced were off by 8.9e-16 (alpha =
-# -1/2), 3.3e-15 (1/2), 1.3e-15 (3/2, 5/2), 3.6e-15 (7/2), 2.9e-15 (11/2),
-# 7.8e-15 (21/2) and 1.2e-14 (41/2).  43/2 is the first order above the
-# cap and keeps the series and Hankel branches (1.5e-14 measured).
+# Half-integer orders from 3/2 on: (tolerance below the closed-form switch,
+# tolerance at and above it).  Below the switch the power series is
+# unchanged.  At and above it the closed form measured 2.2e-16 to 3.3e-16
+# on this sweep, where the series and Hankel branches it replaced were off
+# by 1.3e-15 (3/2, 5/2), 3.6e-15 (7/2), 2.9e-15 (11/2), 7.8e-15 (21/2) and
+# 1.2e-14 (41/2).  43/2 is the first order above the cap and keeps the
+# series and Hankel branches (1.5e-14 measured).  Orders +-1/2 take the
+# closed form on every z > 0 (test_ive_half_orders_closed_form_against_mpmath).
 HALF_INTEGER_TOLERANCES = {
-    -0.5: (3e-15, 1e-15),
-    0.5: (3e-15, 1e-15),
     1.5: (1e-14, 1e-15),
     2.5: (1e-14, 1e-15),
     3.5: (3e-14, 1e-15),
@@ -111,6 +110,28 @@ def test_ive_half_integer_orders_against_mpmath(alpha):
     upper = special._ive_small if alpha > 20.5 else special._ive_half_integer
     np.testing.assert_array_equal(got[-3:-2], special._ive_small(alpha, z[-3:-2]))
     np.testing.assert_array_equal(got[-2:], upper(alpha, z[-2:]))
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.5])
+def test_ive_half_orders_closed_form_against_mpmath(alpha):
+    # I_(+-1/2)(z) = sqrt(2/(pi z)) (sinh z or cosh z) is taken on every
+    # z > 0; measured within 3.8e-16 on each band, where the power series
+    # it replaced below z = 1 reached 3.5e-14 on [1e-300, 1e-8] and 6.3e-14
+    # on subnormals
+    rng = np.random.default_rng(12)
+    bands = [(1e-300, 1e-8), (1e-8, 1.0), (1.0, 50.0), (50.0, 2e4)]
+    z = np.concatenate(
+        [[5e-324, 1e-323, 1e-320, 1e-310, float(np.finfo(float).tiny)],
+         rng.uniform(5e-324, 2.2e-308, 20)]
+        + [np.exp(rng.uniform(math.log(lo), math.log(hi), 40)) for lo, hi in bands]
+    )
+    got = ive(alpha, z)
+    for zi, gi in zip(z, got):
+        want = float(mp.exp(-mp.mpf(zi)) * mp.besseli(alpha, mp.mpf(zi)))
+        assert math.isclose(gi, want, rel_tol=5e-16), (alpha, zi, gi, want)
+    # the branch rule: the closed form from z = 0 on, so no series at all
+    assert special._closed_form_start(alpha) == 0.0
+    np.testing.assert_array_equal(got, special._ive_half_integer(alpha, z))
 
 
 @pytest.mark.parametrize("alpha, z", [(2.5, 1.0), (4.5, 2.0), (6.5, 4.0)])
@@ -242,6 +263,20 @@ def test_ive_series_retirement_is_bit_identical(alpha):
         assert got == _frozen_ive(alpha, float(v))
 
 
+@pytest.mark.parametrize("zmax", [1e-2, 1.12])
+@pytest.mark.parametrize("alpha", EXACT_ALPHAS + (1.5, 2.5))
+def test_ive_series_a_priori_stop_is_bit_identical(alpha, zmax):
+    # on these arrays the bound over the batch stops the sum before the
+    # first retirement check (k = 15), so the stop alone is held to the
+    # frozen series; at alpha = 150 most leading terms underflow, and the
+    # two sums must agree there too
+    assert special._series_term_count(alpha, zmax) < 15
+    rng = np.random.default_rng(11)
+    z = np.concatenate([np.exp(rng.uniform(math.log(1e-6), math.log(zmax), 3000)), [zmax]])
+    lead = alpha * special._log_half(z) - z - gammaln(alpha + 1.0)
+    np.testing.assert_array_equal(special._ive_series_batch(alpha, z, lead), _frozen_series_batch(alpha, z))
+
+
 @pytest.mark.parametrize("shape", [(0,), (0, 3)], ids=["1d", "2d"])
 def test_ive_of_empty_input(shape):
     got = ive(0.5, np.empty(shape))
@@ -300,7 +335,8 @@ def test_gammaln_matches_scipy_at_every_argument_the_suites_use(monkeypatch):
     monkeypatch.setattr(special, "gammaln", recording)
     monkeypatch.setattr(operators, "gammaln", recording)
     run_suite(SuiteConfig(), "all")
-    assert {1.5, 2.0, 2.3, 7.5} <= seen
+    # 2.5 is the series of alpha = 3/2; alpha = 1/2 takes no series
+    assert {2.0, 2.3, 2.5, 7.5} <= seen
     for x in sorted(seen):
         assert port(x) == gammaln(x), x
 

@@ -20,7 +20,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .special import MultiOrder, _check_order, _multi_index, as_order, ive, laguerre_function_table
+from .special import (
+    MultiOrder,
+    _check_order,
+    _check_space,
+    _check_time,
+    _multi_index,
+    as_order,
+    ive,
+    laguerre_function_table,
+)
 
 __all__ = [
     "kernel_1d_closed",
@@ -38,22 +47,14 @@ __all__ = [
 
 
 def _check_1d_domain(t, x, y):
-    """t, x and y as float arrays, or ValueError unless every entry is > 0 and x, y are finite.
+    """t, x and y as float arrays, or ValueError unless t lies in (0, inf] and x, y in (0, inf).
 
     t = inf is allowed: the kernel is 0 there, its t -> inf limit.
     """
-    t, x, y = (np.asarray(v, dtype=float) for v in (t, x, y))
-    # written as "not all > 0" so that NaN is refused too
-    if not np.all(t > 0.0):
-        raise ValueError("time must be strictly positive (and not NaN)")
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    t = _check_time(t, strict=True, inf_ok=True)
     _check_space(x, y)
     return t, x, y
-
-
-def _check_space(*coords: np.ndarray) -> None:
-    """ValueError unless every coordinate lies in (0, inf); NaN is refused too."""
-    if not all(np.all((c > 0.0) & (c < math.inf)) for c in coords):
-        raise ValueError("space arguments must be strictly positive and finite")
 
 
 def _time_factors(t):
@@ -357,9 +358,7 @@ def kernel_spectral(order: MultiOrder, t: float, x, y, k_max: int) -> float:
     """
     order = as_order(order)
     (k_max,) = _multi_index(k_max, 1)
-    t = float(t)
-    if not t > 0.0:
-        raise ValueError("time must be strictly positive (and not NaN)")
+    t = float(_check_time(t, strict=True, inf_ok=True))
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if x.size != order.n or y.size != order.n:

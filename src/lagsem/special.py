@@ -49,6 +49,27 @@ def _multi_index(k, n: int) -> tuple[int, ...]:
     return tuple(int(v) for v in entries)
 
 
+def _check_space(*coords) -> None:
+    """The point rule: ValueError unless every coordinate lies in (0, inf); NaN is refused too."""
+    if not all(np.all((c > 0.0) & (c < math.inf)) for c in coords):
+        raise ValueError("space arguments must be strictly positive and finite")
+
+
+def _check_time(t, strict: bool, inf_ok: bool = False) -> np.ndarray:
+    """The time rule: t as a float array, or ValueError unless every entry lies in (0, inf).
+
+    ``strict=False`` admits t = 0 too, and ``inf_ok`` admits t = inf, for
+    the heat kernels, which are 0 there (their t -> inf limit).  NaN is
+    refused either way.  The message names the interval.
+    """
+    t = np.asarray(t, dtype=float)
+    above = t > 0.0 if strict else t >= 0.0
+    if not np.all(above & (t <= math.inf if inf_ok else t < math.inf)):
+        interval = ("(" if strict else "[") + "0, inf" + ("]" if inf_ok else ")")
+        raise ValueError(f"time must lie in {interval}")
+    return t
+
+
 @dataclass(frozen=True)
 class MultiOrder:
     """Vector of Laguerre orders, one component per axis, each >= -1/2.
@@ -527,8 +548,7 @@ def laguerre_function_table(nu: float, x, k_max: int) -> np.ndarray:
     if k_max > MAX_DEGREE:
         raise ValueError(f"degree must lie in [0, {MAX_DEGREE}]")
     x = np.asarray(x, dtype=float)
-    if not np.all(x > 0.0):
-        raise ValueError("evaluation points must be strictly positive (and not NaN)")
+    _check_space(x)
     y = x * x
     outer = np.exp(0.5 * math.log(2.0) + (nu + 0.5) * np.log(x) - 0.5 * y)
     table = np.empty((k_max + 1,) + x.shape, dtype=float)
@@ -555,8 +575,7 @@ def laguerre_function(k, order: MultiOrder, x) -> float:
     xx = np.atleast_1d(np.asarray(x, dtype=float))
     if xx.size != order.n:
         raise ValueError("point dimension does not match order dimension")
-    if np.any(xx <= 0.0):
-        raise ValueError("points must lie in the open positive orthant")
+    # laguerre_function_table applies the point rule to each coordinate
     val = 1.0
     for kj, nuj, xj in zip(kk, order.nu, xx):
         val *= float(laguerre_function_table(nuj, np.asarray(xj), kj)[kj])

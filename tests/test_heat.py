@@ -240,12 +240,12 @@ def test_domain_errors():
 def test_nan_arguments_are_refused_by_name():
     nan = math.nan
     order = MultiOrder((0.5,))
-    with pytest.raises(ValueError, match="time must be strictly positive"):
+    with pytest.raises(ValueError, match=r"time must lie in \(0, inf\]"):
         kernel_spectral(order, nan, 1.0, 1.5, 10)
-    with pytest.raises(ValueError, match="points must be strictly positive"):
+    with pytest.raises(ValueError, match="space arguments must be strictly positive"):
         kernel_spectral(order, 0.5, nan, 1.5, 10)
     for kernel in (kernel_1d_closed, lambda nu, t, x, y: delta_kernel_1d(nu, 2, t, x, y)):
-        with pytest.raises(ValueError, match="time must be strictly positive"):
+        with pytest.raises(ValueError, match=r"time must lie in \(0, inf\]"):
             kernel(0.5, np.array([0.5, nan]), 1.0, 1.5)
         with pytest.raises(ValueError, match="space arguments must be strictly positive"):
             kernel(0.5, 0.5, np.array([1.0, nan]), 1.5)
@@ -264,6 +264,26 @@ def test_infinite_space_arguments_are_refused_by_name(bad):
                     kernel(0.5, 1.0, x, y)
             # t = inf is the t -> inf limit, and the kernel is 0 there
             assert kernel(0.5, math.inf, 1.0, 2.0) == 0.0
+
+
+def test_infinite_points_are_refused_by_name_in_the_spectral_layer():
+    # these used to return NaN after numpy's "invalid value encountered in
+    # subtract" warning; the point rule now refuses them before any arithmetic
+    inf = math.inf
+    order = MultiOrder((0.5,))
+    calls = (
+        lambda: laguerre_function_table(0.5, [inf], 3),
+        lambda: laguerre_function_table(0.5, np.array([1.0, inf]), 3),
+        lambda: laguerre_function((1,), order, (inf,)),
+        lambda: kernel_spectral(order, 0.5, inf, 1.5, 10),
+        lambda: kernel_spectral(order, 0.5, 1.5, inf, 10),
+        lambda: kernel_spectral(MultiOrder((0.5, 1.0)), 0.5, (1.0, inf), (1.5, 1.5), 10),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for call in calls:
+            with pytest.raises(ValueError, match="space arguments must be strictly positive"):
+                call()
 
 
 @pytest.mark.parametrize("nu", [math.inf, math.nan, -0.6])

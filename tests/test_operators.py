@@ -18,7 +18,9 @@ from lagsem import (
     analyze,
     eigenvalue_array,
     gauss_legendre_axis,
+    kernel_1d_closed,
     kernel_nd,
+    kernel_spectral,
     maximal_function,
     riesz_heat_composite_kernel,
     riesz_kernel,
@@ -278,8 +280,42 @@ def test_maximal_refuses_nan_and_infinite_times(bad):
     # refused at the t_grid check, under the time rule's own message, not
     # deep inside kernel_1d_closed
     grid = _grid_1d(nodes_per_unit=16, hi=6.0)
-    with pytest.raises(ValueError, match="time must be finite and positive"):
+    with pytest.raises(ValueError, match=r"time must lie in \(0, inf\)"):
         maximal_function(ORDER, _bump(grid, center=2.0), t_grid=[0.1, bad])
+
+
+def test_time_rule_names_its_interval_in_every_caller():
+    # heat kernels take t in (0, inf] (inf is their t -> inf limit, 0), the
+    # semigroup and the composite Riesz kernel [0, inf), the maximal
+    # function's time grid (0, inf); NaN is refused everywhere
+    grid = _grid_1d(nodes_per_unit=16, hi=6.0)
+    f = _bump(grid, center=2.0)
+    callers = {
+        r"\(0, inf\]": (
+            lambda t: kernel_1d_closed(0.5, t, 1.0, 1.5),
+            lambda t: delta_kernel_1d(0.5, 2, np.array([0.5, t]), 1.0, 1.5),
+            lambda t: kernel_spectral(ORDER, t, 1.0, 1.5, 10),
+        ),
+        r"\[0, inf\)": (
+            lambda t: semigroup_apply(ORDER, f, t),
+            lambda t: riesz_heat_composite_kernel(ORDER, (1,), t, 0.7, 1.5),
+            lambda t: riesz_heat_composite_kernel(ORDER, (1,), np.array([0.1, t]), _X1[:2], _Y1[:2]),
+        ),
+        r"\(0, inf\)": (lambda t: maximal_function(ORDER, f, t_grid=[0.1, t]),),
+    }
+    refused = {
+        r"\(0, inf\]": (0.0, -1.0, math.nan, -math.inf),
+        r"\[0, inf\)": (-1e-300, math.nan, math.inf),
+        r"\(0, inf\)": (0.0, math.nan, math.inf),
+    }
+    for interval, calls in callers.items():
+        for call in calls:
+            for t in refused[interval]:
+                with pytest.raises(ValueError, match=r"^time must lie in " + interval + "$"):
+                    call(t)
+    assert kernel_1d_closed(0.5, math.inf, 1.0, 1.5) == 0.0
+    assert kernel_spectral(ORDER, math.inf, 1.0, 1.5, 10) == 0.0
+    assert riesz_heat_composite_kernel(ORDER, (1,), 0.0, 0.7, 1.5) == riesz_kernel(ORDER, (1,), 0.7, 1.5)
 
 
 def test_square_function_of_zero():
@@ -555,17 +591,106 @@ def test_riesz_time_nodes_stop_at_spectral_gap_cutoff(monkeypatch, t_shift):
 
     times = []
 
-    def spy(order, k, t, x, y):
-        times.append(float(t))
-        return delta_kernel(order, k, t, x, y)
+    def spy(nu, m, t, x, y):
+        times.append(float(np.max(t)))
+        return delta_kernel_1d(nu, m, t, x, y)
 
-    monkeypatch.setattr(operators, "delta_kernel", spy)
+    monkeypatch.setattr(operators, "delta_kernel_1d", spy)
     lam0 = 2.0 * ORDER.total + 2.0 * ORDER.n
     for x, y in ((_X1, _Y1), (_SHORT_X[:1], _SHORT_Y[:1]), (_SHORT_X[1:], _SHORT_Y[1:])):
         times.clear()
         riesz_heat_composite_kernel(ORDER, (1,), t_shift, x, y)
         assert lam0 * (max(times) - t_shift) < 4.0 * 60.0
         assert lam0 * (max(times) - t_shift) > 60.0
+
+
+# Reference copy of the Riesz time integral as it was before it evaluated
+# each axis factor once per distinct coordinate row, on blocks of ladder
+# nodes: one delta_kernel call on every pair per node.  The rows and the
+# blocks may not change a single bit.
+
+
+def _frozen_riesz_time_integral(order, k, x, y, t_shift):
+    from lagsem.grids import _leggauss
+    from lagsem.special import gammaln
+
+    xx = np.asarray(x, dtype=float).reshape(-1, order.n)
+    yy = np.asarray(y, dtype=float).reshape(-1, order.n)
+    d = np.linalg.norm(xx - yy, axis=-1)
+    lam0 = order.degree_eigenvalue(0)
+    bounds = [0.0, max(float(d.min()) / 16.0, 1e-6)]
+    while lam0 * bounds[-1] ** 2 < 60.0:
+        bounds.append(bounds[-1] * 2.0)
+    nodes, weights = _leggauss(16)
+    ladder = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        vs = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
+        ws = 0.5 * (hi - lo) * weights
+        ladder += [(v * v, w * 2.0 * v ** (sum(k) - 1)) for v, w in zip(vs, ws)]
+    total = np.zeros(d.shape)
+    for t, c in ladder:
+        total += c * delta_kernel(order, k, t_shift + t, xx, yy)
+    total *= math.exp(-gammaln(sum(k) / 2.0))
+    return total
+
+
+def _riesz_block_cases():
+    from lagsem.bounds import _grid_riesz_2d
+
+    lat = _grid_riesz_2d(fast=False)
+    order2 = MultiOrder((0.5, 1.0))
+    order3 = MultiOrder((0.5, 1.0, 0.0))
+    rng = np.random.default_rng(7)
+    # per-pair shifts that repeat, on pairs whose rows repeat too
+    xs = np.repeat(_X1, 4)
+    ys = np.tile(_Y1, 4)
+    shifts = rng.choice([0.0, 1e-2, 0.3], size=xs.size)
+    x3 = rng.choice([0.4, 0.9, 1.7], size=(40, 3))
+    y3 = rng.choice([0.5, 1.1, 2.3], size=(40, 3))
+    return {
+        "2d-lattice": (order2, (1, 0), lat["x"], lat["y"], 0.0),
+        "per-pair-shift": (ORDER, (2,), xs, ys, shifts),
+        "one-pair": (ORDER, (1,), np.array([0.7]), np.array([1.0]), 1e-8),
+        "3d": (order3, (1, 0, 1), x3, y3, 0.1),
+    }
+
+
+@pytest.mark.parametrize("case", ["2d-lattice", "per-pair-shift", "one-pair", "3d"])
+def test_riesz_rows_and_node_blocks_keep_every_bit(case):
+    order, k, x, y, t_shift = _riesz_block_cases()[case]
+    want = _frozen_riesz_time_integral(order, k, x, y, t_shift)
+    if np.ndim(t_shift) == 0 and t_shift == 0.0:
+        np.testing.assert_array_equal(riesz_kernel(order, k, x, y), want)
+    np.testing.assert_array_equal(riesz_heat_composite_kernel(order, k, t_shift, x, y), want)
+
+
+def test_riesz_node_blocks_stay_within_their_element_budget(monkeypatch):
+    # a call holds at most _BLOCK (node, row) elements, unless one node
+    # alone has more rows; then it holds that node only
+    from lagsem import operators
+
+    calls = []
+
+    def spy(nu, m, t, x, y):
+        out = delta_kernel_1d(nu, m, t, x, y)
+        calls.append((out.size, np.size(x)))
+        return out
+
+    monkeypatch.setattr(operators, "delta_kernel_1d", spy)
+    pts = np.linspace(0.05, 4.0, 101)
+    xs, ys = np.repeat(pts, pts.size), np.tile(pts, pts.size)
+    keep = xs != ys
+    cases = _riesz_block_cases()
+    cases["1d-wide"] = (ORDER, (1,), xs[keep], ys[keep], 0.0)
+    n_calls = {}
+    for name, (order, k, x, y, t_shift) in cases.items():
+        calls.clear()
+        riesz_heat_composite_kernel(order, k, t_shift, x, y)
+        assert all(size <= max(operators._BLOCK, rows) for size, rows in calls)
+        n_calls[name] = len(calls)
+    # one pair takes its whole ladder in one block; 10,100 rows one node each
+    assert n_calls["one-pair"] == 1
+    assert n_calls["1d-wide"] > 100
 
 
 @pytest.mark.parametrize("t_shift", [0.0, 1e-8])
@@ -639,9 +764,9 @@ def test_composite_kernel_decays_monotonically_in_time():
 
 
 def test_composite_kernel_time_validation():
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match=r"time must lie in \[0, inf\)"):
         riesz_heat_composite_kernel(ORDER, (1,), -1.0, 0.7, 1.5)
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match=r"time must lie in \[0, inf\)"):
         riesz_heat_composite_kernel(ORDER, (1,), np.array([0.1, np.nan, 0.3]), _X1[:3], _Y1[:3])
     # two times cannot broadcast against three pairs
     with pytest.raises(ValueError, match="one time per point pair"):

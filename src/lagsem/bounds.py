@@ -356,8 +356,7 @@ def _partial_time_factor(order: MultiOrder, k: int, j: int):
     """[rho(x)^-k + t^(-k/2)] t^(-(j+n)/2) for |k| partial and |j| annihilation derivatives."""
 
     def time_factor(t, x, y):
-        rx = np.atleast_1d(rho(order, np.reshape(x, (-1, order.n))))
-        return (rx ** (-float(k)) + t ** (-k / 2.0)) * t ** (-(j + order.n) / 2.0)
+        return (rho(order, x) ** (-float(k)) + t ** (-k / 2.0)) * t ** (-(j + order.n) / 2.0)
 
     return time_factor
 

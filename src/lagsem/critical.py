@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import lattice
-from .special import MultiOrder, _check_order, as_order
+from .special import MultiOrder, _check_order, _check_space, _points, as_order
 
 __all__ = [
     "rho",
@@ -31,18 +31,12 @@ MAX_COVERING_CANDIDATES = 1_000_000
 def rho(order: MultiOrder, x):
     """Critical scale (1/16) min{1/|x|, 1, x_j for active axes}.
 
-    x has shape (..., n); returns the matching leading shape.  The
-    constant entry 1 is always part of the minimum, so rho <= 1/16
-    everywhere.
+    x is a point array (``special._points``); returns its leading shape, a
+    float for one point.  The constant entry 1 is always part of the
+    minimum, so rho <= 1/16 everywhere.
     """
     order = as_order(order)
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        x = x[None]
-    if x.shape[-1] != order.n:
-        raise ValueError("point dimension does not match order dimension")
-    if not np.all(x > 0.0):
-        raise ValueError("points must lie in the open positive orthant (and not be NaN)")
+    (x,) = _points(order.n, x)
     norm = np.sqrt(np.sum(x * x, axis=-1))
     entries = [1.0 / norm, np.ones_like(norm)]
     for j in order.active_axes:
@@ -52,18 +46,16 @@ def rho(order: MultiOrder, x):
 
 
 def critical_weight(order: MultiOrder, s, x, y):
-    """Weight W = 1 + s/rho(x) + s/rho(y) at scale s; x, y are (N, n) or, in 1-D, (N,)."""
-    xx = x if np.ndim(x) > 1 else np.asarray(x)[:, None]
-    yy = y if np.ndim(y) > 1 else np.asarray(y)[:, None]
-    return 1.0 + s / np.atleast_1d(rho(order, xx)) + s / np.atleast_1d(rho(order, yy))
+    """Weight 1 + s/rho(x) + s/rho(y) at scale s; x, y are point arrays (``special._points``)."""
+    x, y = _points(as_order(order).n, x, y)
+    return 1.0 + s / rho(order, x) + s / rho(order, y)
 
 
 def rho_axis(nu_j: float, x_j):
     """Per-axis critical scale: min{x, 1/x}/16 for active orders, min{1, 1/x}/16 otherwise."""
     nu_j = _check_order(nu_j)
     x = np.asarray(x_j, dtype=float)
-    if not np.all(x > 0.0):
-        raise ValueError("points must be strictly positive (and not NaN)")
+    _check_space(x)
     first = x if nu_j > -0.5 else np.ones_like(x)
     val = np.minimum(first, 1.0 / x) / 16.0
     return val if val.ndim else float(val)
@@ -98,7 +90,7 @@ def check_slow_variation(
     n = order.n
     # a fixed sampling box, not the suite config's box_lo/box_hi
     xs = np.exp(rng.uniform(math.log(0.05), math.log(10.0), size=(n_pairs, n)))
-    rx = np.atleast_1d(rho(order, xs))
+    rx = rho(order, xs)
     # draw offsets uniformly in the dilated ball, resampling until the
     # companion stays inside the orthant
     ys = np.empty_like(xs)
@@ -113,7 +105,7 @@ def check_slow_variation(
                 break
         else:
             ys[i] = xs[i]
-    ry = np.atleast_1d(rho(order, ys))
+    ry = rho(order, ys)
     ratios = ry / rx
     bad = (ratios < 0.5) | (ratios > 2.0)
     violations = [
@@ -151,7 +143,7 @@ class Ball:
         )
 
     def contains(self, pts) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        (pts,) = _points(self.ndim, pts)
         d = np.linalg.norm(pts - np.asarray(self.center), axis=-1)
         return d < self.radius
 
@@ -173,8 +165,8 @@ class Covering:
     radii: np.ndarray
 
     def bump_values(self, pts) -> np.ndarray:
-        """Normalized partition functions at (M, n) points, shape (n_balls, M)."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        """Normalized partition functions at M points (``special._points``), shape (n_balls, M)."""
+        pts = _points(self.order.n, pts)[0].reshape(-1, self.order.n)
         d = np.linalg.norm(pts[None, :, :] - self.centers[:, None, :], axis=-1)
         u = d / self.radii[:, None]
         raw = _bump_profile(u * u)
@@ -295,7 +287,7 @@ def build_covering(order: MultiOrder, box_lo, box_hi) -> Covering:
             f"(limit {MAX_COVERING_CANDIDATES}); use a smaller box"
         )
     candidates = lattice(*axes)
-    lattice_rho = np.atleast_1d(rho(order, candidates))
+    lattice_rho = rho(order, candidates)
 
     # sweep the lattice row by row (the last axis varies fastest).  A row is
     # checked at once against the balls accepted in earlier rows, then

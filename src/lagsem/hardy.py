@@ -20,7 +20,7 @@ import numpy as np
 from .critical import Ball, rho
 from .grids import Grid, GridFunction, gauss_legendre_axis, lattice
 from .operators import _check_grids, default_time_ladder, maximal_function
-from .special import MultiOrder, as_order
+from .special import MultiOrder, _points, as_order
 
 __all__ = [
     "Atom",
@@ -59,7 +59,7 @@ def ball_grid(ball: Ball, nodes_per_axis: int = 48) -> Grid:
     for c in ball.center:
         lo = c - ball.radius
         if lo <= 0.0:
-            raise ValueError("ball must lie inside the open positive orthant")
+            raise ValueError("ball must lie inside the orthant: center - radius > 0 on every axis")
         axes.append(gauss_legendre_axis(lo, c + ball.radius, min_nodes=nodes_per_axis))
     return Grid(tuple(axes))
 
@@ -91,8 +91,9 @@ class PolynomialFit:
     coeffs: np.ndarray
     cond: float
 
-    def evaluate(self, pts: np.ndarray) -> np.ndarray:
-        return self.coeffs @ _monomial_values(self.ball, self.betas, np.atleast_2d(pts))
+    def evaluate(self, pts) -> np.ndarray:
+        pts = _points(self.ball.ndim, pts)[0].reshape(-1, self.ball.ndim)
+        return self.coeffs @ _monomial_values(self.ball, self.betas, pts)
 
 
 def minimizing_polynomial(
@@ -150,7 +151,7 @@ def check_atom(atom: Atom) -> dict:
     outside_max = float(np.max(np.abs(vals) * (~inside))) if np.any(~inside) else 0.0
     support_ok = outside_max <= 1e-12 * max(sup, 1.0)
 
-    critical = float(rho(order, np.asarray(ball.center)[None, :])[0])
+    critical = rho(order, ball.center)
     radius_exceeds_critical = ball.radius > critical
 
     moments = {}
@@ -201,7 +202,7 @@ def random_atom(
     rng = np.random.default_rng(seed)
     for _ in range(10):  # a degenerate draw is retried
         center = rng.uniform(0.5, 2.5, size=order.n)
-        critical = float(rho(order, center[None, :])[0])
+        critical = rho(order, center)
         radius = critical * math.exp(rng.uniform(math.log(1.0 / 8.0), 0.0)) * 0.999
         ball = Ball(tuple(center), radius)
         grid = ball_grid(ball, nodes_per_axis)
@@ -320,7 +321,7 @@ def bmo_norm(
     size_sup = 0.0
     n_balls = 0
     for center in centers:
-        crit = float(rho(order, center[None, :])[0])
+        crit = rho(order, center)
         for factor in radius_factors:
             r = factor * crit
             if np.any(center - r <= 0.0):

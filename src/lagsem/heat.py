@@ -26,6 +26,7 @@ from .special import (
     _check_space,
     _check_time,
     _multi_index,
+    _points,
     as_order,
     ive,
     laguerre_function_table,
@@ -170,14 +171,11 @@ def kernel_1d_raw(nu: float, t, x, y):
 def axis_product(order: MultiOrder, x, y, factor):
     """Product over axes j of factor(j, x[..., j], y[..., j]).
 
-    x and y have shape (..., n).  The factors are multiplied in axis
-    order, f_0 * f_1 * ... * f_(n-1), so every n-D kernel built from 1-D
-    kernels rounds the same way.
+    x, y are point arrays (``special._points``); the value has their broadcast
+    leading shape.  Factors multiply in axis order, f_0 * f_1 * ... * f_(n-1),
+    so every n-D kernel built from 1-D kernels rounds the same way.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape[-1:] != (order.n,) or y.shape[-1:] != (order.n,):
-        raise ValueError("point dimension does not match order dimension")
+    x, y = _points(order.n, x, y)
     val = factor(0, x[..., 0], y[..., 0])
     for j in range(1, order.n):
         val = val * factor(j, x[..., j], y[..., j])
@@ -185,7 +183,7 @@ def axis_product(order: MultiOrder, x, y, factor):
 
 
 def kernel_nd(order: MultiOrder, t, x, y):
-    """Product kernel on the positive orthant; x, y have shape (..., n)."""
+    """Product kernel on the positive orthant; x, y are point arrays (``special._points``)."""
     order = as_order(order)
     return axis_product(order, x, y, lambda j, xj, yj: kernel_1d_closed(order.nu[j], t, xj, yj))
 
@@ -338,7 +336,7 @@ def delta_kernel(order: MultiOrder, m, t, x, y):
     """Mixed annihilation derivative of the product kernel.
 
     m is a multi-index; axis j receives m_j annihilation derivatives in
-    the x_j variable.  x, y have shape (..., n).
+    the x_j variable.  x, y are point arrays, as in ``axis_product``.
     """
     order = as_order(order)
     m = order.index(m)
@@ -359,10 +357,9 @@ def kernel_spectral(order: MultiOrder, t: float, x, y, k_max: int) -> float:
     order = as_order(order)
     (k_max,) = _multi_index(k_max, 1)
     t = float(_check_time(t, strict=True, inf_ok=True))
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
+    x, y = _points(order.n, x, y)
     if x.size != order.n or y.size != order.n:
-        raise ValueError("point dimension does not match order dimension")
+        raise ValueError("kernel_spectral takes one point pair")
 
     base = math.exp(-t * order.degree_eigenvalue(0))
     q = math.exp(-4.0 * t)
@@ -370,8 +367,8 @@ def kernel_spectral(order: MultiOrder, t: float, x, y, k_max: int) -> float:
     terms = 1.0
     degree = 0
     for j, nuj in enumerate(order.nu):
-        tab_x = laguerre_function_table(nuj, np.asarray(x[j]), k_max)
-        tab_y = laguerre_function_table(nuj, np.asarray(y[j]), k_max)
+        tab_x = laguerre_function_table(nuj, x.flat[j], k_max)
+        tab_y = laguerre_function_table(nuj, y.flat[j], k_max)
         terms = np.multiply.outer(terms, tab_x * tab_y * q ** np.arange(k_max + 1))
         degree = np.add.outer(degree, np.arange(k_max + 1))
     # shell sums by total degree first, as terms of one degree have similar size

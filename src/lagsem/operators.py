@@ -21,8 +21,8 @@ from .grids import Grid, GridFunction, _leggauss, cross_pairs
 from .heat import delta_kernel_1d, kernel_1d_closed
 from .special import (
     MultiOrder,
-    _check_space,
     _check_time,
+    _points,
     as_order,
     gammaln,
     laguerre_function_table,
@@ -93,25 +93,28 @@ def _check_grids(order: MultiOrder, *grids: Grid) -> None:
         raise ValueError("grid dimension does not match the order")
 
 
+def _per_axis(mats, arr: np.ndarray) -> np.ndarray:
+    """arr with axis j contracted against the second axis of mats[j], for every j."""
+    for ax, mat in enumerate(mats):
+        # contracted axes stack in front, so original axis `ax` stays at `ax`
+        arr = np.tensordot(mat, arr, axes=(1, ax))
+    return arr.transpose(tuple(reversed(range(arr.ndim))))
+
+
 def analyze(order: MultiOrder, f: GridFunction, k_max: int = DEFAULT_KMAX) -> SpectralCoefficients:
     """Expansion coefficients <f, phi_k> for all multi-indices up to k_max."""
     order = as_order(order)
     _check_grids(order, f.grid)
     arr = f.values * f.grid.weights_nd()
-    for ax, table in enumerate(_tables(order, f.grid, k_max)):
-        # contracted axes stack in front, so original axis `ax` stays at `ax`
-        arr = np.tensordot(table, arr, axes=(1, ax))
-    return SpectralCoefficients(order, arr.transpose(tuple(reversed(range(order.n)))))
+    return SpectralCoefficients(order, _per_axis(_tables(order, f.grid, k_max), arr))
 
 
 def synthesize(coeffs: SpectralCoefficients, grid: Grid) -> GridFunction:
     """Evaluate sum_k c_k phi_k on a quadrature grid."""
     order = coeffs.order
     _check_grids(order, grid)
-    arr = coeffs.coeffs
-    for table in _tables(order, grid, coeffs.k_max):
-        arr = np.tensordot(arr, table, axes=(0, 0))
-    return GridFunction(grid, arr)
+    tables = _tables(order, grid, coeffs.k_max)
+    return GridFunction(grid, _per_axis([table.T for table in tables], coeffs.coeffs))
 
 
 def _kernel_apply(order: MultiOrder, t: float, f: GridFunction, target: Grid) -> np.ndarray:
@@ -121,13 +124,11 @@ def _kernel_apply(order: MultiOrder, t: float, f: GridFunction, target: Grid) ->
     one (target nodes) x (source nodes) matrix per axis.
     """
     _check_grids(order, f.grid, target)
-    arr = f.values * f.grid.weights_nd()
-    for nu_j, ev, src in zip(order.nu, target.axes, f.grid.axes):
-        kmat = kernel_1d_closed(nu_j, t, ev.nodes[:, None], src.nodes[None, :])
-        # contracting the leading axis and appending the new one cycles
-        # the axes back into order after n steps
-        arr = np.tensordot(arr, kmat, axes=(0, 1))
-    return arr
+    kmats = [
+        kernel_1d_closed(nu_j, t, ev.nodes[:, None], src.nodes[None, :])
+        for nu_j, ev, src in zip(order.nu, target.axes, f.grid.axes)
+    ]
+    return _per_axis(kmats, f.values * f.grid.weights_nd())
 
 
 def semigroup_apply(
@@ -323,19 +324,10 @@ def riesz_spectral(
 
 
 def _pair_arrays(order: MultiOrder, x, y):
-    """Point pairs as (N, n) arrays, their distances, and whether x was one point."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    for a in (x, y):
-        # 1-D orders also take scalars and flat coordinate lists
-        if not ((a.ndim >= 1 and a.shape[-1] == order.n) or (order.n == 1 and a.ndim <= 1)):
-            raise ValueError("point dimension does not match order dimension")
-    # an infinite coordinate would turn the Riesz v-ladder into NaN
-    _check_space(x, y)
-    scalar = x.ndim == 0 or (order.n > 1 and x.ndim == 1)
-    xx = np.atleast_1d(x).reshape(-1, order.n)
-    yy = np.atleast_1d(y).reshape(-1, order.n)
-    return xx, yy, np.linalg.norm(xx - yy, axis=-1), scalar
+    """Point pairs as (N, n) rows, their distances, and the pairs' broadcast leading shape."""
+    x, y = np.broadcast_arrays(*_points(order.n, x, y))
+    xx, yy = x.reshape(-1, order.n), y.reshape(-1, order.n)
+    return xx, yy, np.linalg.norm(xx - yy, axis=-1), x.shape[:-1]
 
 
 _GAP_CUTOFF = 60.0
@@ -366,7 +358,7 @@ def _distinct_rows(cols):
 def _riesz_time_integral(order: MultiOrder, k, x, y, t_shift=0.0):
     """(1/Gamma(|k|/2)) int_0^inf t^(|k|/2 - 1) delta^k p_(t + shift) dt.
 
-    The shift is a scalar or broadcasts against the pairs.  The
+    The shift is a scalar or broadcasts against the pairs' leading shape.  The
     substitution t = v^2 makes the integrand smooth through t = 0 for
     off-diagonal pairs, and geometric panels in v resolve every pair scale
     at once.  They run from d_min/16 to the cutoff lam0 t >= 60, with
@@ -386,15 +378,15 @@ def _riesz_time_integral(order: MultiOrder, k, x, y, t_shift=0.0):
     sum is the same bit for bit.  (A block's ``ive`` batch spans several
     nodes; its batch-wide stops leave every bit as a full sum would.)
     """
-    xx, yy, d, scalar = _pair_arrays(order, x, y)
+    xx, yy, d, shape = _pair_arrays(order, x, y)
     if np.any(d < 1e-9):
         raise ValueError("the kernel is singular on the diagonal; x and y must differ")
     try:
-        shift = np.broadcast_to(t_shift, d.shape) if np.ndim(t_shift) else None
+        shift = np.broadcast_to(t_shift, shape or (1,)).ravel() if np.ndim(t_shift) else None
     except ValueError:
         raise ValueError("time must be a scalar or one time per point pair") from None
     if d.size == 0:
-        return np.zeros(d.shape)
+        return np.zeros(shape)
     lam0 = order.degree_eigenvalue(0)
     bounds = [0.0, max(float(d.min()) / 16.0, 1e-6)]
     while lam0 * bounds[-1] ** 2 < _GAP_CUTOFF:
@@ -428,11 +420,11 @@ def _riesz_time_integral(order: MultiOrder, k, x, y, t_shift=0.0):
                 val = val * factors[j][i][pair_row[j]]
             total += c * val
     total *= math.exp(-gammaln(sum(k) / 2.0))
-    return float(total[0]) if scalar else total
+    return total.reshape(shape) if shape else float(total[0])
 
 
 def riesz_kernel(order: MultiOrder, k, x, y):
-    """Off-diagonal kernel of the Riesz transform delta^k L^(-|k|/2)."""
+    """Off-diagonal Riesz kernel of delta^k L^(-|k|/2) over broadcast point arrays x, y."""
     order = as_order(order)
     k = _check_riesz_index(order, k)
     return _riesz_time_integral(order, k, x, y, t_shift=0.0)

@@ -50,9 +50,32 @@ def _multi_index(k, n: int) -> tuple[int, ...]:
 
 
 def _check_space(*coords) -> None:
-    """The point rule: ValueError unless every coordinate lies in (0, inf); NaN is refused too."""
-    if not all(np.all((c > 0.0) & (c < math.inf)) for c in coords):
+    """The coordinate rule: ValueError unless every coordinate lies in (0, inf); NaN fails both."""
+    if not all(c.size == 0 or (c.min() > 0.0 and c.max() < math.inf) for c in coords):
         raise ValueError("space arguments must be strictly positive and finite")
+
+
+def _points(n: int, *arrays) -> tuple[np.ndarray, ...]:
+    """The point-array rule: each array as floats of shape (..., n), or ValueError.
+
+    In 1-D a scalar or a (1,) array is one point and a flat array lists
+    coordinates.  Coordinates pass ``_check_space``; leading shapes broadcast.
+    """
+    out = []
+    for a in arrays:
+        a = np.asarray(a, dtype=float)
+        if n == 1 and a.ndim <= 1:
+            a = a.reshape((1,) if a.size == 1 else (-1, 1))
+        if a.shape[-1:] != (n,):
+            raise ValueError("point dimension does not match order dimension")
+        out.append(a)
+    _check_space(*out)
+    try:
+        if len({a.shape for a in out}) > 1:
+            np.broadcast_shapes(*(a.shape[:-1] for a in out))
+    except ValueError:
+        raise ValueError("point counts differ: leading shapes do not broadcast") from None
+    return tuple(out)
 
 
 def _check_time(t, strict: bool, inf_ok: bool = False) -> np.ndarray:
@@ -564,19 +587,15 @@ def laguerre_function_table(nu: float, x, k_max: int) -> np.ndarray:
     return table
 
 
-def laguerre_function(k, order: MultiOrder, x) -> float:
-    """Normalized eigenfunction phi_k at a point of the positive orthant.
+def laguerre_function(k, order: MultiOrder, x):
+    """Normalized eigenfunction phi_k at the point array x (``_points``), a float for one point.
 
-    k is a multi-index with one entry per axis; the value is the product
-    of the 1-D normalized Laguerre functions.
+    k has one entry per axis; the value is the product of the 1-D normalized Laguerre functions.
     """
     order = as_order(order)
     kk = order.index(k)
-    xx = np.atleast_1d(np.asarray(x, dtype=float))
-    if xx.size != order.n:
-        raise ValueError("point dimension does not match order dimension")
-    # laguerre_function_table applies the point rule to each coordinate
+    (x,) = _points(order.n, x)
     val = 1.0
-    for kj, nuj, xj in zip(kk, order.nu, xx):
-        val *= float(laguerre_function_table(nuj, np.asarray(xj), kj)[kj])
-    return val
+    for j, (kj, nuj) in enumerate(zip(kk, order.nu)):
+        val = val * laguerre_function_table(nuj, x[..., j], kj)[kj]
+    return val if np.ndim(val) else float(val)

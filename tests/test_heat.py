@@ -249,7 +249,7 @@ def test_nan_arguments_are_refused_by_name():
             kernel(0.5, np.array([0.5, nan]), 1.0, 1.5)
         with pytest.raises(ValueError, match="space arguments must be strictly positive"):
             kernel(0.5, 0.5, np.array([1.0, nan]), 1.5)
-    with pytest.raises(ValueError, match="open positive orthant"):
+    with pytest.raises(ValueError, match="space arguments must be strictly positive and finite"):
         rho(order, np.array([[1.0], [nan]]))
 
 

@@ -5,6 +5,7 @@ exact Fraction arithmetic; the formulas used are quoted next to each value.
 """
 
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
@@ -15,15 +16,27 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from lagsem import (
+    Ball,
     Grid,
+    GridFunction,
     MultiOrder,
+    build_covering,
+    delta_kernel,
     ive,
+    kernel_nd,
     kernel_spectral,
     laguerre_function,
     laguerre_function_table,
     laguerre_polynomial,
+    minimizing_polynomial,
+    rho,
+    rho_axis,
+    riesz_heat_composite_kernel,
+    riesz_kernel,
     special,
 )
+from lagsem.critical import critical_weight
+from lagsem.hardy import ball_grid
 
 mp.mp.dps = 40
 
@@ -494,3 +507,132 @@ def test_multi_order_rejects_bad_components():
         MultiOrder((-0.6,))
     with pytest.raises(ValueError):
         MultiOrder(())
+
+
+# ---------------------------------------------------------------------------
+# the point-array rule, special._points
+
+_O2 = MultiOrder((0.5, 1.0))
+
+# every function that takes points, on a 2-D order; rho_axis takes one
+# axis of x, and kernel_spectral one pair
+_POINT_CALLS = {
+    "rho": lambda x, y: rho(_O2, x),
+    "rho_axis": lambda x, y: rho_axis(0.5, np.ravel(x)),
+    "critical_weight": lambda x, y: critical_weight(_O2, 0.1, x, y),
+    "kernel_nd": lambda x, y: kernel_nd(_O2, 0.5, x, y),
+    "delta_kernel": lambda x, y: delta_kernel(_O2, (1, 0), 0.5, x, y),
+    "riesz_kernel": lambda x, y: riesz_kernel(_O2, (1, 0), x, y),
+    "riesz_heat_composite_kernel": (
+        lambda x, y: riesz_heat_composite_kernel(_O2, (1, 0), 0.1, x, y)
+    ),
+    "kernel_spectral": lambda x, y: kernel_spectral(_O2, 0.5, x, y, 10),
+    "laguerre_function": lambda x, y: laguerre_function((1, 2), _O2, x),
+    "Ball.contains": lambda x, y: Ball((1.0, 1.0), 0.5).contains(x),
+}
+
+_SPACE = "space arguments must be strictly positive and finite"
+_BAD_POINTS = {
+    "inf": ([[1.0, math.inf]], [[1.5, 2.0]], _SPACE),
+    "-inf": ([[-math.inf, 1.0]], [[1.5, 2.0]], _SPACE),
+    "nan": ([[1.0, math.nan]], [[1.5, 2.0]], _SPACE),
+    "dimension": (
+        [[1.0, 1.5, 2.0]], [[1.5, 2.0, 2.5]], "point dimension does not match order dimension"
+    ),
+    "count": (np.ones((3, 2)), 2.0 * np.ones((4, 2)), "point counts differ"),
+}
+# rho_axis has no dimension, and rho, rho_axis, laguerre_function and
+# Ball.contains take one array
+_NOT_APPLICABLE = {
+    ("rho_axis", "dimension"),
+    ("rho_axis", "count"),
+    ("rho", "count"),
+    ("laguerre_function", "count"),
+    ("Ball.contains", "count"),
+}
+
+
+@pytest.mark.parametrize(
+    "name,case",
+    [(n, c) for n in _POINT_CALLS for c in _BAD_POINTS if (n, c) not in _NOT_APPLICABLE],
+)
+def test_point_rule_refuses_bad_points_by_name_in_every_caller(name, case):
+    x, y, message = _BAD_POINTS[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            _POINT_CALLS[name](np.asarray(x), np.asarray(y))
+
+
+def test_point_rule_reads_1d_scalars_flat_arrays_and_rows_alike():
+    o1 = MultiOrder((0.5,))
+    xs, ys = np.array([0.5, 1.0, 2.0]), np.array([1.0, 1.7, 0.6])
+    calls = {
+        "kernel_nd": lambda x, y: kernel_nd(o1, 0.5, x, y),
+        "delta_kernel": lambda x, y: delta_kernel(o1, (2,), 0.5, x, y),
+        "riesz_kernel": lambda x, y: riesz_kernel(o1, (1,), x, y),
+        "rho": lambda x, y: rho(o1, x),
+        "critical_weight": lambda x, y: critical_weight(o1, 0.3, x, y),
+    }
+    for name, call in calls.items():
+        flat = call(xs, ys)
+        assert flat.shape == (3,), name
+        np.testing.assert_array_equal(call(xs[:, None], ys[:, None]), flat, err_msg=name)
+        scalars = [call(x, y) for x, y in zip(xs, ys)]
+        assert all(type(v) is float for v in scalars), name
+        # the Riesz ladder starts at the batch's smallest distance, so one
+        # pair alone takes other nodes
+        np.testing.assert_allclose(scalars, flat, rtol=1e-12, atol=0.0, err_msg=name)
+        # a one-element flat array is one point, as a scalar is
+        assert call(xs[:1], ys[:1]) == scalars[0], name
+
+
+def test_critical_weight_takes_one_point_of_an_n_d_order():
+    x, y = np.array([1.0, 1.0]), np.array([1.5, 0.5])
+    want = critical_weight(_O2, 0.1, x[None], y[None])
+    assert want.shape == (1,)
+    assert critical_weight(_O2, 0.1, x, y) == want[0]
+
+
+def test_riesz_kernel_keeps_the_leading_shape_of_its_points():
+    rng = np.random.default_rng(3)
+    x = rng.uniform(0.5, 2.0, size=(3, 4, 2))
+    y = x + 0.25
+    got = riesz_kernel(_O2, (1, 0), x, y)
+    assert got.shape == (3, 4)
+    flat = riesz_kernel(_O2, (1, 0), x.reshape(-1, 2), y.reshape(-1, 2))
+    np.testing.assert_array_equal(got, flat.reshape(3, 4))
+    # a per-pair time broadcasts against the same leading shape
+    t = rng.uniform(0.05, 0.5, size=(3, 4))
+    got = riesz_heat_composite_kernel(_O2, (1, 0), t, x, y)
+    flat = riesz_heat_composite_kernel(_O2, (1, 0), t.ravel(), x.reshape(-1, 2), y.reshape(-1, 2))
+    np.testing.assert_array_equal(got, flat.reshape(3, 4))
+    rows = riesz_heat_composite_kernel(_O2, (1, 0), t[0], x, y)
+    np.testing.assert_array_equal(rows[0], got[0])
+    with pytest.raises(ValueError, match="one time per point pair"):
+        riesz_heat_composite_kernel(_O2, (1, 0), t.ravel(), x, y)
+
+
+def test_one_point_as_a_row_is_that_point():
+    x, y = np.array([1.0, 2.0]), np.array([1.2, 1.5])
+    row = laguerre_function((1, 2), _O2, x[None])
+    assert row.shape == (1,) and row[0] == laguerre_function((1, 2), _O2, x)
+    want = kernel_spectral(_O2, 0.5, x, y, 10)
+    assert kernel_spectral(_O2, 0.5, x[None], y[None], 10) == want
+    with pytest.raises(ValueError, match="one point pair"):
+        kernel_spectral(_O2, 0.5, np.stack([x, y]), y, 10)
+
+
+def test_balls_coverings_and_fits_read_1d_flat_arrays_as_points():
+    o1 = MultiOrder((0.5,))
+    xs = np.array([0.8, 1.2, 1.5])
+    ball = Ball((1.0,), 0.4)
+    np.testing.assert_array_equal(ball.contains(xs), [True, True, False])
+    np.testing.assert_array_equal(ball.contains(xs[:, None]), [True, True, False])
+    cov = build_covering(o1, 0.4, 1.6)
+    np.testing.assert_array_equal(cov.bump_values(xs), cov.bump_values(xs[:, None]))
+    assert cov.bump_values(xs).shape == (len(cov.radii), 3)
+    grid = ball_grid(ball)
+    fit = minimizing_polynomial(GridFunction(grid, grid.points().ravel() ** 2), ball, degree=2)
+    np.testing.assert_array_equal(fit.evaluate(xs), fit.evaluate(xs[:, None]))
+    np.testing.assert_allclose(fit.evaluate(xs), xs**2, rtol=1e-10)

@@ -174,9 +174,10 @@ def compare_checkouts(bench_file: str, argv=None) -> int:
     """Run the benchmarks of ``bench_file`` on two checkouts and write both.
 
     The parent's ``src`` and this checkout's alternate ``ROUNDS`` times,
-    and each benchmark's row holds its median over the rounds' medians
-    and its work count (the ``pairs``, ``elements`` or ``samples`` entry of
-    ``extra_info``) per second.
+    and each benchmark's row holds its median over the rounds' medians,
+    its work count (the ``pairs``, ``elements``, ``samples`` or ``points``
+    entry of ``extra_info``) per second, and the median over the rounds of
+    every other ``extra_info`` entry.
     """
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     parser = argparse.ArgumentParser(description="compare the layer benchmarks of two checkouts")
@@ -199,10 +200,12 @@ def compare_checkouts(bench_file: str, argv=None) -> int:
         for side in sides:
             vals = sorted(m for m, _ in medians[side][name])
             extra = medians[side][name][0][1]
-            unit = next(u for u in ("pairs", "elements", "samples") if u in extra)
+            unit = next(u for u in ("pairs", "elements", "samples", "points") if u in extra)
             med = float(np.median(vals))
             row[side] = {"median_s": med, "round_medians_s": vals, unit: extra[unit],
                          f"{unit}_per_s": extra[unit] / med}
+            for key in sorted(extra.keys() - {unit}):
+                row[side][key] = float(np.median([e[key] for _, e in medians[side][name]]))
         row["change_over_parent"] = row["change"]["median_s"] / row["parent"]["median_s"]
         rows.append(row)
     with open(args.out, "w", encoding="utf-8") as fh:

@@ -1,0 +1,123 @@
+"""Layer benchmarks of the grid operators (pytest-benchmark).
+
+Times, on the three grids of the ``grid-operators`` perfbench workload
+(384 nodes for order 1/2, 24 x 24 for (1/2, 1), 8 x 8 x 8 for
+(1/2, 1, 0), each a Gauss-Legendre box from 0):
+
+- ``semigroup_apply`` at t = 1/2, by kernel and by spectral multiplier;
+- ``maximal_function`` on a geometric ladder of 16, 6 and 4 times from
+  twice the node spacing to 30;
+- ``square_function`` with its default levels and cut-off;
+- ``hardy_norm_maximal`` of one 1-D atom at p = 0.9, with the atom
+  defaults (40 times, a 96-node evaluation grid).
+
+Each benchmark records its output grid points in ``extra_info`` as its
+work count, and the minor page faults of one call, averaged over
+``FAULT_CALLS`` calls after a warm-up call, as ``minor_faults_per_call``.
+The lagsem imports sit inside the fixtures and benchmarks, so the module
+also runs as a script without lagsem on the path.  The file is outside
+the Tier-1 ``testpaths``; run it with
+
+    python3 -m pytest benchmarks/bench_operators.py
+
+or compare two checkouts and write a JSON table of both:
+
+    python3 benchmarks/bench_operators.py --parent-src ../parent/src --out layers.json
+
+which alternates the parent's ``src`` and this checkout's
+``bench_bessel.ROUNDS`` times, as ``benchmarks/bench_bessel.py`` does.
+``BENCH_15.json`` holds such a table.
+"""
+
+from __future__ import annotations
+
+import resource
+
+import numpy as np
+import pytest
+
+from bench_bessel import compare_checkouts
+
+# calls per page-fault count
+FAULT_CALLS = 5
+T = 0.5
+# (id, order, axis hi, nodes per unit, maximal-function ladder steps)
+GRIDS = (
+    ("d1", (0.5,), 12.0, 32, 16),
+    ("d2", (0.5, 1.0), 6.0, 4, 6),
+    ("d3", (0.5, 1.0, 0.0), 4.0, 2, 4),
+)
+GRID_IDS = [g[0] for g in GRIDS]
+
+
+def _minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def _record(benchmark, fn, points: int):
+    """Benchmark ``fn`` after counting its minor page faults per call."""
+    fn()
+    before = _minor_faults()
+    for _ in range(FAULT_CALLS):
+        fn()
+    benchmark.extra_info["points"] = points
+    benchmark.extra_info["minor_faults_per_call"] = (_minor_faults() - before) / FAULT_CALLS
+    benchmark(fn)
+
+
+@pytest.fixture(scope="module")
+def grids():
+    """Per grid id: the order, a bump function on the grid and the time ladder."""
+    from lagsem import Grid, GridFunction, MultiOrder, gauss_legendre_axis
+
+    out = {}
+    for name, nu, hi, per_unit, steps in GRIDS:
+        order = MultiOrder(nu)
+        axis = gauss_legendre_axis(0.0, hi, nodes_per_unit=per_unit, min_nodes=per_unit)
+        grid = Grid((axis,) * order.n)
+        pts = grid.points()
+        vals = np.exp(-np.sum((pts - 1.5) ** 2, axis=-1) / 0.5)
+        for j, nu_j in enumerate(nu):
+            vals *= pts[:, j] ** (nu_j + 0.5)
+        h = float(np.diff(axis.nodes).max())
+        ladder = np.geomspace(2.0 * h, 30.0, steps)
+        out[name] = (order, GridFunction(grid, vals.reshape(grid.shape)), ladder)
+    return out
+
+
+@pytest.mark.parametrize("method", ["kernel", "spectral"])
+@pytest.mark.parametrize("dim", GRID_IDS)
+def test_semigroup_apply(benchmark, grids, dim, method):
+    from lagsem import semigroup_apply
+
+    order, f, _ = grids[dim]
+    _record(benchmark, lambda: semigroup_apply(order, f, T, method=method), f.values.size)
+
+
+@pytest.mark.parametrize("dim", GRID_IDS)
+def test_maximal_function(benchmark, grids, dim):
+    from lagsem import maximal_function
+
+    order, f, ladder = grids[dim]
+    _record(benchmark, lambda: maximal_function(order, f, t_grid=ladder), f.values.size)
+
+
+@pytest.mark.parametrize("dim", GRID_IDS)
+def test_square_function(benchmark, grids, dim):
+    from lagsem import square_function
+
+    order, f, _ = grids[dim]
+    _record(benchmark, lambda: square_function(order, f), f.values.size)
+
+
+def test_hardy_norm_maximal_atom(benchmark, grids):
+    from lagsem import hardy_norm_maximal, random_atom
+
+    order = grids["d1"][0]
+    # radius 0.0086: a 96-node evaluation grid against the atom's 48 nodes
+    atom = random_atom(order, 0.9, seed=3)
+    _record(benchmark, lambda: hardy_norm_maximal(order, atom, 0.9), 96)
+
+
+if __name__ == "__main__":
+    raise SystemExit(compare_checkouts(__file__))

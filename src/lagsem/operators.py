@@ -117,18 +117,41 @@ def synthesize(coeffs: SpectralCoefficients, grid: Grid) -> GridFunction:
     return GridFunction(grid, _per_axis([table.T for table in tables], coeffs.coeffs))
 
 
-def _kernel_apply(order: MultiOrder, t: float, f: GridFunction, target: Grid) -> np.ndarray:
-    """Integrate the product kernel against f at the nodes of ``target``.
+# Elements per 1-D kernel call of either ladder: (time, target node, source
+# node) for the kernel matrices of the semigroup and the maximal function,
+# (node, row) for the Riesz time integral.  128 KB per temporary: freed
+# temporaries the size of a whole matrix (1.2 MB at 384 x 384) go back to
+# the system and are faulted in again at the next time of the ladder.
+_BLOCK = 2**14
 
-    The kernel is a product of 1-D kernels, so the integral factors into
-    one (target nodes) x (source nodes) matrix per axis.
+
+def _kernel_matrices(order: MultiOrder, times: np.ndarray, source: Grid, target: Grid):
+    """Per-axis kernel matrices at each of ``times``, one list per time.
+
+    The kernel is a product of 1-D kernels, so its integral against a grid
+    function factors into one (target nodes) x (source nodes) matrix per
+    axis.  Each axis has one buffer of as many times as fit in ``_BLOCK``
+    elements (at least one), and the yielded matrices are views into it,
+    valid until the next time is drawn.  A buffer is filled by
+    ``kernel_1d_closed`` calls on (times, target rows, source nodes)
+    tiles, at most ``_BLOCK`` elements per call unless one row alone has
+    more.  Every element sees the same (t, x, y) as a call per time on the
+    whole matrix, so every matrix is the same bit for bit.
     """
-    _check_grids(order, f.grid, target)
-    kmats = [
-        kernel_1d_closed(nu_j, t, ev.nodes[:, None], src.nodes[None, :])
-        for nu_j, ev, src in zip(order.nu, target.axes, f.grid.axes)
-    ]
-    return _per_axis(kmats, f.values * f.grid.weights_nd())
+    _check_grids(order, source, target)
+    sizes = list(zip(target.shape, source.shape))
+    per_block = min(len(times), max(1, _BLOCK // max(m * k for m, k in sizes)))
+    bufs = [np.empty((per_block, m, k)) for m, k in sizes]
+    for start in range(0, len(times), per_block):
+        t_block = times[start : start + per_block, None, None]
+        for nu, ev, src, buf in zip(order.nu, target.axes, source.axes, bufs):
+            # a block of several times fits one call; one time may need row tiles
+            step = max(1, _BLOCK // (t_block.size * src.nodes.size))
+            for lo in range(0, ev.nodes.size, step):
+                x = ev.nodes[lo : lo + step, None]
+                buf[: t_block.size, lo : lo + step] = kernel_1d_closed(nu, t_block, x, src.nodes)
+        for i in range(t_block.size):
+            yield [buf[i] for buf in bufs]
 
 
 def semigroup_apply(
@@ -147,7 +170,10 @@ def semigroup_apply(
     (numerically) supported inside the box.
     """
     order = as_order(order)
-    _check_time(t, strict=False)
+    t = _check_time(t, strict=False)
+    if t.size != 1:
+        raise ValueError("semigroup_apply takes one time")
+    t = t.item()
     target = eval_grid if eval_grid is not None else f.grid
     if method == "spectral":
         coeffs = analyze(order, f, k_max)
@@ -156,7 +182,8 @@ def semigroup_apply(
     if method == "kernel":
         if t == 0.0:
             raise ValueError("the kernel route needs t > 0")
-        return GridFunction(target, _kernel_apply(order, t, f, target))
+        (mats,) = _kernel_matrices(order, np.array([t]), f.grid, target)
+        return GridFunction(target, _per_axis(mats, f.values * f.grid.weights_nd()))
     raise ValueError("method must be 'spectral' or 'kernel'")
 
 
@@ -174,20 +201,25 @@ def maximal_function(
 ) -> GridFunction:
     """Vertical maximal function sup_t |e^(-t^2 L) f| on a time grid.
 
-    Uses the closed-form kernel, so it stays accurate for data that lives
-    far below the spectral cutoff scale.  Kernels narrower than the node
-    spacing of the source grid cannot be integrated accurately, so the
-    default time ladder starts at twice the coarsest spacing; the small-t
-    endpoint then recovers |f| up to O(spacing^2) damping.
+    ``t_grid`` is one time or a 1-D array of at least one; it defaults to
+    ``default_time_ladder(f.grid)``.  Uses the closed-form kernel, so it
+    stays accurate for data that lives far below the spectral cutoff
+    scale.  Kernels narrower than the node spacing of the source grid
+    cannot be integrated accurately, so the default time ladder starts at
+    twice the coarsest spacing; the small-t endpoint then recovers |f| up
+    to O(spacing^2) damping.
     """
     order = as_order(order)
     if t_grid is None:
         t_grid = default_time_ladder(f.grid)
-    t_grid = _check_time(t_grid, strict=True)
+    t_grid = np.atleast_1d(_check_time(t_grid, strict=True))
+    if t_grid.ndim != 1 or t_grid.size == 0:
+        raise ValueError("t_grid must be one time or a 1-D array of at least one time")
     target = eval_grid if eval_grid is not None else f.grid
+    arr = f.values * f.grid.weights_nd()
     best = np.zeros(target.shape)
-    for t in t_grid:
-        np.maximum(best, np.abs(_kernel_apply(order, t * t, f, target)), out=best)
+    for mats in _kernel_matrices(order, t_grid * t_grid, f.grid, target):
+        np.maximum(best, np.abs(_per_axis(mats, arr)), out=best)
     return GridFunction(target, best)
 
 
@@ -331,9 +363,6 @@ def _pair_arrays(order: MultiOrder, x, y):
 
 
 _GAP_CUTOFF = 60.0
-# (node, row) elements per delta_kernel_1d call of the Riesz ladder: 128 KB
-# per temporary
-_BLOCK = 2**14
 
 
 def _distinct_rows(cols):

@@ -303,6 +303,15 @@ def test_hardy_norm_reports_the_default_ladder_it_used():
     assert rep.value == maximal_function(ORDER, f, t_grid=ladder).norm_lp(1.0)
 
 
+def test_hardy_norm_takes_a_scalar_time_and_refuses_an_empty_ladder():
+    atom = random_atom(ORDER, 0.9, seed=4)
+    one = hardy_norm_maximal(ORDER, atom, 0.9, t_grid=0.5)
+    assert one.n_times == 1
+    assert one.value == hardy_norm_maximal(ORDER, atom, 0.9, t_grid=np.array([0.5])).value
+    with pytest.raises(ValueError, match="t_grid must be one time or a 1-D array"):
+        hardy_norm_maximal(ORDER, atom, 0.9, t_grid=[])
+
+
 def test_hardy_norm_rejects_bad_exponent():
     atom = random_atom(ORDER, 1.0, seed=6)
     with pytest.raises(ValueError):

@@ -239,6 +239,95 @@ def test_kernel_routes_match_dense_product_kernel(
             square_function(order, source, eval_grid=grid, k_max=4)
 
 
+_KERNEL_MATRIX_NUS = [-0.5, -0.3, 0.0, 0.5, 1.0, 1.3, 25.5, 80.0]
+
+
+@pytest.mark.parametrize("nu", _KERNEL_MATRIX_NUS)
+@pytest.mark.parametrize(
+    "src_nodes, eval_nodes, n_times",
+    [
+        # 20 x 30 = 600 elements: 27 times per buffer, two blocks of 40 times
+        (30, 20, 40),
+        # 150 x 130 = 19,500 elements: one time per buffer, tiles of 126 rows
+        (130, 150, 9),
+    ],
+    ids=["time-blocks", "row-tiles"],
+)
+def test_kernel_matrices_equal_per_time_kernel_bit_for_bit(nu, src_nodes, eval_nodes, n_times):
+    from lagsem.grids import QuadAxis
+    from lagsem.operators import _kernel_matrices
+
+    def axis(lo, hi, count):
+        # the matrices read nodes only
+        return Grid((QuadAxis(np.geomspace(lo, hi, count), np.ones(count)),))
+
+    src, target = axis(0.01, 8.0, src_nodes), axis(0.02, 6.0, eval_nodes)
+    times = np.geomspace(1e-4, 900.0, n_times)
+    drawn = 0
+    for t, (mat,) in zip(times, _kernel_matrices(MultiOrder((nu,)), times, src, target)):
+        want = kernel_1d_closed(nu, t, target.axes[0].nodes[:, None], src.axes[0].nodes[None, :])
+        np.testing.assert_array_equal(mat, want)
+        drawn += 1
+    assert drawn == n_times
+
+
+def test_kernel_matrix_calls_stay_within_their_element_budget(monkeypatch):
+    # a call holds at most _BLOCK (time, target node, source node) elements,
+    # unless one row alone has more source nodes; then it holds that row only
+    from lagsem import operators
+
+    calls = []
+
+    def spy(nu, t, x, y):
+        out = kernel_1d_closed(nu, t, x, y)
+        calls.append((out.size, np.size(y)))
+        return out
+
+    monkeypatch.setattr(operators, "kernel_1d_closed", spy)
+    times = np.geomspace(0.05, 3.0, 40)
+    cases = {
+        # (order, source, target, times)
+        "384x384": (ORDER, Grid.box((0.0,), (12.0,), nodes_per_unit=32), None, times[:2]),
+        "atom-96x48": (ORDER, _axis_grid([(0.5, 1.5)], (48,)), _axis_grid([(0.2, 1.0)], (96,)), times),
+        "2d-24x24": (MultiOrder((0.5, 1.0)), _axis_grid([(0.0, 1.0)] * 2, (24, 24)), None, times),
+        "wide-row": (ORDER, Grid.box((0.0,), (1000.0,), nodes_per_unit=20), _axis_grid([(0.2, 0.8)], (3,)), times[:2]),
+    }
+    n_calls = {}
+    for name, (order, src, target, ts) in cases.items():
+        calls.clear()
+        f = GridFunction(src, np.ones(src.shape))
+        maximal_function(order, f, t_grid=ts, eval_grid=target)
+        assert all(size <= max(operators._BLOCK, row) for size, row in calls)
+        n_calls[name] = len(calls)
+    # 42 rows of 384 per call; 3 times of 96 x 48 per call; 28 times of
+    # 24 x 24 per call and axis; one 20,000-node row per call
+    assert n_calls == {"384x384": 2 * 10, "atom-96x48": 14, "2d-24x24": 2 * 2, "wide-row": 2 * 3}
+
+
+def test_maximal_takes_a_scalar_time_and_refuses_an_empty_ladder():
+    grid = _grid_1d(nodes_per_unit=16, hi=6.0)
+    f = _bump(grid, center=2.0)
+    np.testing.assert_array_equal(
+        maximal_function(ORDER, f, t_grid=0.5).values,
+        maximal_function(ORDER, f, t_grid=np.array([0.5])).values,
+    )
+    for bad in ([], np.zeros((0,)), np.full((2, 2), 0.5)):
+        with pytest.raises(ValueError, match="t_grid must be one time or a 1-D array"):
+            maximal_function(ORDER, f, t_grid=bad)
+
+
+def test_semigroup_takes_one_time():
+    grid = _grid_1d(nodes_per_unit=16, hi=6.0)
+    f = _bump(grid, center=2.0)
+    for method in ("kernel", "spectral"):
+        with pytest.raises(ValueError, match="^semigroup_apply takes one time$"):
+            semigroup_apply(ORDER, f, np.array([0.5, 1.0]), method=method)
+        np.testing.assert_array_equal(
+            semigroup_apply(ORDER, f, np.array([0.5]), method=method).values,
+            semigroup_apply(ORDER, f, 0.5, method=method).values,
+        )
+
+
 def test_maximal_eigenfunction_recovers_itself():
     # positive eigenfunction: e^(-t^2 lambda) phi_0 <= phi_0 with sup at the
     # small-t end, so M phi_0 = phi_0 up to the grid-resolution damping

@@ -101,20 +101,28 @@ def _per_axis(mats, arr: np.ndarray) -> np.ndarray:
     return arr.transpose(tuple(reversed(range(arr.ndim))))
 
 
+def _analysis(tables, f: GridFunction) -> np.ndarray:
+    """<f, phi_k> from the per-axis tables of f's grid."""
+    return _per_axis(tables, f.values * f.grid.weights_nd())
+
+
+def _synthesis(tables, coeffs: np.ndarray) -> np.ndarray:
+    """sum_k c_k phi_k at the nodes of the per-axis tables."""
+    return _per_axis([table.T for table in tables], coeffs)
+
+
 def analyze(order: MultiOrder, f: GridFunction, k_max: int = DEFAULT_KMAX) -> SpectralCoefficients:
     """Expansion coefficients <f, phi_k> for all multi-indices up to k_max."""
     order = as_order(order)
     _check_grids(order, f.grid)
-    arr = f.values * f.grid.weights_nd()
-    return SpectralCoefficients(order, _per_axis(_tables(order, f.grid, k_max), arr))
+    return SpectralCoefficients(order, _analysis(_tables(order, f.grid, k_max), f))
 
 
 def synthesize(coeffs: SpectralCoefficients, grid: Grid) -> GridFunction:
     """Evaluate sum_k c_k phi_k on a quadrature grid."""
     order = coeffs.order
     _check_grids(order, grid)
-    tables = _tables(order, grid, coeffs.k_max)
-    return GridFunction(grid, _per_axis([table.T for table in tables], coeffs.coeffs))
+    return GridFunction(grid, _synthesis(_tables(order, grid, coeffs.k_max), coeffs.coeffs))
 
 
 # Elements per 1-D kernel call of either ladder: (time, target node, source
@@ -238,20 +246,31 @@ def square_function(
     with u(s) = e^(-sL) f, evaluated spectrally on a geometric ladder of
     times.  For data away from the boundary of the orthant this satisfies
     the exact L^2 identity ||Sf||_2^2 = (omega_n / 8) ||f||_2^2.
+
+    The cone runs over ``n_levels`` >= 2 geometric levels from ``t_lo``
+    to ``t_hi``, which must satisfy 0 < t_lo < t_hi < inf; they default to
+    0.03 / sqrt(lambda_max) and 5 / sqrt(lambda_min) of the coefficient
+    grid up to ``k_max``.  Cost: the per-axis Laguerre tables of f's grid
+    and the (eval points) x (source points) squared distances are built
+    once per call; each level then does one synthesis on f's grid and one
+    cone mat-vec.
     """
     order = as_order(order)
     target = eval_grid if eval_grid is not None else f.grid
-    _check_grids(order, target)
-    coeffs = analyze(order, f, k_max)
-    lam = coeffs.eigenvalues()
+    _check_grids(order, f.grid, target)
+    if n_levels < 2:
+        raise ValueError("the cone needs n_levels >= 2")
+    tables = _tables(order, f.grid, k_max)
+    coeffs = _analysis(tables, f)
+    lam = eigenvalue_array(order, k_max)
     lam_min = float(lam.min())
     lam_max = float(lam.max())
     if t_lo is None:
         t_lo = 0.03 / math.sqrt(lam_max)
     if t_hi is None:
         t_hi = 5.0 / math.sqrt(lam_min)
-    if not 0.0 < t_lo < t_hi:
-        raise ValueError("cone truncation needs 0 < t_lo < t_hi")
+    if not 0.0 < t_lo < t_hi < math.inf:
+        raise ValueError("cone truncation needs 0 < t_lo < t_hi < inf")
     levels = np.geomspace(t_lo, t_hi, n_levels)
     dlog = math.log(t_hi / t_lo) / (n_levels - 1)
     w_log = np.full(n_levels, dlog)
@@ -267,11 +286,16 @@ def square_function(
     for j in range(xpts.shape[1]):
         d2 += np.square(np.subtract.outer(xpts[:, j], ypts[:, j], out=buf), out=buf)
 
+    factor = np.empty_like(lam)
+    damped = np.empty_like(lam)
     acc = np.zeros(xpts.shape[0])
     n = order.n
     for t, w in zip(levels, w_log):
-        g = synthesize(coeffs.damped(t * t * lam * np.exp(-t * t * lam)), f.grid)
-        g2 = wy * g.values.ravel() ** 2
+        # t * t * lam * exp(-t * t * lam) in the operation order of that
+        # expression, so every element rounds as it would there
+        np.exp(np.multiply(-t * t, lam, out=damped), out=damped)
+        np.multiply(np.multiply(t * t, lam, out=factor), damped, out=factor)
+        g2 = wy * _synthesis(tables, np.multiply(coeffs, factor, out=damped)).ravel() ** 2
         inner = np.less(d2, t * t, out=buf) @ g2
         acc += w * t ** (-n) * inner
     return GridFunction(target, np.sqrt(acc).reshape(target.shape))

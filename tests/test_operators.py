@@ -458,6 +458,84 @@ def test_square_function_cone_validation():
         square_function(ORDER, _bump(grid, center=2.0), t_lo=2.0, t_hi=1.0)
 
 
+_CONE_RANGE = "cone truncation needs 0 < t_lo < t_hi < inf"
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"n_levels": 1}, "the cone needs n_levels >= 2"),
+        ({"n_levels": 0}, "the cone needs n_levels >= 2"),
+        ({"t_hi": math.inf}, _CONE_RANGE),
+        ({"t_hi": math.nan}, _CONE_RANGE),
+        ({"t_lo": math.nan}, _CONE_RANGE),
+        ({"t_lo": -math.inf}, _CONE_RANGE),
+    ],
+    ids=["one-level", "no-level", "inf-t_hi", "nan-t_hi", "nan-t_lo", "minus-inf-t_lo"],
+)
+def test_square_function_refuses_degenerate_cone(kwargs, message):
+    grid = _grid_1d(nodes_per_unit=16, hi=6.0)
+    with pytest.raises(ValueError, match=message):
+        square_function(ORDER, _bump(grid, center=2.0), k_max=10, **kwargs)
+
+
+def _square_function_per_level(order, f, eval_grid, n_levels, k_max):
+    """square_function with one analysis and one synthesis per cone level."""
+    target = eval_grid if eval_grid is not None else f.grid
+    coeffs = analyze(order, f, k_max)
+    lam = coeffs.eigenvalues()
+    t_lo = 0.03 / math.sqrt(float(lam.max()))
+    t_hi = 5.0 / math.sqrt(float(lam.min()))
+    levels = np.geomspace(t_lo, t_hi, n_levels)
+    dlog = math.log(t_hi / t_lo) / (n_levels - 1)
+    w_log = np.full(n_levels, dlog)
+    w_log[0] = w_log[-1] = 0.5 * dlog
+    xpts, ypts = target.points(), f.grid.points()
+    wy = f.grid.weights_nd().ravel()
+    d2 = np.zeros((xpts.shape[0], ypts.shape[0]))
+    for j in range(order.n):
+        d2 += np.subtract.outer(xpts[:, j], ypts[:, j]) ** 2
+    acc = np.zeros(xpts.shape[0])
+    for t, w in zip(levels, w_log):
+        g = synthesize(coeffs.damped(t * t * lam * np.exp(-t * t * lam)), f.grid)
+        inner = (d2 < t * t).astype(float) @ (wy * g.values.ravel() ** 2)
+        acc += w * t ** (-order.n) * inner
+    return np.sqrt(acc).reshape(target.shape)
+
+
+@pytest.mark.parametrize(
+    "nu, other_eval_grid",
+    [((0.5,), False), ((0.5,), True), ((-0.5, 1.0), False), ((0.5, 1.0, 0.0), False)],
+)
+def test_square_function_matches_per_level_synthesis(nu, other_eval_grid):
+    order = MultiOrder(nu)
+    # 8 nodes per axis, 9 on the evaluation grid's axes
+    grid = Grid.box((0.1,) * order.n, (4.0,) * order.n, nodes_per_unit=2, min_nodes=2)
+    pts = grid.points()
+    f = GridFunction(grid, np.exp(-np.sum((pts - 1.5) ** 2, axis=1)).reshape(grid.shape))
+    eval_grid = None
+    if other_eval_grid:
+        eval_grid = Grid.box((0.3,) * order.n, (3.0,) * order.n, nodes_per_unit=3, min_nodes=3)
+    got = square_function(order, f, eval_grid=eval_grid, n_levels=12, k_max=24).values
+    assert np.array_equal(got, _square_function_per_level(order, f, eval_grid, 12, k_max=24))
+
+
+def test_square_function_builds_one_table_per_axis(monkeypatch):
+    from lagsem import operators
+
+    calls = []
+
+    def spy(nu, x, k_max):
+        calls.append(nu)
+        return laguerre_function_table(nu, x, k_max)
+
+    monkeypatch.setattr(operators, "laguerre_function_table", spy)
+    order = MultiOrder((0.5, 1.0))
+    grid = Grid.box((0.1, 0.1), (4.0, 4.0), nodes_per_unit=2, min_nodes=2)
+    square_function(order, GridFunction(grid, np.ones(grid.shape)), n_levels=8, k_max=10)
+    assert calls == [0.5, 1.0]
+
+
 def test_riesz_multiplier_ground_value():
     # one lowering on phi_1 at the Hermite endpoint: -2 sqrt(1) / sqrt(5)
     order = MultiOrder((-0.5,))

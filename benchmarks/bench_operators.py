@@ -9,10 +9,17 @@ Times, on the three grids of the ``grid-operators`` perfbench workload
   twice the node spacing to 30;
 - ``square_function`` with its default levels and cut-off;
 - ``hardy_norm_maximal`` of one 1-D atom at p = 0.9, with the atom
-  defaults (40 times, a 96-node evaluation grid).
+  defaults (40 times, a 96-node evaluation grid);
+- the four Riesz families of the standard bound suite (``fast = false``):
+  ``riesz_kernel`` with k = (1,) and (2,) on the 10,100 1-D ``riesz-size``
+  pairs and with k = (1, 0) on the 12,100 2-D pairs, and
+  ``riesz_heat_composite_kernel`` with k = (1,) on the 10,620
+  ``riesz-heat-size`` pairs, one time per pair.
 
-Each benchmark records its output grid points in ``extra_info`` as its
-work count, and the minor page faults of one call, averaged over
+The grid operators and the Riesz kernels draw their 1-D factors from one
+walker, ``operators._axis_factors``.  Each benchmark records its output
+grid points or point pairs in ``extra_info`` as its work count, and the
+minor page faults of one call, averaged over
 ``FAULT_CALLS`` calls after a warm-up call, as ``minor_faults_per_call``.
 The lagsem imports sit inside the fixtures and benchmarks, so the module
 also runs as a script without lagsem on the path.  The file is outside
@@ -26,7 +33,7 @@ or compare two checkouts and write a JSON table of both:
 
 which alternates the parent's ``src`` and this checkout's
 ``bench_bessel.ROUNDS`` times, as ``benchmarks/bench_bessel.py`` does.
-``BENCH_15.json`` holds such a table.
+``BENCH_15.json`` and ``BENCH_17.json`` hold such tables.
 """
 
 from __future__ import annotations
@@ -48,19 +55,26 @@ GRIDS = (
     ("d3", (0.5, 1.0, 0.0), 4.0, 2, 4),
 )
 GRID_IDS = [g[0] for g in GRIDS]
+# (id, order, k, sample set of lagsem.bounds, heat-composed)
+RIESZ = (
+    ("size-d1-k1", (0.5,), (1,), "_grid_riesz_1d", False),
+    ("size-d1-k2", (0.5,), (2,), "_grid_riesz_1d", False),
+    ("size-d2-k10", (0.5, 1.0), (1, 0), "_grid_riesz_2d", False),
+    ("heat-d1-k1", (0.5,), (1,), "_grid_riesz_heat", True),
+)
 
 
 def _minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def _record(benchmark, fn, points: int):
-    """Benchmark ``fn`` after counting its minor page faults per call."""
+def _record(benchmark, fn, **work):
+    """Benchmark ``fn`` after counting its minor page faults per call; ``work`` names its work count."""
     fn()
     before = _minor_faults()
     for _ in range(FAULT_CALLS):
         fn()
-    benchmark.extra_info["points"] = points
+    benchmark.extra_info.update(work)
     benchmark.extra_info["minor_faults_per_call"] = (_minor_faults() - before) / FAULT_CALLS
     benchmark(fn)
 
@@ -91,7 +105,7 @@ def test_semigroup_apply(benchmark, grids, dim, method):
     from lagsem import semigroup_apply
 
     order, f, _ = grids[dim]
-    _record(benchmark, lambda: semigroup_apply(order, f, T, method=method), f.values.size)
+    _record(benchmark, lambda: semigroup_apply(order, f, T, method=method), points=f.values.size)
 
 
 @pytest.mark.parametrize("dim", GRID_IDS)
@@ -99,7 +113,7 @@ def test_maximal_function(benchmark, grids, dim):
     from lagsem import maximal_function
 
     order, f, ladder = grids[dim]
-    _record(benchmark, lambda: maximal_function(order, f, t_grid=ladder), f.values.size)
+    _record(benchmark, lambda: maximal_function(order, f, t_grid=ladder), points=f.values.size)
 
 
 @pytest.mark.parametrize("dim", GRID_IDS)
@@ -107,7 +121,7 @@ def test_square_function(benchmark, grids, dim):
     from lagsem import square_function
 
     order, f, _ = grids[dim]
-    _record(benchmark, lambda: square_function(order, f), f.values.size)
+    _record(benchmark, lambda: square_function(order, f), points=f.values.size)
 
 
 def test_hardy_norm_maximal_atom(benchmark, grids):
@@ -116,7 +130,19 @@ def test_hardy_norm_maximal_atom(benchmark, grids):
     order = grids["d1"][0]
     # radius 0.0086: a 96-node evaluation grid against the atom's 48 nodes
     atom = random_atom(order, 0.9, seed=3)
-    _record(benchmark, lambda: hardy_norm_maximal(order, atom, 0.9), 96)
+    _record(benchmark, lambda: hardy_norm_maximal(order, atom, 0.9), points=96)
+
+
+@pytest.mark.parametrize("case", RIESZ, ids=[r[0] for r in RIESZ])
+def test_riesz(benchmark, case):
+    from lagsem import MultiOrder, bounds, riesz_heat_composite_kernel, riesz_kernel
+
+    _, nu, k, sample_set, heat = case
+    order = MultiOrder(nu)
+    s = getattr(bounds, sample_set)(False)
+    fn = ((lambda: riesz_heat_composite_kernel(order, k, s["t"], s["x"], s["y"])) if heat
+          else (lambda: riesz_kernel(order, k, s["x"], s["y"])))
+    _record(benchmark, fn, pairs=len(s["x"]))
 
 
 if __name__ == "__main__":

@@ -146,11 +146,14 @@ class GridFunction:
         of the corner value times the product of its axis weights.  That is
         the arithmetic of scipy's linear ``RegularGridInterpolator`` in 1-D
         and from 3-D on, so those agree bit for bit; in 2-D scipy forms
-        (value * w0) * w1 instead, which differs by rounding.
+        (value * w0) * w1 instead, which differs by rounding.  Every axis
+        needs at least two nodes, or it has no cell.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if pts.ndim != 2 or pts.shape[1] != self.grid.ndim:
             raise ValueError(f"interp needs (M, {self.grid.ndim}) points, got shape {pts.shape}")
+        if any(n < 2 for n in self.grid.shape):
+            raise ValueError(f"interp needs at least two nodes per axis, got grid shape {self.grid.shape}")
         cells, fractions = [], []
         outside = np.zeros(len(pts), dtype=bool)
         for ax, x in zip(self.grid.axes, pts.T):

@@ -46,6 +46,14 @@ def _check_exponent(p) -> float:
     return p
 
 
+def _check_atom_order(order: MultiOrder, atom: Atom) -> None:
+    """The atom-order rule: an atom enters an operator of its own order only."""
+    if atom.order != order:
+        raise ValueError(
+            f"the atom has order {atom.order.nu}, not the order {order.nu} it is used with"
+        )
+
+
 def moment_degree(order: MultiOrder, p: float) -> int:
     """Highest vanishing-moment degree required of an atom for exponent p."""
     p = _check_exponent(p)
@@ -152,11 +160,10 @@ def check_atom(atom: Atom) -> dict:
     support_ok = outside_max <= 1e-12 * max(sup, 1.0)
 
     critical = rho(order, ball.center)
-    radius_exceeds_critical = ball.radius > critical
 
     moments = {}
     moments_ok = True
-    if not radius_exceeds_critical and ball.radius < critical:
+    if ball.radius < critical:
         l1 = float(np.sum(w * np.abs(vals)))
         betas = _monomials(moment_degree(order, atom.p), order.n)
         basis = _monomial_values(ball, betas, pts)
@@ -172,7 +179,7 @@ def check_atom(atom: Atom) -> dict:
         "support_ok": support_ok,
         "radius": ball.radius,
         "critical_radius": critical,
-        "radius_exceeds_critical": radius_exceeds_critical,
+        "radius_exceeds_critical": ball.radius > critical,
         "moments": moments,
         "moments_ok": moments_ok,
         "passed": bool(size_ok and support_ok and moments_ok),
@@ -249,14 +256,16 @@ def hardy_norm_maximal(
 ) -> NormReport:
     """Quasi-norm (int |Mf|^p)^(1/p) of the vertical maximal function.
 
-    Accepts a grid function or an atom.  For atoms the defaults adapt to
-    the atom scale: times start an order of magnitude below the radius
-    and the evaluation box is a thirty-radius dilation of the support
-    (truncation outside contributes only the far tail of |Mf|^p).
+    Accepts a grid function or an atom of ``order``.  For atoms the
+    defaults adapt to the atom scale: times start an order of magnitude
+    below the radius and the evaluation box is a thirty-radius dilation of
+    the support (truncation outside contributes only the far tail of
+    |Mf|^p).
     """
     order = as_order(order)
     _check_exponent(p)
     if isinstance(f, Atom):
+        _check_atom_order(order, f)
         ball = f.ball
         if t_grid is None:
             t_grid = np.geomspace(ball.radius / 10.0, 8.0, 40)
@@ -307,12 +316,15 @@ def bmo_norm(
     value is the sup over the family.  Averages use local quadrature with
     the function interpolated from its grid, so f should be resolved on
     scales around rho/8.  Different q give comparable values (the space
-    does not depend on q); q = 1 is the default.
+    does not depend on q); q = 1 is the default, and q must be finite and
+    >= 1.  f lives on a grid of the order's dimension, and at least one
+    ball of the family must lie inside the orthant.
     """
     order = as_order(order)
     degree = moment_degree(order, p)
-    if q < 1.0:
-        raise ValueError("the averaging exponent must be >= 1")
+    if not 1.0 <= q < math.inf:
+        raise ValueError(f"the averaging exponent q must be finite and >= 1, got {q}")
+    _check_grids(order, f.grid)
     scale_exp = 1.0 / p - 1.0
     axis = np.arange(0.4, 3.2001, 0.2 if order.n == 1 else 0.4)
     centers = lattice(*[axis] * order.n)
@@ -340,6 +352,10 @@ def bmo_norm(
             else:
                 avg = (float(np.sum(w * np.abs(vals) ** q)) / mass) ** (1.0 / q)
                 size_sup = max(size_sup, avg / ball.volume**scale_exp)
+    if n_balls == 0:
+        raise ValueError(
+            "the ball family is empty: no radius factor gives a ball inside the orthant"
+        )
     return BmoReport(max(osc_sup, size_sup), osc_sup, size_sup, n_balls, p, q)
 
 
@@ -352,8 +368,7 @@ def duality_pairing(order: MultiOrder, f: GridFunction, atom: Atom) -> float:
     an atom of ``order`` and f must live on a grid of its dimension.
     """
     order = as_order(order)
-    if atom.order != order:
-        raise ValueError(f"the atom has order {atom.order.nu}, not the pairing's order {order.nu}")
+    _check_atom_order(order, atom)
     _check_grids(order, f.grid)
     grid = atom.func.grid
     if f.grid is grid:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -125,41 +126,50 @@ def synthesize(coeffs: SpectralCoefficients, grid: Grid) -> GridFunction:
     return GridFunction(grid, _synthesis(_tables(order, grid, coeffs.k_max), coeffs.coeffs))
 
 
-# Elements per 1-D kernel call of either ladder: (time, target node, source
-# node) for the kernel matrices of the semigroup and the maximal function,
-# (node, row) for the Riesz time integral.  128 KB per temporary: freed
-# temporaries the size of a whole matrix (1.2 MB at 384 x 384) go back to
-# the system and are faulted in again at the next time of the ladder.
+# Elements per 1-D factor call of ``_axis_factors``, 128 KB per temporary:
+# freed temporaries the size of a whole matrix (1.2 MB at 384 x 384) go back
+# to the system and are faulted in again at the next time of the ladder.
 _BLOCK = 2**14
 
 
+def _axis_factors(times: np.ndarray, axes):
+    """Per-axis factor arrays at each of ``times``, one tuple per time.
+
+    ``axes`` holds one (factor, columns) pair per axis: factor(t, *columns)
+    is the axis factor at times t of shape (times, 1, ...) on columns that
+    broadcast to (rows, ...) of one rank on every axis, where a column of
+    one row serves every row.  A call takes as many times as fit in
+    ``_BLOCK`` elements, or one time in row tiles of at most ``_BLOCK``
+    (unless one row has more) into a buffer per axis.  The arrays last
+    until the next time is drawn, and match a call per time on all rows.
+    """
+    shapes = [np.broadcast_shapes(*map(np.shape, cols)) for _, cols in axes]
+    per_block = min(len(times), max(1, _BLOCK // max(map(math.prod, shapes))))
+    bufs = [np.empty((1, *s)) if math.prod(s) > _BLOCK else None for s in shapes]
+    for start in range(0, len(times), per_block):
+        t = times[start : start + per_block].reshape(-1, *[1] * len(shapes[0]))
+        blocks = []
+        for (factor, cols), s, buf in zip(axes, shapes, bufs):
+            if buf is not None:
+                step = max(1, _BLOCK // math.prod(s[1:]))
+                for lo in range(0, s[0], step):
+                    buf[:, lo : lo + step] = factor(t, *(c[lo : lo + step] if len(c) > 1 else c for c in cols))
+            blocks.append(factor(t, *cols) if buf is None else buf)
+        yield from zip(*blocks)
+
+
 def _kernel_matrices(order: MultiOrder, times: np.ndarray, source: Grid, target: Grid):
-    """Per-axis kernel matrices at each of ``times``, one list per time.
+    """Per-axis kernel matrices at each of ``times``, one tuple per time.
 
     The kernel is a product of 1-D kernels, so its integral against a grid
     function factors into one (target nodes) x (source nodes) matrix per
-    axis.  Each axis has one buffer of as many times as fit in ``_BLOCK``
-    elements (at least one), and the yielded matrices are views into it,
-    valid until the next time is drawn.  A buffer is filled by
-    ``kernel_1d_closed`` calls on (times, target rows, source nodes)
-    tiles, at most ``_BLOCK`` elements per call unless one row alone has
-    more.  Every element sees the same (t, x, y) as a call per time on the
-    whole matrix, so every matrix is the same bit for bit.
+    axis: ``kernel_1d_closed`` on rows (target node, every source node).
     """
     _check_grids(order, source, target)
-    sizes = list(zip(target.shape, source.shape))
-    per_block = min(len(times), max(1, _BLOCK // max(m * k for m, k in sizes)))
-    bufs = [np.empty((per_block, m, k)) for m, k in sizes]
-    for start in range(0, len(times), per_block):
-        t_block = times[start : start + per_block, None, None]
-        for nu, ev, src, buf in zip(order.nu, target.axes, source.axes, bufs):
-            # a block of several times fits one call; one time may need row tiles
-            step = max(1, _BLOCK // (t_block.size * src.nodes.size))
-            for lo in range(0, ev.nodes.size, step):
-                x = ev.nodes[lo : lo + step, None]
-                buf[: t_block.size, lo : lo + step] = kernel_1d_closed(nu, t_block, x, src.nodes)
-        for i in range(t_block.size):
-            yield [buf[i] for buf in bufs]
+    return _axis_factors(times, [
+        (partial(kernel_1d_closed, nu), (ev.nodes[:, None], src.nodes[None, :]))
+        for nu, ev, src in zip(order.nu, target.axes, source.axes)
+    ])
 
 
 def semigroup_apply(
@@ -420,16 +430,10 @@ def _riesz_time_integral(order: MultiOrder, k, x, y, t_shift=0.0):
     below e^(-60) times its size at t = 0 of the same decay, whatever the
     shift, and later panels could not change the sum.
 
-    Each axis factor delta^(k_j) p^(nu_j) depends on the pair only through
-    its distinct row (x_j, y_j), or (shift, x_j, y_j) for one shift per
-    pair, so it is evaluated once per distinct row.  The ladder is walked
-    in blocks of nodes, one ``delta_kernel_1d`` call per axis and block on
-    (nodes, rows), with at most ``_BLOCK`` elements per call unless one
-    node alone has more rows.  Every element sees the same (t, x_j, y_j)
-    as a per-node call on all pairs, and each node's product is formed in
-    axis order and added in ladder order, as ``axis_product`` does, so the
-    sum is the same bit for bit.  (A block's ``ive`` batch spans several
-    nodes; its batch-wide stops leave every bit as a full sum would.)
+    Each axis factor delta^(k_j) p^(nu_j) depends on a pair only through its
+    row (x_j, y_j), or (shift, x_j, y_j), and ``_axis_factors`` evaluates it
+    once per distinct row and node; products formed in axis order and added
+    in ladder order keep the sum of per-node calls on all pairs, bit for bit.
     """
     xx, yy, d, shape = _pair_arrays(order, x, y)
     if np.any(d < 1e-9):
@@ -452,26 +456,22 @@ def _riesz_time_integral(order: MultiOrder, k, x, y, t_shift=0.0):
         vs = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
         ws = 0.5 * (hi - lo) * weights
         ladder += [(v * v, w * 2.0 * v ** (sum(k) - 1)) for v, w in zip(vs, ws)]
-    times = np.array([t for t, _ in ladder])
     # rows (shift, x_j, y_j) sort time-major, as sample sets come, so the
     # branch masks of ive keep their long runs
     rows, pair_row = zip(*(
         _distinct_rows((xx[:, j], yy[:, j]) if shift is None else (shift, xx[:, j], yy[:, j]))
         for j in range(order.n)
     ))
-    block = max(1, _BLOCK // max(len(r[0]) for r in rows))
+
+    def factor(nu, m, t, *row):  # delta^m p^nu at shift + t on a row (x, y) or (shift, x, y)
+        return delta_kernel_1d(nu, m, (t_shift if shift is None else row[0]) + t, row[-2], row[-1])
+    axes = [(partial(factor, nu, m), r) for nu, m, r in zip(order.nu, k, rows)]
     total = np.zeros(d.shape)
-    for start in range(0, len(ladder), block):
-        t_block = times[start : start + block, None]
-        factors = [
-            delta_kernel_1d(nu, m, (t_shift if shift is None else r[0]) + t_block, r[-2], r[-1])
-            for nu, m, r in zip(order.nu, k, rows)
-        ]
-        for i, (_, c) in enumerate(ladder[start : start + block]):
-            val = factors[0][i][pair_row[0]]
-            for j in range(1, order.n):
-                val = val * factors[j][i][pair_row[j]]
-            total += c * val
+    for (_, c), factors in zip(ladder, _axis_factors(np.array([t for t, _ in ladder]), axes)):
+        val = factors[0][pair_row[0]]
+        for j in range(1, order.n):
+            val = val * factors[j][pair_row[j]]
+        total += c * val
     total *= math.exp(-gammaln(sum(k) / 2.0))
     return total.reshape(shape) if shape else float(total[0])
 

@@ -21,6 +21,7 @@ from .grids import Grid, GridFunction, gauss_legendre_axis
 from .heat import kernel_1d_closed, kernel_1d_raw, kernel_spectral
 from .operators import (
     SpectralCoefficients,
+    _kernel_matrices,
     analyze,
     eigenvalue_array,
     riesz_heat_composite_kernel,
@@ -117,10 +118,11 @@ def check_eigenrelation(config: SuiteConfig) -> Outcome:
     nu = _axis_nu(config)
     order = MultiOrder((nu,))
     axis = gauss_legendre_axis(0.0, 12.0, nodes_per_unit=64)
+    grid = Grid((axis,))
     table = laguerre_function_table(nu, axis.nodes, 7)
     worst = 0.0
-    for t in (0.1, 1.0):
-        kmat = kernel_1d_closed(nu, t, axis.nodes[:, None], axis.nodes[None, :])
+    times = np.array([0.1, 1.0])
+    for t, (kmat,) in zip(times, _kernel_matrices(order, times, grid, grid)):
         for k in (0, 3, 7):
             applied = kmat @ (axis.weights * table[k])
             resid = applied - np.exp(-t * order.degree_eigenvalue(k)) * table[k]

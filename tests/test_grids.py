@@ -50,3 +50,13 @@ def test_interp_reproduces_linear_functions_and_refuses_other_dimensions():
     assert np.allclose(f.interp(probe), 2.0 * probe[:, 0] - probe[:, 1], rtol=0, atol=1e-14)
     with pytest.raises(ValueError, match=r"\(M, 2\) points"):
         f.interp(np.ones((4, 3)))
+
+
+def test_interp_refuses_an_axis_of_one_node():
+    # one node has no cell: the fraction was 0/0, a silent NaN at the node itself
+    from lagsem.grids import QuadAxis
+
+    grid = Grid((QuadAxis([1.0], [1.0]), QuadAxis([0.5, 2.0], [1.0, 1.0])))
+    f = GridFunction(grid, np.ones(grid.shape))
+    with pytest.raises(ValueError, match="interp needs at least two nodes per axis"):
+        f.interp([[1.0, 1.0], [1.0, 3.0]])

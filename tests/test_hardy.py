@@ -262,6 +262,25 @@ def test_bmo_parameter_validation():
         bmo_norm(ORDER, f, q=0.5)
 
 
+@pytest.mark.parametrize("q", [math.nan, math.inf])
+def test_bmo_refuses_an_averaging_exponent_that_is_not_finite(q):
+    # q = inf raised every average to the power 1/q = 0, and q = nan was reported as given
+    with pytest.raises(ValueError, match="averaging exponent q must be finite and >= 1"):
+        bmo_norm(ORDER, _smooth_field(1), q=q)
+
+
+@pytest.mark.parametrize("radius_factors", [(), (1e6,)], ids=["no-factor", "no-ball-inside"])
+def test_bmo_refuses_an_empty_ball_family(radius_factors):
+    with pytest.raises(ValueError, match="the ball family is empty"):
+        bmo_norm(ORDER, _smooth_field(1), radius_factors=radius_factors)
+
+
+def test_bmo_refuses_a_function_of_another_dimension():
+    flat = Grid.box((0.5, 0.5), (2.5, 2.5), nodes_per_unit=8)
+    with pytest.raises(ValueError, match="grid dimension does not match the order"):
+        bmo_norm(ORDER, GridFunction(flat, np.ones(flat.shape)))
+
+
 @pytest.mark.parametrize("p", [0.0, 1.5, math.nan])
 def test_exponent_rule_is_named_by_every_caller(p):
     f = _smooth_field(1)
@@ -335,11 +354,21 @@ def test_duality_refuses_an_atom_or_function_of_another_order():
     atom = random_atom(MultiOrder((1.0,)), 1.0, seed=8)
     f = GridFunction(atom.func.grid, np.ones(atom.func.grid.shape))
     assert duality_pairing(1.0, f, atom) == duality_pairing(MultiOrder((1.0,)), f, atom)
-    with pytest.raises(ValueError, match="not the pairing's order"):
+    with pytest.raises(ValueError, match=r"the atom has order \(1.0,\), not the order \(0.5,\)"):
         duality_pairing(ORDER, f, atom)
     flat = Grid.box((0.5, 0.5), (2.5, 2.5), nodes_per_unit=8)
     with pytest.raises(ValueError, match="grid dimension does not match the order"):
         duality_pairing(1.0, GridFunction(flat, np.ones(flat.shape)), atom)
+
+
+def test_atom_order_rule_is_named_by_every_caller():
+    # an order-1/2 atom in an order-1 Hardy norm gave a finite number instead of an error
+    atom = random_atom(ORDER, 1.0, seed=8)
+    f = GridFunction(atom.func.grid, np.ones(atom.func.grid.shape))
+    other = MultiOrder((1.0,))
+    for call in (lambda: hardy_norm_maximal(other, atom, 1.0), lambda: duality_pairing(other, f, atom)):
+        with pytest.raises(ValueError, match=r"the atom has order \(0.5,\), not the order \(1.0,\)"):
+            call()
 
 
 def test_duality_bilinearity():

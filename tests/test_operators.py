@@ -271,40 +271,6 @@ def test_kernel_matrices_equal_per_time_kernel_bit_for_bit(nu, src_nodes, eval_n
     assert drawn == n_times
 
 
-def test_kernel_matrix_calls_stay_within_their_element_budget(monkeypatch):
-    # a call holds at most _BLOCK (time, target node, source node) elements,
-    # unless one row alone has more source nodes; then it holds that row only
-    from lagsem import operators
-
-    calls = []
-
-    def spy(nu, t, x, y):
-        out = kernel_1d_closed(nu, t, x, y)
-        calls.append((out.size, np.size(y)))
-        return out
-
-    monkeypatch.setattr(operators, "kernel_1d_closed", spy)
-    times = np.geomspace(0.05, 3.0, 40)
-    wide = Grid.box((0.0,), (1000.0,), nodes_per_unit=20)
-    cases = {
-        # (order, source, target, times)
-        "384x384": (ORDER, Grid.box((0.0,), (12.0,), nodes_per_unit=32), None, times[:2]),
-        "atom-96x48": (ORDER, _axis_grid([(0.5, 1.5)], (48,)), _axis_grid([(0.2, 1.0)], (96,)), times),
-        "2d-24x24": (MultiOrder((0.5, 1.0)), _axis_grid([(0.0, 1.0)] * 2, (24, 24)), None, times),
-        "wide-row": (ORDER, wide, _axis_grid([(0.2, 0.8)], (3,)), times[:2]),
-    }
-    n_calls = {}
-    for name, (order, src, target, ts) in cases.items():
-        calls.clear()
-        f = GridFunction(src, np.ones(src.shape))
-        maximal_function(order, f, t_grid=ts, eval_grid=target)
-        assert all(size <= max(operators._BLOCK, row) for size, row in calls)
-        n_calls[name] = len(calls)
-    # 42 rows of 384 per call; 3 times of 96 x 48 per call; 28 times of
-    # 24 x 24 per call and axis; one 20,000-node row per call
-    assert n_calls == {"384x384": 2 * 10, "atom-96x48": 14, "2d-24x24": 2 * 2, "wide-row": 2 * 3}
-
-
 def test_maximal_takes_a_scalar_time_and_refuses_an_empty_ladder():
     grid = _grid_1d(nodes_per_unit=16, hi=6.0)
     f = _bump(grid, center=2.0)
@@ -815,15 +781,20 @@ def _riesz_block_cases():
     shifts = rng.choice([0.0, 1e-2, 0.3], size=xs.size)
     x3 = rng.choice([0.4, 0.9, 1.7], size=(40, 3))
     y3 = rng.choice([0.5, 1.1, 2.3], size=(40, 3))
+    # 130 * 129 = 16,770 distinct rows, more than _BLOCK: row tiles per node
+    pts = np.linspace(0.05, 4.0, 130)
+    x1, y1 = np.repeat(pts, pts.size), np.tile(pts, pts.size)
+    keep = x1 != y1
     return {
         "2d-lattice": (order2, (1, 0), lat["x"], lat["y"], 0.0),
         "per-pair-shift": (ORDER, (2,), xs, ys, shifts),
         "one-pair": (ORDER, (1,), np.array([0.7]), np.array([1.0]), 1e-8),
         "3d": (order3, (1, 0, 1), x3, y3, 0.1),
+        "1d-rows": (ORDER, (1,), x1[keep], y1[keep], 0.0),
     }
 
 
-@pytest.mark.parametrize("case", ["2d-lattice", "per-pair-shift", "one-pair", "3d"])
+@pytest.mark.parametrize("case", ["2d-lattice", "per-pair-shift", "one-pair", "3d", "1d-rows"])
 def test_riesz_rows_and_node_blocks_keep_every_bit(case):
     order, k, x, y, t_shift = _riesz_block_cases()[case]
     want = _frozen_riesz_time_integral(order, k, x, y, t_shift)
@@ -832,33 +803,66 @@ def test_riesz_rows_and_node_blocks_keep_every_bit(case):
     np.testing.assert_array_equal(riesz_heat_composite_kernel(order, k, t_shift, x, y), want)
 
 
-def test_riesz_node_blocks_stay_within_their_element_budget(monkeypatch):
-    # a call holds at most _BLOCK (node, row) elements, unless one node
-    # alone has more rows; then it holds that node only
+def _budget_runs(route):
+    """Per case name, a call that draws factors through the per-axis walker on one route."""
+    if route == "riesz":
+        pts = np.linspace(0.05, 4.0, 101)
+        xs, ys = np.repeat(pts, pts.size), np.tile(pts, pts.size)
+        keep = xs != ys
+        cases = _riesz_block_cases()
+        cases["1d-wide"] = (ORDER, (1,), xs[keep], ys[keep], 0.0)
+        return {name: (lambda c=c: riesz_heat_composite_kernel(c[0], c[1], c[4], c[2], c[3]))
+                for name, c in cases.items()}
+    times = np.geomspace(0.05, 3.0, 40)
+    wide = Grid.box((0.0,), (1000.0,), nodes_per_unit=20)
+    cases = {
+        # (order, source, target, times)
+        "384x384": (ORDER, Grid.box((0.0,), (12.0,), nodes_per_unit=32), None, times[:2]),
+        "atom-96x48": (ORDER, _axis_grid([(0.5, 1.5)], (48,)), _axis_grid([(0.2, 1.0)], (96,)), times),
+        "2d-24x24": (MultiOrder((0.5, 1.0)), _axis_grid([(0.0, 1.0)] * 2, (24, 24)), None, times),
+        "wide-row": (ORDER, wide, _axis_grid([(0.2, 0.8)], (3,)), times[:2]),
+    }
+    return {name: (lambda c=c: maximal_function(c[0], GridFunction(c[1], np.ones(c[1].shape)),
+                                                t_grid=c[3], eval_grid=c[2]))
+            for name, c in cases.items()}
+
+
+# calls per case: 42 rows of 384 per call; 3 times of 96 x 48 per call;
+# 28 times of 24 x 24 per call and axis; one 20,000-node row per call; for
+# the Riesz cases, as many nodes per call as fit (the one pair and the
+# per-pair shifts take the whole ladder in one call), the 10,100 rows of
+# "1d-wide" one node per call, and the 16,770 rows of "1d-rows" two calls
+# per node
+_BUDGET_CALLS = {
+    "grid": {"384x384": 2 * 10, "atom-96x48": 14, "2d-24x24": 2 * 2, "wide-row": 2 * 3},
+    "riesz": {"2d-lattice": 2 * 2, "per-pair-shift": 1, "one-pair": 1, "3d": 3,
+              "1d-rows": 2 * 208, "1d-wide": 192},
+}
+
+
+@pytest.mark.parametrize("route", ["grid", "riesz"])
+def test_factor_calls_stay_within_their_element_budget(monkeypatch, route):
+    # a call of the walker's 1-D factor holds at most _BLOCK elements, unless
+    # one row alone has more; a grid row is one target node against every
+    # source node, a Riesz row one distinct coordinate row at one node
     from lagsem import operators
 
+    factor = {"grid": kernel_1d_closed, "riesz": delta_kernel_1d}[route]
     calls = []
 
-    def spy(nu, m, t, x, y):
-        out = delta_kernel_1d(nu, m, t, x, y)
-        calls.append((out.size, np.size(x)))
+    def spy(*args):
+        out = factor(*args)
+        calls.append((out.size, math.prod(out.shape[2:])))
         return out
 
-    monkeypatch.setattr(operators, "delta_kernel_1d", spy)
-    pts = np.linspace(0.05, 4.0, 101)
-    xs, ys = np.repeat(pts, pts.size), np.tile(pts, pts.size)
-    keep = xs != ys
-    cases = _riesz_block_cases()
-    cases["1d-wide"] = (ORDER, (1,), xs[keep], ys[keep], 0.0)
+    monkeypatch.setattr(operators, factor.__name__, spy)
     n_calls = {}
-    for name, (order, k, x, y, t_shift) in cases.items():
+    for name, run in _budget_runs(route).items():
         calls.clear()
-        riesz_heat_composite_kernel(order, k, t_shift, x, y)
-        assert all(size <= max(operators._BLOCK, rows) for size, rows in calls)
+        run()
+        assert all(size <= max(operators._BLOCK, row) for size, row in calls), name
         n_calls[name] = len(calls)
-    # one pair takes its whole ladder in one block; 10,100 rows one node each
-    assert n_calls["one-pair"] == 1
-    assert n_calls["1d-wide"] > 100
+    assert n_calls == _BUDGET_CALLS[route]
 
 
 @pytest.mark.parametrize("t_shift", [0.0, 1e-8])

@@ -14,10 +14,16 @@ Times, on the three grids of the ``grid-operators`` perfbench workload
   ``riesz_kernel`` with k = (1,) and (2,) on the 10,100 1-D ``riesz-size``
   pairs and with k = (1, 0) on the 12,100 2-D pairs, and
   ``riesz_heat_composite_kernel`` with k = (1,) on the 10,620
-  ``riesz-heat-size`` pairs, one time per pair.
+  ``riesz-heat-size`` pairs, one time per pair;
+- the other users of the n-D pair product, on the 19,208 pairs (one time
+  per pair) of the 2-D sample set ``bounds._grid_2d(fast=False)``:
+  ``delta_kernel`` at m = (1, 1), and the left-hand side of
+  ``product_adjoint_family`` at m = 1, k = (0, 0), ell = (2, 2).
 
 The grid operators and the Riesz kernels draw their 1-D factors from one
-walker, ``operators._axis_factors``.  Each benchmark records its output
+walker, ``heat._axis_factors``; the Riesz kernels and the product kernels
+form their products at scattered point pairs in one place,
+``heat._axis_products``.  Each benchmark records its output
 grid points or point pairs in ``extra_info`` as its work count, and the
 minor page faults of one call, averaged over
 ``FAULT_CALLS`` calls after a warm-up call, as ``minor_faults_per_call``.
@@ -33,7 +39,7 @@ or compare two checkouts and write a JSON table of both:
 
 which alternates the parent's ``src`` and this checkout's
 ``bench_bessel.ROUNDS`` times, as ``benchmarks/bench_bessel.py`` does.
-``BENCH_15.json`` and ``BENCH_17.json`` hold such tables.
+``BENCH_15.json``, ``BENCH_17.json`` and ``BENCH_18.json`` hold such tables.
 """
 
 from __future__ import annotations
@@ -62,6 +68,7 @@ RIESZ = (
     ("size-d2-k10", (0.5, 1.0), (1, 0), "_grid_riesz_2d", False),
     ("heat-d1-k1", (0.5,), (1,), "_grid_riesz_heat", True),
 )
+PRODUCTS = ("delta-d2-m11", "adjoint-d2-m1")
 
 
 def _minor_faults() -> int:
@@ -142,6 +149,18 @@ def test_riesz(benchmark, case):
     s = getattr(bounds, sample_set)(False)
     fn = ((lambda: riesz_heat_composite_kernel(order, k, s["t"], s["x"], s["y"])) if heat
           else (lambda: riesz_kernel(order, k, s["x"], s["y"])))
+    _record(benchmark, fn, pairs=len(s["x"]))
+
+
+@pytest.mark.parametrize("case", PRODUCTS)
+def test_pair_product(benchmark, case):
+    from lagsem import MultiOrder, bounds, delta_kernel
+
+    order = MultiOrder((0.5, 1.0))
+    s = bounds._grid_2d(False)
+    adjoint = bounds.product_adjoint_family(order, 1, (0, 0), (2, 2)).lhs
+    fn = ((lambda: delta_kernel(order, (1, 1), s["t"], s["x"], s["y"])) if case == "delta-d2-m11"
+          else (lambda: adjoint(s["t"], s["x"], s["y"])))
     _record(benchmark, fn, pairs=len(s["x"]))
 
 

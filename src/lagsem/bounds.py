@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -208,7 +209,8 @@ def minimal_decay_constant(
     The reported value is the smallest c whose constant stays within
     ``margin`` of the constant at c = 8 (bisected 24 times), which brackets
     the sharp rate up to that slack.  Returns None for families with no Gaussian factor
-    and +inf when the reference constant itself is not finite.
+    and +inf when the reference constant itself is not finite, as for a
+    window that leaves no sample.
     """
     if not family.gaussian:
         return None
@@ -218,7 +220,7 @@ def minimal_decay_constant(
         with np.errstate(over="ignore"):
             return float(np.max(base * np.exp(gap / c)))
 
-    ref = fitted(8.0)
+    ref = fitted(8.0) if base.size else math.inf
     if not math.isfinite(ref):
         return math.inf
 
@@ -399,10 +401,7 @@ def product_partial_family(order: MultiOrder, k, j) -> BoundFamily:
     k, j = order.index(k), order.index(j)
 
     def lhs(t, x, y):
-        return axis_product(
-            order, x, y,
-            lambda ax, xa, ya: partial_delta_kernel_1d(order.nu[ax], k[ax], j[ax], t, xa, ya),
-        )
+        return axis_product(t, x, y, [partial(partial_delta_kernel_1d, *a) for a in zip(order.nu, k, j)])
 
     return _gaussian_family(
         f"product-partial-size[nu={list(order.nu)},k={list(k)},j={list(j)}]", order,
@@ -419,12 +418,10 @@ def product_adjoint_family(order: MultiOrder, m: int, k, ell) -> BoundFamily:
 
     def lhs(t, x, y):
         def term(which):  # the generator acts on axis `which` only (None: nowhere)
-            return axis_product(
-                order, x, y,
-                lambda ax, xa, ya: shifted_adjoint_kernel_1d(
-                    order.nu[ax], int(ax == which), k[ax], ell[ax], t, xa, ya
-                ),
-            )
+            return axis_product(t, x, y, [
+                partial(shifted_adjoint_kernel_1d, nu, int(ax == which), ka, la)
+                for ax, (nu, ka, la) in enumerate(zip(order.nu, k, ell))
+            ])
 
         if m == 0:
             return term(None)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,6 +86,8 @@ def check_slow_variation(
     Base points are log-uniform in [0.05, 10]^n, companions uniform in the
     dilated ball intersected with the open orthant.
     """
+    if not isinstance(n_pairs, numbers.Integral) or n_pairs < 1:
+        raise ValueError(f"n_pairs must be a positive integer, got {n_pairs!r}")
     order = as_order(order)
     rng = np.random.default_rng(seed)
     n = order.n

@@ -38,6 +38,8 @@ def gauss_legendre_axis(lo: float, hi: float, nodes_per_unit: int = 64, min_node
     that start at 0 never touch the boundary of the orthant.
     """
     lo, hi = float(lo), float(hi)
+    if not math.isfinite(lo) or not math.isfinite(hi):
+        raise ValueError(f"axis bounds must be finite, got [{lo}, {hi}]")
     if not hi > lo:
         raise ValueError("axis needs hi > lo")
     if lo < 0.0:
@@ -131,9 +133,9 @@ class GridFunction:
         return math.sqrt(max(0.0, float(np.sum(self.grid.weights_nd() * self.values**2))))
 
     def norm_lp(self, p: float) -> float:
-        """(integral of |f|^p)^(1/p); a quasi-norm for p < 1."""
-        if p <= 0:
-            raise ValueError("p must be positive")
+        """(integral of |f|^p)^(1/p) for a finite p > 0; a quasi-norm for p < 1."""
+        if not 0.0 < p < math.inf:
+            raise ValueError(f"norm_lp needs a finite exponent p > 0, got {p}")
         mass = float(np.sum(self.grid.weights_nd() * np.abs(self.values) ** p))
         return mass ** (1.0 / p)
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .critical import critical_weight
 from .grids import Grid, GridFunction, _leggauss, cross_pairs
-from .heat import delta_kernel_1d, kernel_1d_closed
+from .heat import _axis_factors, _axis_products, delta_kernel_1d, kernel_1d_closed
 from .special import (
     MultiOrder,
     _check_time,
@@ -124,38 +124,6 @@ def synthesize(coeffs: SpectralCoefficients, grid: Grid) -> GridFunction:
     order = coeffs.order
     _check_grids(order, grid)
     return GridFunction(grid, _synthesis(_tables(order, grid, coeffs.k_max), coeffs.coeffs))
-
-
-# Elements per 1-D factor call of ``_axis_factors``, 128 KB per temporary:
-# freed temporaries the size of a whole matrix (1.2 MB at 384 x 384) go back
-# to the system and are faulted in again at the next time of the ladder.
-_BLOCK = 2**14
-
-
-def _axis_factors(times: np.ndarray, axes):
-    """Per-axis factor arrays at each of ``times``, one tuple per time.
-
-    ``axes`` holds one (factor, columns) pair per axis: factor(t, *columns)
-    is the axis factor at times t of shape (times, 1, ...) on columns that
-    broadcast to (rows, ...) of one rank on every axis, where a column of
-    one row serves every row.  A call takes as many times as fit in
-    ``_BLOCK`` elements, or one time in row tiles of at most ``_BLOCK``
-    (unless one row has more) into a buffer per axis.  The arrays last
-    until the next time is drawn, and match a call per time on all rows.
-    """
-    shapes = [np.broadcast_shapes(*map(np.shape, cols)) for _, cols in axes]
-    per_block = min(len(times), max(1, _BLOCK // max(map(math.prod, shapes))))
-    bufs = [np.empty((1, *s)) if math.prod(s) > _BLOCK else None for s in shapes]
-    for start in range(0, len(times), per_block):
-        t = times[start : start + per_block].reshape(-1, *[1] * len(shapes[0]))
-        blocks = []
-        for (factor, cols), s, buf in zip(axes, shapes, bufs):
-            if buf is not None:
-                step = max(1, _BLOCK // math.prod(s[1:]))
-                for lo in range(0, s[0], step):
-                    buf[:, lo : lo + step] = factor(t, *(c[lo : lo + step] if len(c) > 1 else c for c in cols))
-            blocks.append(factor(t, *cols) if buf is None else buf)
-        yield from zip(*blocks)
 
 
 def _kernel_matrices(order: MultiOrder, times: np.ndarray, source: Grid, target: Grid):
@@ -389,98 +357,54 @@ def riesz_spectral(
     return SpectralCoefficients(order.shifted(k), out)
 
 
-def _pair_arrays(order: MultiOrder, x, y):
-    """Point pairs as (N, n) rows, their distances, and the pairs' broadcast leading shape."""
-    x, y = np.broadcast_arrays(*_points(order.n, x, y))
-    xx, yy = x.reshape(-1, order.n), y.reshape(-1, order.n)
-    return xx, yy, np.linalg.norm(xx - yy, axis=-1), x.shape[:-1]
-
-
 _GAP_CUTOFF = 60.0
 
 
-def _distinct_rows(cols):
-    """Distinct rows of equal-length columns, sorted first column first, and each row's index.
+def _riesz_time_integral(order: MultiOrder, k, t, x, y):
+    """(1/Gamma(|k|/2)) int_0^inf s^(|k|/2 - 1) delta^k p_(t + s) ds.
 
-    The rows come back as contiguous columns.  This is
-    np.unique(np.stack(cols, axis=1), axis=0, return_inverse=True), whose
-    sort of rows as opaque records took 18 ms on 10,620 rows of three
-    columns, where this lexsort takes 1 ms (2 vCPU, numpy 2.4).
-    """
-    by_row = np.lexsort(cols[::-1])
-    cols = [c[by_row] for c in cols]
-    repeat = np.ones(by_row.size - 1, dtype=bool)
-    for c in cols:
-        repeat &= c[1:] == c[:-1]
-    first = np.concatenate(([True], ~repeat))
-    inv = np.empty(by_row.size, dtype=np.intp)
-    inv[by_row] = np.cumsum(first) - 1
-    return [c[first] for c in cols], inv
-
-
-def _riesz_time_integral(order: MultiOrder, k, x, y, t_shift=0.0):
-    """(1/Gamma(|k|/2)) int_0^inf t^(|k|/2 - 1) delta^k p_(t + shift) dt.
-
-    The shift is a scalar or broadcasts against the pairs' leading shape.  The
-    substitution t = v^2 makes the integrand smooth through t = 0 for
+    t is one time or broadcasts with the pairs, as in ``heat._axis_products``.
+    The substitution s = v^2 makes the integrand smooth through s = 0 for
     off-diagonal pairs, and geometric panels in v resolve every pair scale
-    at once.  They run from d_min/16 to the cutoff lam0 t >= 60, with
-    lam0 = 2|nu| + 2n the bottom of the spectrum: for large t the
-    integrand decays like e^(-lam0 (shift + t)), so past the cutoff it is
-    below e^(-60) times its size at t = 0 of the same decay, whatever the
-    shift, and later panels could not change the sum.
-
-    Each axis factor delta^(k_j) p^(nu_j) depends on a pair only through its
-    row (x_j, y_j), or (shift, x_j, y_j), and ``_axis_factors`` evaluates it
-    once per distinct row and node; products formed in axis order and added
-    in ladder order keep the sum of per-node calls on all pairs, bit for bit.
+    at once.  They run from d_min/16 to the cutoff lam0 s >= 60, with
+    lam0 = 2|nu| + 2n the bottom of the spectrum: for large s the
+    integrand decays like e^(-lam0 (t + s)), so past the cutoff it is
+    below e^(-60) times its size at s = 0 of the same decay, whatever t,
+    and later panels could not change the sum.  The products of the axis
+    factors delta^(k_j) p^(nu_j) at t + s come from ``heat._axis_products``
+    and are added in ladder order.
     """
-    xx, yy, d, shape = _pair_arrays(order, x, y)
+    d = np.linalg.norm(np.subtract(*_points(order.n, x, y)), axis=-1)
     if np.any(d < 1e-9):
         raise ValueError("the kernel is singular on the diagonal; x and y must differ")
-    try:
-        shift = np.broadcast_to(t_shift, shape or (1,)).ravel() if np.ndim(t_shift) else None
-    except ValueError:
-        raise ValueError("time must be a scalar or one time per point pair") from None
-    if d.size == 0:
-        return np.zeros(shape)
     lam0 = order.degree_eigenvalue(0)
-    bounds = [0.0, max(float(d.min()) / 16.0, 1e-6)]
+    # an empty batch takes the ladder of unit distance
+    bounds = [0.0, max((float(d.min()) if d.size else 1.0) / 16.0, 1e-6)]
     while lam0 * bounds[-1] ** 2 < _GAP_CUTOFF:
         bounds.append(bounds[-1] * 2.0)
     nodes, weights = _leggauss(16)
-    # (t, weight * dt/dv * t^(|k|/2 - 1)) per node; the power is taken per
-    # scalar node, because numpy's array power can differ in the last bit
+    # (s, weight * ds/dv * s^(|k|/2 - 1)) per node; the power is taken per
+    # scalar node, because numpy's array power can differ in the last bit,
+    # and the weight is a float, so that one pair sums to a float
     ladder = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         vs = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
         ws = 0.5 * (hi - lo) * weights
-        ladder += [(v * v, w * 2.0 * v ** (sum(k) - 1)) for v, w in zip(vs, ws)]
-    # rows (shift, x_j, y_j) sort time-major, as sample sets come, so the
-    # branch masks of ive keep their long runs
-    rows, pair_row = zip(*(
-        _distinct_rows((xx[:, j], yy[:, j]) if shift is None else (shift, xx[:, j], yy[:, j]))
-        for j in range(order.n)
-    ))
-
-    def factor(nu, m, t, *row):  # delta^m p^nu at shift + t on a row (x, y) or (shift, x, y)
-        return delta_kernel_1d(nu, m, (t_shift if shift is None else row[0]) + t, row[-2], row[-1])
-    axes = [(partial(factor, nu, m), r) for nu, m, r in zip(order.nu, k, rows)]
-    total = np.zeros(d.shape)
-    for (_, c), factors in zip(ladder, _axis_factors(np.array([t for t, _ in ladder]), axes)):
-        val = factors[0][pair_row[0]]
-        for j in range(1, order.n):
-            val = val * factors[j][pair_row[j]]
+        ladder += [(v * v, float(w * 2.0 * v ** (sum(k) - 1))) for v, w in zip(vs, ws)]
+    offsets, coefs = zip(*ladder)
+    factors = [partial(delta_kernel_1d, nu, m) for nu, m in zip(order.nu, k)]
+    total = 0.0
+    for c, val in zip(coefs, _axis_products(t, x, y, factors, offsets)):
         total += c * val
     total *= math.exp(-gammaln(sum(k) / 2.0))
-    return total.reshape(shape) if shape else float(total[0])
+    return total
 
 
 def riesz_kernel(order: MultiOrder, k, x, y):
     """Off-diagonal Riesz kernel of delta^k L^(-|k|/2) over broadcast point arrays x, y."""
     order = as_order(order)
     k = _check_riesz_index(order, k)
-    return _riesz_time_integral(order, k, x, y, t_shift=0.0)
+    return _riesz_time_integral(order, k, 0.0, x, y)
 
 
 def riesz_heat_composite_kernel(order: MultiOrder, k, t, x, y):
@@ -493,8 +417,7 @@ def riesz_heat_composite_kernel(order: MultiOrder, k, t, x, y):
     """
     order = as_order(order)
     k = _check_riesz_index(order, k)
-    t = _check_time(t, strict=False)
-    return _riesz_time_integral(order, k, x, y, t_shift=t if t.ndim else float(t))
+    return _riesz_time_integral(order, k, _check_time(t, strict=False), x, y)
 
 
 def verify_cz_smoothness(order: MultiOrder, k) -> dict:

@@ -141,6 +141,18 @@ def test_minimal_decay_constant_none_without_gaussian():
     assert minimal_decay_constant(fam, samples) is None
 
 
+def test_a_window_that_leaves_no_sample_fits_inf_in_both_fitters():
+    # t_lo = 1 against times below 1: minimal_decay_constant raised numpy's
+    # "zero-size array to reduction operation maximum"
+    from lagsem.bounds import large_time_moment_family
+
+    fam = large_time_moment_family(0.5, 1, 0)
+    samples = product_samples_1d([0.1, 0.5], [0.5, 1.0], [0.7, 1.2])
+    rep = fit_gaussian_bound(fam, samples)
+    assert rep.n_samples == 0 and rep.fitted_C == math.inf
+    assert minimal_decay_constant(fam, samples) == math.inf
+
+
 def test_minimal_decay_constant_monotone_in_margin():
     fam = heat_size_family(0.5)
     grid = _small_grid()

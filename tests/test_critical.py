@@ -90,6 +90,12 @@ def test_slow_variation_two_dimensional():
     assert report.passed
 
 
+@pytest.mark.parametrize("n_pairs", [0, -1, 2.5])
+def test_slow_variation_refuses_a_pair_count_that_is_not_a_positive_integer(n_pairs):
+    with pytest.raises(ValueError, match="n_pairs must be a positive integer"):
+        check_slow_variation(MultiOrder((0.5,)), n_pairs=n_pairs)
+
+
 def test_slow_variation_same_point_ratio_one():
     order = MultiOrder((0.7,))
     x = np.array([[1.3]])

@@ -1,10 +1,12 @@
-"""Tensor grids: multilinear interpolation against scipy's reference."""
+"""Tensor grids: multilinear interpolation against scipy's reference, and input rules."""
+
+import math
 
 import numpy as np
 import pytest
 from scipy.interpolate import RegularGridInterpolator
 
-from lagsem import Grid, GridFunction
+from lagsem import Grid, GridFunction, gauss_legendre_axis
 
 
 def _sample(n, seed):
@@ -60,3 +62,22 @@ def test_interp_refuses_an_axis_of_one_node():
     f = GridFunction(grid, np.ones(grid.shape))
     with pytest.raises(ValueError, match="interp needs at least two nodes per axis"):
         f.interp([[1.0, 1.0], [1.0, 3.0]])
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf, 0.0, -1.0])
+def test_norm_lp_refuses_an_exponent_that_is_not_finite_and_positive(p):
+    # p = nan gave a silent NaN (1.0 for |f| = 1) and p = inf gave mass^0 = 1.0,
+    # which is not the sup norm
+    grid = Grid.box((0.1,), (1.0,))
+    f = GridFunction(grid, np.ones(grid.shape))
+    with pytest.raises(ValueError, match="norm_lp needs a finite exponent p > 0"):
+        f.norm_lp(p)
+
+
+@pytest.mark.parametrize("lo,hi", [(0.0, math.inf), (0.1, math.inf), (math.nan, 1.0)])
+def test_axes_and_boxes_refuse_bounds_that_are_not_finite(lo, hi):
+    # an infinite bound raised OverflowError while counting panels
+    with pytest.raises(ValueError, match="axis bounds must be finite"):
+        gauss_legendre_axis(lo, hi)
+    with pytest.raises(ValueError, match="axis bounds must be finite"):
+        Grid.box((lo,), (hi,))

@@ -1,5 +1,6 @@
 """Spectral calculus, semigroup, maximal/square functions, Riesz transforms."""
 
+import functools
 import itertools
 import math
 import tracemalloc
@@ -32,7 +33,8 @@ from lagsem import (
     verify_cz_smoothness,
 )
 from lagsem.config import SuiteConfig
-from lagsem.heat import delta_kernel_1d
+from lagsem.bounds import product_adjoint_family, product_delta_family, product_partial_family
+from lagsem.heat import delta_kernel_1d, partial_delta_kernel_1d, shifted_adjoint_kernel_1d
 from lagsem.special import laguerre_function_table
 from lagsem.suites import check_parseval, run_suite
 
@@ -738,10 +740,18 @@ def test_riesz_time_nodes_stop_at_spectral_gap_cutoff(monkeypatch, t_shift):
         assert lam0 * (max(times) - t_shift) > 60.0
 
 
-# Reference copy of the Riesz time integral as it was before it evaluated
-# each axis factor once per distinct coordinate row, on blocks of ladder
-# nodes: one delta_kernel call on every pair per node.  The rows and the
-# blocks may not change a single bit.
+# Reference copies of the Riesz time integral and of the n-D pair product
+# as they were before each axis factor was evaluated once per distinct
+# coordinate row, on blocks of ladder nodes: every 1-D factor on every pair
+# (at every node), multiplied in axis order.  The rows and the blocks may
+# not change a single bit.
+
+
+def _frozen_axis_product(t, x, y, factors):
+    val = factors[0](t, x[..., 0], y[..., 0])
+    for j in range(1, len(factors)):
+        val = val * factors[j](t, x[..., j], y[..., j])
+    return val
 
 
 def _frozen_riesz_time_integral(order, k, x, y, t_shift):
@@ -761,9 +771,10 @@ def _frozen_riesz_time_integral(order, k, x, y, t_shift):
         vs = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
         ws = 0.5 * (hi - lo) * weights
         ladder += [(v * v, w * 2.0 * v ** (sum(k) - 1)) for v, w in zip(vs, ws)]
+    factors = [functools.partial(delta_kernel_1d, nu, m) for nu, m in zip(order.nu, k)]
     total = np.zeros(d.shape)
     for t, c in ladder:
-        total += c * delta_kernel(order, k, t_shift + t, xx, yy)
+        total += c * _frozen_axis_product(t_shift + t, xx, yy, factors)
     total *= math.exp(-gammaln(sum(k) / 2.0))
     return total
 
@@ -801,6 +812,89 @@ def test_riesz_rows_and_node_blocks_keep_every_bit(case):
     if np.ndim(t_shift) == 0 and t_shift == 0.0:
         np.testing.assert_array_equal(riesz_kernel(order, k, x, y), want)
     np.testing.assert_array_equal(riesz_heat_composite_kernel(order, k, t_shift, x, y), want)
+
+
+def _pair_product_cases():
+    """Per case, an order, a time and two point arrays."""
+    from lagsem.bounds import _grid_2d
+
+    g2 = _grid_2d(fast=False)
+    rng = np.random.default_rng(11)
+    order2 = MultiOrder((0.5, 1.0))
+    return {
+        "2d-grid": (order2, g2["t"], g2["x"], g2["y"]),
+        "3d-scalar-t": (MultiOrder((0.5, 1.0, 0.0)), 0.3,
+                        rng.choice([0.4, 0.9, 1.7], size=(30, 3)), rng.choice([0.5, 1.1, 2.3], size=(30, 3))),
+        "broadcast": (order2, rng.uniform(0.05, 1.0, size=(4, 1)),
+                      rng.uniform(0.3, 2.5, size=(4, 1, 2)), rng.uniform(0.3, 2.5, size=(1, 5, 2))),
+        "1d-flat": (ORDER, np.geomspace(0.01, 3.0, 40), rng.uniform(0.1, 3.0, 40), rng.uniform(0.1, 3.0, 40)),
+        "one-pair": (order2, 0.4, np.array([0.7, 1.3]), np.array([1.1, 0.9])),
+        "empty": (order2, 0.4, np.empty((0, 2)), np.empty((0, 2))),
+    }
+
+
+def _pair_product_calls(order):
+    """Per name, a call (t, x, y) through the pair product and the factor lists its frozen value sums."""
+    n, nu = order.n, order.nu
+    first = (1,) + (0,) * (n - 1)
+    last = (0,) * (n - 1) + (1,)
+
+    def factors(fn, *indices):
+        return [functools.partial(fn, *a) for a in zip(nu, *indices)]
+
+    adjoint = [factors(shifted_adjoint_kernel_1d, [int(ax == which) for ax in range(n)], (0,) * n, (2,) * n)
+               for which in range(n)]
+    return {
+        "kernel_nd": (lambda t, x, y: kernel_nd(order, t, x, y), [factors(kernel_1d_closed)]),
+        "delta_kernel": (lambda t, x, y: delta_kernel(order, (1,) * n, t, x, y),
+                         [factors(delta_kernel_1d, (1,) * n)]),
+        "product-delta": (product_delta_family(order, first).lhs, [factors(delta_kernel_1d, first)]),
+        "product-partial": (product_partial_family(order, first, last).lhs,
+                            [factors(partial_delta_kernel_1d, first, last)]),
+        "product-adjoint-m0": (product_adjoint_family(order, 0, first, first).lhs,
+                               [factors(shifted_adjoint_kernel_1d, (0,) * n, first, first)]),
+        "product-adjoint-m1": (product_adjoint_family(order, 1, (0,) * n, (2,) * n).lhs, adjoint),
+    }
+
+
+@pytest.mark.parametrize("case", ["2d-grid", "3d-scalar-t", "broadcast", "1d-flat", "one-pair", "empty"])
+def test_pair_product_keeps_every_bit_of_the_per_pair_axis_loop(case):
+    order, t, x, y = _pair_product_cases()[case]
+    # the frozen loop reads 1-D flat coordinates as one column
+    xp, yp = (a[:, None] if order.n == 1 else a for a in (x, y))
+    for name, (call, factor_lists) in _pair_product_calls(order).items():
+        got = call(t, x, y)
+        terms = [_frozen_axis_product(t, xp, yp, f) for f in factor_lists]
+        want = terms[0] if len(terms) == 1 else sum(terms)
+        assert type(got) is type(want), name
+        np.testing.assert_array_equal(got, want, err_msg=name)
+
+
+def test_product_families_draw_each_axis_factor_once_per_distinct_row(monkeypatch):
+    # the 2-D sample set pairs 8 times with 49 x 49 points, 19,208 pairs, but
+    # an axis has only 8 x 7 x 7 = 392 distinct rows (t, x_j, y_j)
+    from lagsem import heat
+    from lagsem.bounds import standard_bound_suite
+
+    kernel_1d, rows = heat._kernel_1d, []
+
+    def spy(nus, factors, x, y):
+        rows.append(np.broadcast_shapes(x.shape, y.shape)[-1])
+        return kernel_1d(nus, factors, x, y)
+
+    monkeypatch.setattr(heat, "_kernel_1d", spy)
+    tasks = [task for task in standard_bound_suite() if task.family.family_id.startswith("product")]
+    assert len(tasks) == 7
+    for task in tasks:
+        task.family.lhs(task.samples["t"], task.samples["x"], task.samples["y"])
+    assert rows and set(rows) == {392}
+
+
+def test_kernel_nd_names_the_time_rule():
+    # four times against three point pairs failed with numpy's broadcast text
+    x = np.full((3, 2), 0.7)
+    with pytest.raises(ValueError, match="time must be a scalar or one time per point pair"):
+        kernel_nd(MultiOrder((0.5, 1.0)), np.ones(4), x, x + 0.5)
 
 
 def _budget_runs(route):
@@ -845,7 +939,7 @@ def test_factor_calls_stay_within_their_element_budget(monkeypatch, route):
     # a call of the walker's 1-D factor holds at most _BLOCK elements, unless
     # one row alone has more; a grid row is one target node against every
     # source node, a Riesz row one distinct coordinate row at one node
-    from lagsem import operators
+    from lagsem import heat, operators
 
     factor = {"grid": kernel_1d_closed, "riesz": delta_kernel_1d}[route]
     calls = []
@@ -860,7 +954,7 @@ def test_factor_calls_stay_within_their_element_budget(monkeypatch, route):
     for name, run in _budget_runs(route).items():
         calls.clear()
         run()
-        assert all(size <= max(operators._BLOCK, row) for size, row in calls), name
+        assert all(size <= max(heat._BLOCK, row) for size, row in calls), name
         n_calls[name] = len(calls)
     assert n_calls == _BUDGET_CALLS[route]
 

@@ -23,7 +23,7 @@ Times, on the three grids of the ``grid-operators`` perfbench workload
 The grid operators and the Riesz kernels draw their 1-D factors from one
 walker, ``heat._axis_factors``; the Riesz kernels and the product kernels
 form their products at scattered point pairs in one place,
-``heat._axis_products``.  Each benchmark records its output
+``heat._row_products``.  Each benchmark records its output
 grid points or point pairs in ``extra_info`` as its work count, and the
 minor page faults of one call, averaged over
 ``FAULT_CALLS`` calls after a warm-up call, as ``minor_faults_per_call``.

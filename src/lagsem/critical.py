@@ -39,10 +39,10 @@ def rho(order: MultiOrder, x):
     order = as_order(order)
     (x,) = _points(order.n, x)
     norm = np.sqrt(np.sum(x * x, axis=-1))
-    entries = [1.0 / norm, np.ones_like(norm)]
+    val = np.minimum(1.0 / norm, 1.0)
     for j in order.active_axes:
-        entries.append(x[..., j])
-    val = np.min(np.stack(entries, axis=0), axis=0) / 16.0
+        val = np.minimum(val, x[..., j])
+    val = val / 16.0
     return val if val.ndim else float(val)
 
 
@@ -95,19 +95,21 @@ def check_slow_variation(
     xs = np.exp(rng.uniform(math.log(0.05), math.log(10.0), size=(n_pairs, n)))
     rx = rho(order, xs)
     # draw offsets uniformly in the dilated ball, resampling until the
-    # companion stays inside the orthant
+    # companion stays inside the orthant; sqrt(u.dot(u)) is
+    # np.linalg.norm(u) for a 1-D u, and Python floats round as numpy's
     ys = np.empty_like(xs)
-    for i in range(n_pairs):
+    for i, r in enumerate(rx.tolist()):
+        x = xs[i].tolist()
         for _ in range(100):
-            u = rng.normal(size=n)
-            u /= np.linalg.norm(u)
-            radius = 4.0 * rx[i] * rng.uniform() ** (1.0 / n)
-            cand = xs[i] + radius * u
-            if np.all(cand > 0.0):
+            u = rng.standard_normal(n)
+            norm = math.sqrt(u.dot(u))
+            radius = 4.0 * r * rng.uniform() ** (1.0 / n)
+            cand = [xj + radius * (uj / norm) for xj, uj in zip(x, u.tolist())]
+            if min(cand) > 0.0:
                 ys[i] = cand
                 break
         else:
-            ys[i] = xs[i]
+            ys[i] = x
     ry = rho(order, ys)
     ratios = ry / rx
     bad = (ratios < 0.5) | (ratios > 2.0)

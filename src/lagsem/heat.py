@@ -71,6 +71,43 @@ def _time_factors(t):
     return t, np.exp(-4.0 * t), np.exp(-2.0 * t), -np.expm1(-4.0 * t), -np.expm1(-2.0 * t)
 
 
+def _exponents(factors, x, y):
+    """The Gaussian and cross exponents of the 1-D kernel at the ``_time_factors`` of t.
+
+    The kernel is q sqrt(x y) exp(gauss + cross) ive(nu, z), with
+    q = 2 sqrt(r) / (1 - r) and z = q x y.
+    """
+    t, r, sr, omr, oms = factors
+    return -0.5 * (1.0 + r) / omr * (x - y) ** 2, -oms / (1.0 + sr) * x * y
+
+
+def _log_kernel_bound(nu: float, factors, x, y):
+    """An upper bound on log kernel_1d_closed(nu, t, x, y) that has one maximum in t.
+
+    In the kernel's factors (``_exponents``) the scaled Bessel factor
+    exp(-z) I_nu(z) is bounded by (z/2)^nu / Gamma(nu + 1) (its power
+    series against that of cosh z, for nu >= -1/2) and, for nu >= 1/2,
+    also by 1 / sqrt(2 pi z) (the integral representation of I_nu with
+    (2 - u)^(nu - 1/2) <= 2^(nu - 1/2) on [0, 2]).  In t the Gaussian
+    exponent rises while the cross exponent and log(q) fall; with the
+    prefactor the bound has slope nu + 1 in log(q) on its first branch and
+    1/2 on its second, which it takes at small t, so its derivative times
+    sinh(2t)^2 is (x - y)^2 - 4 x y sinh(t)^2 - sinh(4t) * slope: it falls
+    with t, and the bound rises to its one maximum and falls after it.
+    Where q or x y underflows to 0 the bound is not finite.
+    """
+    t, r, sr, omr, oms = factors
+    gauss, cross = _exponents(factors, x, y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_q, log_xy = np.log(2.0 * sr / omr), np.log(x * y)
+        bound = (nu + 1.0) * log_q + ((nu + 0.5) * log_xy - nu * math.log(2.0) - math.lgamma(nu + 1.0))
+        if nu >= 0.5:
+            bound = np.minimum(bound, 0.5 * log_q - 0.5 * math.log(2.0 * math.pi))
+        bound += gauss
+        bound += cross
+    return bound
+
+
 def _kernel_1d(nus: tuple, factors, x, y) -> list:
     """kernel_1d_closed of each order in ``nus`` on checked arrays.
 
@@ -85,8 +122,7 @@ def _kernel_1d(nus: tuple, factors, x, y) -> list:
     t, r, sr, omr, oms = factors
     z = 2.0 * sr * x * y / omr
     pref = 2.0 * sr * np.sqrt(x * y) / omr
-    gauss = np.exp(-0.5 * (1.0 + r) / omr * (x - y) ** 2)
-    cross = np.exp(-oms / (1.0 + sr) * x * y)
+    gauss, cross = map(np.exp, _exponents(factors, x, y))
     head = pref * gauss * cross
     zero = z == 0.0
     need = (head != 0.0) | zero
@@ -174,30 +210,48 @@ def kernel_1d_raw(nu: float, t, x, y):
 _BLOCK = 2**14
 
 
-def _axis_factors(times: np.ndarray, axes):
+def _axis_factors(times: np.ndarray, axes, live=None):
     """Per-axis factor arrays at each of ``times``, one tuple per time.
 
     ``axes`` holds one (factor, columns) pair per axis: factor(t, *columns)
     is the axis factor at times t of shape (times, 1, ...) on columns that
     broadcast to (rows, ...) of one rank on every axis, where a column of
-    one row serves every row.  A call takes as many times as fit in
-    ``_BLOCK`` elements, or one time in row tiles of at most ``_BLOCK``
-    (unless one row has more) into a buffer per axis.  The arrays last
-    until the next time is drawn, and match a call per time on all rows.
+    one row serves every row.  ``live``, if given, holds per axis the
+    number of leading rows needed at each time, non-decreasing in time;
+    by default every row is.  A call takes as many times as fit in
+    ``_BLOCK`` elements of the live rows at its last time, or one time in
+    row tiles of at most ``_BLOCK`` (unless one row has more) into a
+    buffer per axis, so the times take no more calls in all than with every
+    row live.  A time's arrays cover at least its live rows, last until the
+    next time is drawn, and match a call per time on all rows.
     """
     shapes = [np.broadcast_shapes(*map(np.shape, cols)) for _, cols in axes]
-    per_block = min(len(times), max(1, _BLOCK // max(1, *map(math.prod, shapes))))
-    bufs = [np.empty((1, *s)) if math.prod(s) > _BLOCK else None for s in shapes]
-    for start in range(0, len(times), per_block):
-        t = times[start : start + per_block].reshape(-1, *[1] * len(shapes[0]))
+    if live is None:
+        live = [np.full(len(times), s[0]) for s in shapes]
+    inner = [math.prod(s[1:]) for s in shapes]
+    width = np.max([n * w for n, w in zip(live, inner)], axis=0).tolist()
+    bufs = [None] * len(axes)
+    start = 0
+    while start < len(times):
+        stop = start + 1
+        while stop < len(times) and (stop + 1 - start) * width[stop] <= _BLOCK:
+            stop += 1
+        t = times[start:stop].reshape(-1, *[1] * len(shapes[0]))
         blocks = []
-        for (factor, cols), s, buf in zip(axes, shapes, bufs):
-            if buf is not None:
-                step = max(1, _BLOCK // math.prod(s[1:]))
-                for lo in range(0, s[0], step):
-                    buf[:, lo : lo + step] = factor(t, *(c[lo : lo + step] if len(c) > 1 else c for c in cols))
-            blocks.append(factor(t, *cols) if buf is None else buf)
+        for a, ((factor, cols), s, rows) in enumerate(zip(axes, shapes, live)):
+            rows = int(rows[stop - 1])
+            if rows * inner[a] <= _BLOCK:
+                blocks.append(factor(t, *(c[:rows] if len(c) > 1 else c for c in cols)))
+                continue
+            if bufs[a] is None:
+                bufs[a] = np.empty((1, *s))
+            step = max(1, _BLOCK // inner[a])
+            for lo in range(0, rows, step):
+                hi = min(lo + step, rows)
+                bufs[a][:, lo:hi] = factor(t, *(c[lo:hi] if len(c) > 1 else c for c in cols))
+            blocks.append(bufs[a][:, :rows])
         yield from zip(*blocks)
+        start = stop
 
 
 def _distinct_rows(cols):
@@ -219,20 +273,14 @@ def _distinct_rows(cols):
     return [c[first] for c in cols], inv
 
 
-def _axis_products(t, x, y, factors, offsets):
-    """Per time offset s, the product over axes j of factors[j](t + s, x[..., j], y[..., j]).
+def _flat_pairs(n: int, t, x, y):
+    """The pairs of a pair product as (t, x, y, shape), flat along the pairs.
 
     x, y are point arrays (``special._points``) and t is one time or an
-    array; the products take the broadcast shape of t and the points'
-    leading shapes, a float for one pair.  An axis factor depends on a pair
-    only through its row (x_j, y_j), or (t, x_j, y_j) for an array t, which
-    sorts time-major as sample sets come, so the branch masks of ive keep
-    their long runs.  ``_axis_factors`` draws it once per distinct row, and
-    the rows are gathered back to the pairs and multiplied in axis order,
-    f_0 * f_1 * ... * f_(n-1): every value is bit for bit that of the
-    factors called on all pairs, so every n-D kernel rounds the same way.
+    array; ``shape`` is the broadcast shape of t and the points' leading
+    shapes.  x and y come back as (pairs, n) arrays, t as a 0-d array when
+    it is one time and as one time per pair otherwise.
     """
-    n = len(factors)
     x, y = _points(n, x, y)
     t = np.asarray(t, dtype=float)
     try:
@@ -240,24 +288,81 @@ def _axis_products(t, x, y, factors, offsets):
     except ValueError:
         raise ValueError("time must be a scalar or one time per point pair") from None
     x, y = (np.broadcast_to(a, (*shape, n)).reshape(-1, n) for a in (x, y))
+    return (np.broadcast_to(t, shape).ravel() if t.ndim else t), x, y, shape
+
+
+def _pair_rows(t, x, y):
+    """The distinct rows of each axis of flat pairs (``_flat_pairs``), and each pair's row.
+
+    A row is (t, x_j, y_j) for an array t, which sorts time-major as sample
+    sets come, so the branch masks of ive keep their long runs, and
+    (x_j, y_j) for one time.  Returns the rows of every axis, as columns,
+    and the pairs' rows of every axis.
+    """
+    t_col = (t,) if t.ndim else ()
+    rows, pair_row = zip(*(_distinct_rows((*t_col, x[:, j], y[:, j])) for j in range(x.shape[-1])))
+    return rows, pair_row
+
+
+def _row_products(t, rows, pair_row, factors, offsets, first=None):
+    """Per time offset s, the product over axes j of factors[j](t + s, x_j, y_j) at the pairs, flat.
+
+    ``rows`` and ``pair_row`` are a ``_pair_rows`` split of the pairs, in
+    any order of the pairs, and t is their time as ``_flat_pairs`` returns
+    it.  ``_axis_factors`` draws each axis factor once per distinct row,
+    and the rows are gathered back to the pairs and multiplied in axis
+    order, f_0 * f_1 * ... * f_(n-1): every value is bit for bit that of
+    the factors called on all pairs, so every n-D kernel rounds the same
+    way.
+
+    ``first``, if given, is per pair the index of the first offset it
+    needs, non-decreasing along the pairs.  The products at an offset then
+    cover only the pairs that need it, a prefix; a row is drawn from the
+    first offset one of its pairs needs, so the rows of an axis are put in
+    the order of that offset, stably.
+    """
+    n = len(factors)
     offsets = np.asarray(offsets, dtype=float)
     if t.ndim:
-        t_col = (np.broadcast_to(t, shape).ravel(),)
         factors = [lambda s, tj, xj, yj, f=f: f(tj + s, xj, yj) for f in factors]
     else:
-        t_col, offsets = (), t + offsets
-    rows, pair_row = zip(*(_distinct_rows((*t_col, x[:, j], y[:, j])) for j in range(n)))
-    for drawn in _axis_factors(offsets, list(zip(factors, rows))):
-        val = drawn[0][pair_row[0]]
+        offsets = t + offsets
+    live, n_pairs = None, [pair_row[0].size] * len(offsets)
+    if first is not None:
+        at = np.arange(len(offsets))
+        rows, pair_row, live = zip(*(_rows_by_first(r, p, first, at) for r, p in zip(rows, pair_row)))
+        n_pairs = np.searchsorted(first, at, side="right").tolist()
+    for drawn, m in zip(_axis_factors(offsets, list(zip(factors, rows)), live), n_pairs):
+        val = drawn[0][pair_row[0][:m]]
         for j in range(1, n):
-            val = val * drawn[j][pair_row[j]]
-        yield val.reshape(shape) if shape else float(val[0])
+            val = val * drawn[j][pair_row[j][:m]]
+        yield val
+
+
+def _rows_by_first(rows, pair_row, first, at):
+    """Distinct rows reordered by the first offset any of their pairs needs.
+
+    Returns the rows, each pair's row in the new order and the number of
+    rows needed at each offset in ``at``.
+    """
+    row_first = np.full(rows[0].size, first.max(initial=0))
+    np.minimum.at(row_first, pair_row, first)
+    by_first = np.argsort(row_first, kind="stable")
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(by_first.size)
+    live = np.searchsorted(row_first[by_first], at, side="right")
+    return [c[by_first] for c in rows], rank[pair_row], live
 
 
 def axis_product(t, x, y, factors):
-    """Product over axes j of factors[j](t, x[..., j], y[..., j]), as ``_axis_products`` at offset 0."""
-    (val,) = _axis_products(t, x, y, factors, [0.0])
-    return val
+    """Product over axes j of factors[j](t, x[..., j], y[..., j]) through ``_row_products``.
+
+    t, x and y are read by ``_flat_pairs``; the product takes its shape, a
+    float for one pair.
+    """
+    t, x, y, shape = _flat_pairs(len(factors), t, x, y)
+    (val,) = _row_products(t, *_pair_rows(t, x, y), factors, [0.0])
+    return val.reshape(shape) if shape else float(val[0])
 
 
 def kernel_nd(order: MultiOrder, t, x, y):

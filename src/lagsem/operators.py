@@ -19,11 +19,21 @@ import numpy as np
 
 from .critical import critical_weight
 from .grids import Grid, GridFunction, _leggauss, cross_pairs
-from .heat import _axis_factors, _axis_products, delta_kernel_1d, kernel_1d_closed
+from .heat import (
+    _axis_factors,
+    _exponents,
+    _flat_pairs,
+    _kernel_1d,
+    _log_kernel_bound,
+    _pair_rows,
+    _row_products,
+    _time_factors,
+    delta_kernel_1d,
+    kernel_1d_closed,
+)
 from .special import (
     MultiOrder,
     _check_time,
-    _points,
     as_order,
     gammaln,
     laguerre_function_table,
@@ -359,22 +369,103 @@ def riesz_spectral(
 
 _GAP_CUTOFF = 60.0
 
+# A pair skips the leading v panels on which an upper bound of its heat
+# kernel (``heat._log_kernel_bound``) lies more than this far in the log
+# below the kernel itself at one panel end: a skipped kernel value is below
+# e^(-90) ~ 8e-40 of the pair's largest one, 23 decades under the half ulp
+# 2^(-53) ~ 1.1e-16, which leaves room for the factors polynomial in s, v,
+# x and y that the derivative delta^k and the quadrature weights add.  The
+# margin is relative, since far pairs are tiny themselves.
+_WINDOW_EXPONENT = 90.0
+
+
+def _first_panels(order: MultiOrder, t, rows, pair_row, bounds):
+    """Per pair, the first panel of the v-ladder ``bounds`` that ``_riesz_time_integral`` sums.
+
+    t, ``rows`` and ``pair_row`` are the pairs as ``heat._flat_pairs`` and
+    ``heat._pair_rows`` give them.  The sum over axes of
+    ``heat._log_kernel_bound``, drawn per row, bounds the log of the pair's
+    kernel p_(t + v^2) from above and has one maximum in v.  The kernel's
+    true log at the panel end where the bound is largest is at most its
+    largest value, and the pair skips the leading panels whose bound at
+    their upper end lies more than ``_WINDOW_EXPONENT`` below that log.
+    These come before the bound's maximum, where the bound rises, so every
+    node of a skipped panel lies below its panel's upper end.  Only pairs
+    whose Gaussian exponent rises by the margin along the ladder are
+    estimated, and a pair whose bound is not finite somewhere skips
+    nothing.
+    """
+    ends = np.square(bounds[1:, None])
+    axes = [(nu, t_col[0] if t_col else t, x_row, y_row, at)
+            for nu, (*t_col, x_row, y_row), at in zip(order.nu, rows, pair_row)]
+    # the rest of the bound falls in v, so a pair whose Gaussian exponent
+    # rises by less than the margin along the whole ladder skips nothing
+    rise = 0.0
+    for _, t_row, x_row, y_row, at in axes:
+        gauss, _ = _exponents(_time_factors(ends[[0, -1]] + t_row), x_row, y_row)
+        rise = rise + np.take(gauss[1] - gauss[0], at)
+    first = np.zeros(pair_row[0].size, dtype=int)
+    far = np.flatnonzero(rise >= _WINDOW_EXPONENT)
+    if not far.size:
+        return first
+    bound, drawn = np.zeros((far.size, len(bounds) - 1)), []
+    for nu, t_row, x_row, y_row, at in axes:
+        # the rows of the far pairs, and each far pair's row among them
+        used = np.zeros(x_row.size, dtype=bool)
+        used[at[far]] = True
+        at = np.cumsum(used)[at[far]] - 1
+        s = ends + (t_row[used] if t_row.ndim else t_row)
+        x_row, y_row = x_row[used], y_row[used]
+        per_row = _log_kernel_bound(nu, _time_factors(s), x_row, y_row).T
+        # a row whose bound is not finite somewhere is +inf throughout, so
+        # that its pairs skip nothing
+        per_row[~np.isfinite(per_row).all(axis=1)] = np.inf
+        bound += np.take(per_row, at, axis=0)
+        drawn.append((nu, np.broadcast_to(s, per_row.shape[::-1]), x_row, y_row, at))
+    peak = np.argmax(bound, axis=1)
+    value = 0.0
+    for nu, s, x_row, y_row, at in drawn:
+        # the kernel once per (row, peak panel) the pairs need
+        need = np.zeros((x_row.size, s.shape[0]), dtype=bool)
+        need[at, peak] = True
+        row, panel = np.nonzero(need)
+        (kernel,) = _kernel_1d((nu,), _time_factors(s[panel, row]), x_row[row], y_row[row])
+        log_kernel = np.empty(need.shape)
+        with np.errstate(divide="ignore"):
+            log_kernel[row, panel] = np.log(kernel)
+        value = value + log_kernel[at, peak]
+    first[far] = np.argmin(bound < (value - _WINDOW_EXPONENT)[:, None], axis=1)
+    return first
+
 
 def _riesz_time_integral(order: MultiOrder, k, t, x, y):
     """(1/Gamma(|k|/2)) int_0^inf s^(|k|/2 - 1) delta^k p_(t + s) ds.
 
-    t is one time or broadcasts with the pairs, as in ``heat._axis_products``.
+    t is one time or broadcasts with the pairs, as in ``heat._flat_pairs``.
     The substitution s = v^2 makes the integrand smooth through s = 0 for
     off-diagonal pairs, and geometric panels in v resolve every pair scale
     at once.  They run from d_min/16 to the cutoff lam0 s >= 60, with
     lam0 = 2|nu| + 2n the bottom of the spectrum: for large s the
     integrand decays like e^(-lam0 (t + s)), so past the cutoff it is
     below e^(-60) times its size at s = 0 of the same decay, whatever t,
-    and later panels could not change the sum.  The products of the axis
-    factors delta^(k_j) p^(nu_j) at t + s come from ``heat._axis_products``
-    and are added in ladder order.
+    and later panels could not change the sum.
+
+    Each pair sums over its own window of the panels (``_first_panels``):
+    it skips the leading panels on which its heat kernel stays below
+    e^(-90) of its largest value on the ladder.  The derivative delta^k and
+    the quadrature weights add factors polynomial in s, v, x and y, so a
+    skipped term lies far below half an ulp of the pair's largest term.
+    That the sum keeps every bit is not proved by this: the full ladder
+    adds the skipped terms to its running sum first, and for odd k the
+    terms change sign, so the sum can be smaller than its largest term.
+    The tests and report digests check it against the full ladder.  The
+    pairs are sorted by their first node, and ``heat._row_products`` draws
+    the products of the axis factors delta^(k_j) p^(nu_j) at t + s for the
+    prefix of pairs that need each node, from rows split once for the
+    window estimate and the sum; each pair adds its terms in ladder order.
     """
-    d = np.linalg.norm(np.subtract(*_points(order.n, x, y)), axis=-1)
+    t, x, y, shape = _flat_pairs(order.n, t, x, y)
+    d = np.linalg.norm(x - y, axis=-1)
     if np.any(d < 1e-9):
         raise ValueError("the kernel is singular on the diagonal; x and y must differ")
     lam0 = order.degree_eigenvalue(0)
@@ -384,20 +475,25 @@ def _riesz_time_integral(order: MultiOrder, k, t, x, y):
         bounds.append(bounds[-1] * 2.0)
     nodes, weights = _leggauss(16)
     # (s, weight * ds/dv * s^(|k|/2 - 1)) per node; the power is taken per
-    # scalar node, because numpy's array power can differ in the last bit,
-    # and the weight is a float, so that one pair sums to a float
+    # scalar node, because numpy's array power can differ in the last bit
     ladder = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         vs = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
         ws = 0.5 * (hi - lo) * weights
-        ladder += [(v * v, float(w * 2.0 * v ** (sum(k) - 1))) for v, w in zip(vs, ws)]
+        ladder += [(v * v, w * 2.0 * v ** (sum(k) - 1)) for v, w in zip(vs, ws)]
     offsets, coefs = zip(*ladder)
+    rows, pair_row = _pair_rows(t, x, y)
+    first = _first_panels(order, t, rows, pair_row, np.array(bounds)) * len(nodes)
+    by_first = np.argsort(first, kind="stable")
+    pair_row = [p[by_first] for p in pair_row]
     factors = [partial(delta_kernel_1d, nu, m) for nu, m in zip(order.nu, k)]
-    total = 0.0
-    for c, val in zip(coefs, _axis_products(t, x, y, factors, offsets)):
-        total += c * val
+    total = np.zeros(first.size)
+    for c, val in zip(coefs, _row_products(t, rows, pair_row, factors, offsets, first[by_first])):
+        total[: val.size] += c * val
     total *= math.exp(-gammaln(sum(k) / 2.0))
-    return total
+    out = np.empty_like(total)
+    out[by_first] = total
+    return out.reshape(shape) if shape else float(out[0])
 
 
 def riesz_kernel(order: MultiOrder, k, x, y):

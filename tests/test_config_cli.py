@@ -242,6 +242,23 @@ def test_raising_check_fails_under_its_registry_id(monkeypatch):
     assert (blob["n_checks"], blob["n_passed"], blob["all_passed"]) == (2, 1, False)
 
 
+@pytest.mark.parametrize("order", [(0.5,), (-0.5,), (2.5,)])
+def test_closed_vs_spectral_check_keeps_the_value_of_its_scalar_loop(order):
+    # one closed-form call on the grid of pairs, against one call per pair
+    from lagsem import MultiOrder, kernel_1d_closed, kernel_spectral
+
+    config = SuiteConfig(order=order, fast=True)
+    nu = suites._axis_nu(config)
+    x = np.linspace(0.3, 2.5, 8)
+    worst = 0.0
+    for xi in x:
+        for yj in x:
+            closed = float(kernel_1d_closed(nu, 0.5, xi, yj))
+            spectral = kernel_spectral(MultiOrder((nu,)), 0.5, xi, yj, config.k_max)
+            worst = max(worst, abs(closed - spectral) / abs(closed))
+    assert suites.check_closed_vs_spectral(config) == (worst < 1e-8, worst, {"k_max": config.k_max})
+
+
 def test_run_suite_rejects_unknown_name():
     with pytest.raises(ValueError, match="unknown suite"):
         run_suite(SuiteConfig(), "nope")

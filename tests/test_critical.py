@@ -69,6 +69,25 @@ def test_rho_equivalent_to_axiswise_min():
     assert np.all(ratio >= 1 / math.sqrt(2) - 1e-15)
 
 
+def _frozen_rho(order, x):
+    """rho as a min over the stacked entries 1/|x|, 1 and the active coordinates."""
+    x = np.asarray(x, dtype=float)
+    norm = np.sqrt(np.sum(x * x, axis=-1))
+    entries = [1.0 / norm, np.ones_like(norm)] + [x[..., j] for j in order.active_axes]
+    val = np.min(np.stack(entries, axis=0), axis=0) / 16.0
+    return val if val.ndim else float(val)
+
+
+@pytest.mark.parametrize("nu", [(0.5,), (0.5, 1.0), (-0.5,), (0.5, 1.0, 0.0)])
+def test_rho_minimum_chain_equals_the_stacked_minimum(nu):
+    order = MultiOrder(nu)
+    rng = np.random.default_rng(23)
+    x = np.exp(rng.uniform(math.log(0.01), math.log(40.0), size=(2000, order.n)))
+    np.testing.assert_array_equal(rho(order, x), _frozen_rho(order, x))
+    one = rho(order, x[0])
+    assert type(one) is float and one == _frozen_rho(order, x[0])
+
+
 def test_rho_domain_error():
     with pytest.raises(ValueError):
         rho(MultiOrder((0.5,)), (0.0,))
@@ -94,6 +113,54 @@ def test_slow_variation_two_dimensional():
 def test_slow_variation_refuses_a_pair_count_that_is_not_a_positive_integer(n_pairs):
     with pytest.raises(ValueError, match="n_pairs must be a positive integer"):
         check_slow_variation(MultiOrder((0.5,)), n_pairs=n_pairs)
+
+
+def _frozen_slow_variation(order, n_pairs, seed):
+    """check_slow_variation with its offsets drawn by rng.normal and np.linalg.norm."""
+    from lagsem import critical
+
+    rng = np.random.default_rng(seed)
+    n = order.n
+    xs = np.exp(rng.uniform(math.log(0.05), math.log(10.0), size=(n_pairs, n)))
+    rx = critical.rho(order, xs)
+    ys = np.empty_like(xs)
+    rejected = 0
+    for i in range(n_pairs):
+        for _ in range(100):
+            u = rng.normal(size=n)
+            u /= np.linalg.norm(u)
+            radius = 4.0 * rx[i] * rng.uniform() ** (1.0 / n)
+            cand = xs[i] + radius * u
+            if np.all(cand > 0.0):
+                ys[i] = cand
+                break
+            rejected += 1
+        else:
+            ys[i] = xs[i]
+    ratios = critical.rho(order, ys) / rx
+    bad = (ratios < 0.5) | (ratios > 2.0)
+    violations = [{"x": xs[i].tolist(), "y": ys[i].tolist(), "ratio": float(ratios[i])}
+                  for i in np.nonzero(bad)[0][:50]]
+    report = critical.SlowVariationReport(n_pairs, float(ratios.min()), float(ratios.max()), violations)
+    return report, rejected
+
+
+@pytest.mark.parametrize("case", ["rejected-draws", "violations"])
+def test_slow_variation_draws_the_pairs_of_the_norm_loop(monkeypatch, case):
+    # order -1/2 puts base points near 0, whose candidates leave the
+    # orthant and are drawn again; a rho that jumps by 4 across x_0 = 1
+    # makes the pairs that straddle it violations
+    from lagsem import critical
+
+    order = MultiOrder((-0.5, -0.5) if case == "rejected-draws" else (0.5,))
+    if case == "violations":
+        smooth = critical.rho
+        monkeypatch.setattr(critical, "rho", lambda order, x: smooth(order, x) * np.where(
+            np.asarray(x)[..., 0] > 1.0, 4.0, 1.0))
+    want, rejected = _frozen_slow_variation(order, 3000, 13)
+    got = check_slow_variation(order, n_pairs=3000, seed=13)
+    assert got == want
+    assert rejected > 0 if case == "rejected-draws" else want.violations
 
 
 def test_slow_variation_same_point_ratio_one():

@@ -754,13 +754,10 @@ def _frozen_axis_product(t, x, y, factors):
     return val
 
 
-def _frozen_riesz_time_integral(order, k, x, y, t_shift):
+def _frozen_ladder(order, k, d):
+    """(s, weight) per node of the v-ladder that every pair of a batch at distances d runs."""
     from lagsem.grids import _leggauss
-    from lagsem.special import gammaln
 
-    xx = np.asarray(x, dtype=float).reshape(-1, order.n)
-    yy = np.asarray(y, dtype=float).reshape(-1, order.n)
-    d = np.linalg.norm(xx - yy, axis=-1)
     lam0 = order.degree_eigenvalue(0)
     bounds = [0.0, max(float(d.min()) / 16.0, 1e-6)]
     while lam0 * bounds[-1] ** 2 < 60.0:
@@ -771,9 +768,18 @@ def _frozen_riesz_time_integral(order, k, x, y, t_shift):
         vs = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
         ws = 0.5 * (hi - lo) * weights
         ladder += [(v * v, w * 2.0 * v ** (sum(k) - 1)) for v, w in zip(vs, ws)]
+    return ladder
+
+
+def _frozen_riesz_time_integral(order, k, x, y, t_shift):
+    from lagsem.special import gammaln
+
+    xx = np.asarray(x, dtype=float).reshape(-1, order.n)
+    yy = np.asarray(y, dtype=float).reshape(-1, order.n)
+    d = np.linalg.norm(xx - yy, axis=-1)
     factors = [functools.partial(delta_kernel_1d, nu, m) for nu, m in zip(order.nu, k)]
     total = np.zeros(d.shape)
-    for t, c in ladder:
+    for t, c in _frozen_ladder(order, k, d):
         total += c * _frozen_axis_product(t_shift + t, xx, yy, factors)
     total *= math.exp(-gammaln(sum(k) / 2.0))
     return total
@@ -796,22 +802,130 @@ def _riesz_block_cases():
     pts = np.linspace(0.05, 4.0, 130)
     x1, y1 = np.repeat(pts, pts.size), np.tile(pts, pts.size)
     keep = x1 != y1
+    # far pairs, whose Gaussians span hundreds of decades along the ladder:
+    # every window start from the first panel to the last few
+    xf, yf = np.repeat(np.geomspace(0.05, 30.0, 40), 24), np.tile(np.linspace(0.05, 4.0, 24), 40)
+    apart = np.abs(xf - yf) > 1e-3
+    xf, yf = xf[apart], yf[apart]
+    # one time per pair, near and far pairs mixed: windows differ by pair and by time
+    times = rng.choice([0.0, 1e-3, 3e-2, 1.0], size=xf.size)
+    # both points far out, where the cross factor exp(-c x y) moves each
+    # pair's peak, and high orders, where the Bessel factor (z/2)^nu does
+    pb = np.geomspace(0.05, 30.0, 40)
+    xb, yb = np.repeat(pb, pb.size), np.tile(pb, pb.size)
+    xh, yh = np.exp(rng.uniform(math.log(0.01), math.log(4.0), size=(2, 200, 3)))
+    # high orders on far pairs, where the Bessel factor's asymptotes are
+    # loosest near z ~ nu on every axis
+    xv = np.exp(rng.uniform(math.log(0.05), math.log(30.0), size=(300, 3)))
+    yv = rng.uniform(0.05, 4.0, size=(300, 3))
     return {
         "2d-lattice": (order2, (1, 0), lat["x"], lat["y"], 0.0),
         "per-pair-shift": (ORDER, (2,), xs, ys, shifts),
         "one-pair": (ORDER, (1,), np.array([0.7]), np.array([1.0]), 1e-8),
         "3d": (order3, (1, 0, 1), x3, y3, 0.1),
         "1d-rows": (ORDER, (1,), x1[keep], y1[keep], 0.0),
+        "far-pairs": (ORDER, (2,), xf, yf, 0.0),
+        "per-pair-windows": (ORDER, (1,), xf, yf, times),
+        "far-both": (ORDER, (1,), xb[xb != yb], yb[xb != yb], 0.0),
+        "high-orders": (MultiOrder((20.0, 20.0, -0.5)), (3, 0, 1), xh, yh, 0.0),
+        "high-orders-far": (MultiOrder((40.5, 40.5, 40.5)), (1, 0, 1), xv, yv, 0.0),
     }
 
 
-@pytest.mark.parametrize("case", ["2d-lattice", "per-pair-shift", "one-pair", "3d", "1d-rows"])
+@pytest.mark.parametrize("case", ["2d-lattice", "per-pair-shift", "one-pair", "3d", "1d-rows", "far-pairs",
+                                  "per-pair-windows", "far-both", "high-orders", "high-orders-far"])
 def test_riesz_rows_and_node_blocks_keep_every_bit(case):
     order, k, x, y, t_shift = _riesz_block_cases()[case]
     want = _frozen_riesz_time_integral(order, k, x, y, t_shift)
     if np.ndim(t_shift) == 0 and t_shift == 0.0:
         np.testing.assert_array_equal(riesz_kernel(order, k, x, y), want)
     np.testing.assert_array_equal(riesz_heat_composite_kernel(order, k, t_shift, x, y), want)
+
+
+@pytest.mark.parametrize("case", ["1d-rows", "far-pairs", "per-pair-windows", "far-both", "high-orders-far"])
+def test_riesz_window_cases_start_at_several_panels(monkeypatch, case):
+    # the exactness of these cases above covers pairs that skip panels
+    from lagsem import operators
+
+    first_panels, firsts = operators._first_panels, []
+
+    def spy(*args):
+        firsts.append(first_panels(*args))
+        return firsts[-1]
+
+    monkeypatch.setattr(operators, "_first_panels", spy)
+    order, k, x, y, t_shift = _riesz_block_cases()[case]
+    riesz_heat_composite_kernel(order, k, t_shift, x, y)
+    assert np.unique(firsts[0]).size >= 3
+
+
+@pytest.mark.parametrize("case", ["far-pairs", "per-pair-windows", "far-both", "high-orders", "high-orders-far"])
+def test_riesz_windows_skip_only_kernel_values_far_below_the_largest(monkeypatch, case):
+    # at the upper end of every skipped panel the pair's heat kernel lies
+    # at least _WINDOW_EXPONENT below its largest value at the panel ends;
+    # a threshold taken from the bound's own maximum fails this at orders
+    # 40.5, where the bound overstates the kernel near z ~ nu
+    from lagsem import operators
+
+    first_panels, seen = operators._first_panels, []
+
+    def spy(order, t, rows, pair_row, bounds):
+        seen.append((bounds, first_panels(order, t, rows, pair_row, bounds)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(operators, "_first_panels", spy)
+    order, k, x, y, t_shift = _riesz_block_cases()[case]
+    riesz_heat_composite_kernel(order, k, t_shift, x, y)
+    (bounds, first), = seen
+    x, y = (np.reshape(a, (-1, order.n)) for a in (x, y))
+    ends = np.broadcast_to(t_shift, first.shape) + np.square(bounds[1:, None])
+    with np.errstate(divide="ignore"):
+        log_kernel = sum(np.log(kernel_1d_closed(nu, ends, x[:, j], y[:, j])) for j, nu in enumerate(order.nu))
+    skipped = np.arange(len(bounds) - 1)[:, None] < first
+    assert skipped.any()
+    gap = log_kernel.max(axis=0) - np.where(skipped, log_kernel, -np.inf).max(axis=0)
+    assert np.all(gap[first > 0] >= operators._WINDOW_EXPONENT)
+
+
+@pytest.mark.parametrize("nu", [-0.5, -0.2, 0.0, 0.3, 0.5, 1.0, 2.5, 40.5])
+def test_log_kernel_bound_lies_above_the_kernel_and_peaks_once(nu):
+    from lagsem.heat import _log_kernel_bound, _time_factors
+
+    t = np.geomspace(1e-6, 20.0, 200)[:, None]
+    pts = np.geomspace(0.01, 30.0, 25)
+    x, y = np.repeat(pts, pts.size), np.tile(pts, pts.size)
+    bound = _log_kernel_bound(nu, _time_factors(t), x, y)
+    with np.errstate(divide="ignore"):
+        log_kernel = np.log(kernel_1d_closed(nu, t, x, y))
+    assert np.all(np.isfinite(bound))
+    # below e^(-690) the kernel's factors reach subnormals, which round coarsely
+    normal = log_kernel > -690.0
+    assert normal.mean() > 0.5
+    assert np.all(log_kernel[normal] <= bound[normal] + 1e-12 * np.abs(bound[normal]))
+    # rises, then falls: the sign of its steps changes at most once, from + to -
+    falls = np.diff(bound, axis=0) < 0.0
+    assert np.all(falls[1:] >= falls[:-1])
+
+
+def test_riesz_windows_skip_the_panels_far_pairs_cannot_use(monkeypatch):
+    # on the 10,100 pairs of the riesz-size family the 1-D factors see
+    # under 3/4 of the elements of every pair on the whole ladder
+    from lagsem import heat
+    from lagsem.bounds import _grid_riesz_1d
+
+    kernel_1d, elements = heat._kernel_1d, []
+
+    def spy(nus, factors, x, y):
+        elements.append(math.prod(np.broadcast_shapes(factors[0].shape, x.shape, y.shape)))
+        return kernel_1d(nus, factors, x, y)
+
+    monkeypatch.setattr(heat, "_kernel_1d", spy)
+    samples = _grid_riesz_1d(fast=False)
+    x, y = samples["x"], samples["y"]
+    assert x.size == 10_100
+    riesz_kernel(ORDER, (1,), x, y)
+    full = x.size * len(_frozen_ladder(ORDER, (1,), np.abs(x - y)))
+    assert sum(elements) < 0.75 * full
 
 
 def _pair_product_cases():
@@ -923,14 +1037,15 @@ def _budget_runs(route):
 
 # calls per case: 42 rows of 384 per call; 3 times of 96 x 48 per call;
 # 28 times of 24 x 24 per call and axis; one 20,000-node row per call; for
-# the Riesz cases, as many nodes per call as fit (the one pair and the
-# per-pair shifts take the whole ladder in one call), the 10,100 rows of
-# "1d-wide" one node per call, and the 16,770 rows of "1d-rows" two calls
-# per node
+# the Riesz cases, as many nodes per call as fit with the rows live at the
+# call's last node (the one pair and the per-pair shifts take the whole
+# ladder in one call, the 2-D lattice two calls per axis), and row tiles
+# past 16,384
 _BUDGET_CALLS = {
     "grid": {"384x384": 2 * 10, "atom-96x48": 14, "2d-24x24": 2 * 2, "wide-row": 2 * 3},
     "riesz": {"2d-lattice": 2 * 2, "per-pair-shift": 1, "one-pair": 1, "3d": 3,
-              "1d-rows": 2 * 208, "1d-wide": 192},
+              "1d-rows": 235, "1d-wide": 112, "far-pairs": 8, "per-pair-windows": 11,
+              "far-both": 11, "high-orders": 6, "high-orders-far": 6},
 }
 
 

@@ -24,7 +24,13 @@ Times ``ive`` per branch and the two 1-D kernel entry points:
   half-integer closed form they take that branch instead, so this row
   then compares the closed form with the Hankel loop it replaced;
 - ``kernel_1d_closed`` and ``evaluate_expansion`` (through
-  ``delta_kernel_1d`` with m = 2), on 16 times by 64 x 64 space pairs.
+  ``delta_kernel_1d`` with m = 2), on 16 times by 64 x 64 space pairs;
+- the two kernel checks of the suite at ``SuiteConfig(fast=False)``:
+  ``check_closed_vs_spectral`` (``kernel_spectral`` against the closed
+  form on 15 x 15 pairs) and ``check_semigroup_law`` (3 x 2 pairs, each
+  composed over a 768-node quadrature).  Both run on any checkout that
+  has ``lagsem.suites``, so they compare two checkouts whose kernel
+  signatures differ.
 
 Each benchmark records its work count (elements or pairs) in
 ``extra_info``.  The lagsem imports sit inside the benchmarks, so the
@@ -158,6 +164,22 @@ def test_evaluate_expansion_delta2(benchmark, space_pairs):
 
     benchmark.extra_info["pairs"] = N_PAIRS_1D
     benchmark(delta_kernel_1d, 0.5, 2, *space_pairs)
+
+
+def test_check_closed_vs_spectral(benchmark):
+    from lagsem.config import SuiteConfig
+    from lagsem.suites import check_closed_vs_spectral
+
+    benchmark.extra_info["pairs"] = 15 * 15
+    benchmark(check_closed_vs_spectral, SuiteConfig(fast=False))
+
+
+def test_check_semigroup_law(benchmark):
+    from lagsem.config import SuiteConfig
+    from lagsem.suites import check_semigroup_law
+
+    benchmark.extra_info["pairs"] = 3 * 2
+    benchmark(check_semigroup_law, SuiteConfig(fast=False))
 
 
 def _run(bench_file: str, src: str, json_path: str) -> dict:

@@ -181,7 +181,13 @@ class Covering:
         return raw / denom[None, :]
 
     def verify(self, points_per_axis: int = 200) -> dict:
-        """Invariant checks: disjointness, coverage, overlap bound, partition sum."""
+        """Invariant checks: disjointness, coverage, overlap bound, partition sum.
+
+        The checks run on a lattice of ``points_per_axis`` points per axis
+        from the box's lower corner to its upper one, so at least two.
+        """
+        if points_per_axis < 2:
+            raise ValueError(f"points_per_axis must be at least 2, got {points_per_axis}")
         axes = [np.linspace(a, b, points_per_axis) for a, b in zip(self.box_lo, self.box_hi)]
         r_max = float(self.radii.max())
 
@@ -213,9 +219,7 @@ class Covering:
         worst_margin = 0.0
         partition_err = 0.0
         inv_r2 = 1.0 / self.radii**2
-        steps = [
-            max(1, int(2.0 * r_max / (ax[1] - ax[0]))) if ax.size > 1 else 1 for ax in axes
-        ]
+        steps = [max(1, int(2.0 * r_max / (ax[1] - ax[0]))) for ax in axes]
         for corner in itertools.product(*[range(0, ax.size, s) for ax, s in zip(axes, steps)]):
             tile = [ax[c : c + s] for ax, c, s in zip(axes, corner, steps)]
             block = lattice(*tile)

@@ -528,28 +528,35 @@ def delta_kernel(order: MultiOrder, m, t, x, y):
 # spectral form
 
 
-def kernel_spectral(order: MultiOrder, t: float, x, y, k_max: int) -> float:
-    """Truncated eigenfunction expansion of the heat kernel at one point pair.
+def kernel_spectral(order: MultiOrder, t, x, y, k_max: int):
+    """Truncated eigenfunction expansion of the heat kernel at point pairs.
 
-    Sums exp(-t(4|k| + 2|nu| + 2n)) phi_k(x) phi_k(y) over |k| <= k_max.
+    Sums exp(-t(4|k| + 2|nu| + 2n)) phi_k(x) phi_k(y) over |k| <= k_max at
+    one time t, a scalar or a one-entry array.  x, y are point arrays, read
+    as in ``axis_product``; the sum takes their broadcast leading shape, a
+    float for one pair.
     """
     order = as_order(order)
     (k_max,) = _multi_index(k_max, 1)
-    t = float(_check_time(t, strict=True, inf_ok=True))
-    x, y = _points(order.n, x, y)
-    if x.size != order.n or y.size != order.n:
-        raise ValueError("kernel_spectral takes one point pair")
+    t = _check_time(t, strict=True, inf_ok=True)
+    if t.size != 1:
+        raise ValueError("kernel_spectral takes one time")
+    t = t.item()
+    _, x, y, shape = _flat_pairs(order.n, t, x, y)
 
     base = math.exp(-t * order.degree_eigenvalue(0))
     q = math.exp(-4.0 * t)
-    # outer product of the per-axis products phi_k(x_j) phi_k(y_j) q^k
-    terms = 1.0
-    degree = 0
-    for j, nuj in enumerate(order.nu):
-        tab_x = laguerre_function_table(nuj, x.flat[j], k_max)
-        tab_y = laguerre_function_table(nuj, y.flat[j], k_max)
-        terms = np.multiply.outer(terms, tab_x * tab_y * q ** np.arange(k_max + 1))
-        degree = np.add.outer(degree, np.arange(k_max + 1))
-    # shell sums by total degree first, as terms of one degree have similar size
-    shells = np.bincount(degree.ravel(), weights=terms.ravel())[: k_max + 1]
-    return base * float(np.sum(shells))
+    # per axis, phi_k(x_j) phi_k(y_j) q^k of each pair, from one table of x_j and y_j
+    damp = (q ** np.arange(k_max + 1))[:, None]
+    tabs = (laguerre_function_table(nu, np.stack(xy), k_max) for nu, *xy in zip(order.nu, x.T, y.T))
+    rows = [np.ascontiguousarray((tab[:, 0] * tab[:, 1] * damp).T) for tab in tabs]
+    # shells[:, d] sums a pair's terms of total degree |k| = d first, as they
+    # have similar size; each further axis is convolved in
+    shells = rows[0]
+    for axis in rows[1:]:
+        new = np.zeros_like(shells)
+        for a in range(k_max + 1):
+            new[:, a:] += shells[:, a, None] * axis[:, : k_max + 1 - a]
+        shells = new
+    val = base * np.sum(shells, axis=-1)
+    return val.reshape(shape) if shape else float(val[0])

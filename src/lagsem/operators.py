@@ -184,7 +184,14 @@ def semigroup_apply(
 
 
 def default_time_ladder(grid: Grid) -> np.ndarray:
-    """48 geometric times from twice the coarsest node spacing of ``grid`` to 30."""
+    """48 geometric times from twice the coarsest node spacing of ``grid`` to 30.
+
+    Every axis needs at least two nodes, or it has no spacing.
+    """
+    if any(n < 2 for n in grid.shape):
+        raise ValueError(
+            f"default_time_ladder needs at least two nodes per axis, got grid shape {grid.shape}"
+        )
     h = max(float(np.diff(ax.nodes).max()) for ax in grid.axes)
     return np.geomspace(2.0 * h, 30.0, 48)
 

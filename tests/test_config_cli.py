@@ -259,6 +259,25 @@ def test_closed_vs_spectral_check_keeps_the_value_of_its_scalar_loop(order):
     assert suites.check_closed_vs_spectral(config) == (worst < 1e-8, worst, {"k_max": config.k_max})
 
 
+@pytest.mark.parametrize("order", [(0.5,), (0.0,), (-0.5,), (1.3,)])
+def test_semigroup_law_check_keeps_the_value_of_its_pair_loop(order):
+    # all (x, y) composed at once, against one composition per pair
+    from lagsem import gauss_legendre_axis, kernel_1d_closed
+
+    config = SuiteConfig(order=order, fast=True)
+    nu = suites._axis_nu(config)
+    axis = gauss_legendre_axis(0.0, 12.0, nodes_per_unit=64)
+    worst = 0.0
+    for x in (0.5, 1.2, 2.0):
+        left = kernel_1d_closed(nu, 0.25, x, axis.nodes)
+        for y in (0.8, 1.5):
+            right = kernel_1d_closed(nu, 0.25, axis.nodes, y)
+            composed = float(np.sum(axis.weights * left * right))
+            direct = kernel_1d_closed(nu, 0.5, x, y)
+            worst = max(worst, abs(composed - direct) / abs(direct))
+    assert suites.check_semigroup_law(config) == (worst < 1e-6, worst, {"t": 0.25, "s": 0.25})
+
+
 def test_run_suite_rejects_unknown_name():
     with pytest.raises(ValueError, match="unknown suite"):
         run_suite(SuiteConfig(), "nope")

@@ -302,6 +302,15 @@ def test_covering_verify_matches_dense_checks(nu, lo, hi):
     assert not holed.verify(40)["covers_box"]
 
 
+def test_covering_verify_refuses_fewer_than_two_points_per_axis():
+    # one point would check only the lower corner, and none would pass vacuously
+    cov = build_covering(MultiOrder((0.5,)), 0.4, 2.4)
+    for bad in (0, 1, -3):
+        with pytest.raises(ValueError, match="points_per_axis must be at least 2"):
+            cov.verify(points_per_axis=bad)
+    assert cov.verify(points_per_axis=2)["covers_box"]
+
+
 def test_covering_rejects_boundary_box():
     with pytest.raises(ValueError):
         build_covering(MultiOrder((0.5,)), 0.0, 1.0)

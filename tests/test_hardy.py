@@ -14,6 +14,7 @@ from lagsem import (
     bmo_norm,
     check_atom,
     duality_pairing,
+    gauss_legendre_axis,
     hardy_norm_maximal,
     minimizing_polynomial,
     moment_degree,
@@ -320,6 +321,19 @@ def test_hardy_norm_reports_the_default_ladder_it_used():
     ladder = default_time_ladder(grid)
     assert rep.n_times == ladder.size == 48
     assert rep.value == maximal_function(ORDER, f, t_grid=ladder).norm_lp(1.0)
+
+
+def test_default_ladder_refuses_an_axis_of_one_node():
+    grid = Grid((gauss_legendre_axis(0.0, 0.5, nodes_per_unit=1, min_nodes=1),))
+    f = GridFunction(grid, np.ones(grid.shape))
+    calls = (
+        lambda: default_time_ladder(grid),
+        lambda: maximal_function(ORDER, f),
+        lambda: hardy_norm_maximal(ORDER, f, 1.0),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="default_time_ladder needs at least two nodes per axis"):
+            call()
 
 
 def test_hardy_norm_takes_a_scalar_time_and_refuses_an_empty_ladder():

@@ -233,8 +233,11 @@ def test_domain_errors():
         kernel_1d_closed(0.5, 0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         kernel_1d_closed(0.5, 1.0, -1.0, 1.0)
-    with pytest.raises(ValueError):
-        kernel_spectral(MultiOrder((0.5,)), 0.5, (1.0, 2.0), (1.0,), k_max=10)
+    # two pairs give the two per-pair values
+    order = MultiOrder((0.5,))
+    both = kernel_spectral(order, 0.5, (1.0, 2.0), (1.0,), k_max=10)
+    assert both.shape == (2,)
+    assert both.tolist() == [kernel_spectral(order, 0.5, x, 1.0, k_max=10) for x in (1.0, 2.0)]
 
 
 def test_nan_arguments_are_refused_by_name():
@@ -514,6 +517,80 @@ def test_spectral_sum_over_total_degree_in_three_dimensions():
             want += (math.exp(-t * order.eigenvalue(k))
                      * laguerre_function(k, order, x) * laguerre_function(k, order, y))
     assert kernel_spectral(order, t, x, y, k_max) == pytest.approx(want, rel=1e-13)
+
+
+def _spectral_one_pair(order, t, x, y, k_max):
+    # kernel_spectral as it was when it took one pair: the outer product of
+    # the per-axis terms, summed by total degree with bincount
+    order = MultiOrder(order)
+    x, y = np.atleast_1d(x), np.atleast_1d(y)
+    base = math.exp(-t * order.degree_eigenvalue(0))
+    q = math.exp(-4.0 * t)
+    terms = 1.0
+    degree = 0
+    for j, nuj in enumerate(order.nu):
+        tab_x = laguerre_function_table(nuj, x.flat[j], k_max)
+        tab_y = laguerre_function_table(nuj, y.flat[j], k_max)
+        terms = np.multiply.outer(terms, tab_x * tab_y * q ** np.arange(k_max + 1))
+        degree = np.add.outer(degree, np.arange(k_max + 1))
+    shells = np.bincount(degree.ravel(), weights=terms.ravel())[: k_max + 1]
+    return base * float(np.sum(shells))
+
+
+_CHECK_POINTS = np.linspace(0.3, 2.5, 15)
+
+
+@pytest.mark.parametrize(
+    "order,k_maxes",
+    [((0.5,), (6, 10, 40, 80)), ((-0.5,), (6, 10, 40, 80)), ((1.3,), (6, 10, 40, 80)),
+     ((0.5, 1.0), (6, 40)), ((0.0, -0.5), (6, 40))],
+)
+def test_spectral_batch_equals_its_one_pair_sum_in_one_and_two_dimensions(order, k_maxes):
+    # 1-D on the pairs of the kernel-closed-vs-spectral check, 2-D on a
+    # lattice of its points: the degree shells add each term in the order
+    # bincount did, so every value keeps its bits
+    n = len(order)
+    pts = _CHECK_POINTS if n == 1 else _CHECK_POINTS[::4]
+    grid = np.stack(np.meshgrid(*[pts] * n, indexing="ij"), axis=-1).reshape(-1, n)
+    x, y = grid[:, None, :], grid[None, :, :]
+    for t in (0.05, 0.5, 2.0):
+        for k_max in k_maxes:
+            got = kernel_spectral(order, t, x, y, k_max)
+            want = [[_spectral_one_pair(order, t, a, b, k_max) for b in grid] for a in grid]
+            np.testing.assert_array_equal(got, want, err_msg=f"{order} t={t} k_max={k_max}")
+
+
+def test_spectral_batch_near_its_one_pair_sum_in_three_dimensions():
+    # from 3-D on the shells associate the products differently.  By
+    # Cauchy-Schwarz the terms of a pair sum to at most sqrt(S(x, x) S(y, y)),
+    # S the same sum on the diagonal, where every term is positive; rounding
+    # is a small part of that scale, and of the value wherever the terms do
+    # not cancel to far below it, as they do for far pairs at small t
+    order = (0.5, -0.5, 1.3)
+    rng = np.random.default_rng(11)
+    x, y = rng.uniform(0.3, 2.5, size=(2, 12, 3))
+    y[:6] = x[:6] + rng.uniform(-0.1, 0.1, size=(6, 3))
+    for t in (0.05, 0.5, 2.0):
+        for k_max in (6, 40):
+            got = kernel_spectral(order, t, x, y, k_max)
+            want = np.array([_spectral_one_pair(order, t, a, b, k_max) for a, b in zip(x, y)])
+            scale = np.sqrt(kernel_spectral(order, t, x, x, k_max) * kernel_spectral(order, t, y, y, k_max))
+            err = np.abs(got - want)
+            assert np.all(err <= 1e-14 * scale), (t, k_max)
+            plain = np.abs(want) >= 1e-3 * scale
+            assert np.all(err[plain] <= 1e-12 * np.abs(want[plain])), (t, k_max)
+            assert plain[:6].all()
+
+
+def test_spectral_takes_one_time():
+    order = MultiOrder((0.5, 1.0))
+    x, y = np.array([[1.0, 2.0], [0.7, 1.1]]), np.array([1.2, 1.5])
+    np.testing.assert_array_equal(
+        kernel_spectral(order, np.array([0.5]), x, y, 10), kernel_spectral(order, 0.5, x, y, 10)
+    )
+    assert kernel_spectral(order, np.array([0.5]), x[0], y, 10) == kernel_spectral(order, 0.5, x[0], y, 10)
+    with pytest.raises(ValueError, match="^kernel_spectral takes one time$"):
+        kernel_spectral(order, np.array([0.5, 1.0]), x, y, 10)
 
 
 def test_empty_expansion_evaluates_to_zero():

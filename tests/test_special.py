@@ -515,7 +515,7 @@ def test_multi_order_rejects_bad_components():
 _O2 = MultiOrder((0.5, 1.0))
 
 # every function that takes points, on a 2-D order; rho_axis takes one
-# axis of x, and kernel_spectral one pair
+# axis of x
 _POINT_CALLS = {
     "rho": lambda x, y: rho(_O2, x),
     "rho_axis": lambda x, y: rho_axis(0.5, np.ravel(x)),
@@ -573,6 +573,7 @@ def test_point_rule_reads_1d_scalars_flat_arrays_and_rows_alike():
         "riesz_kernel": lambda x, y: riesz_kernel(o1, (1,), x, y),
         "rho": lambda x, y: rho(o1, x),
         "critical_weight": lambda x, y: critical_weight(o1, 0.3, x, y),
+        "kernel_spectral": lambda x, y: kernel_spectral(o1, 0.5, x, y, 10),
     }
     for name, call in calls.items():
         flat = call(xs, ys)
@@ -618,9 +619,11 @@ def test_one_point_as_a_row_is_that_point():
     row = laguerre_function((1, 2), _O2, x[None])
     assert row.shape == (1,) and row[0] == laguerre_function((1, 2), _O2, x)
     want = kernel_spectral(_O2, 0.5, x, y, 10)
-    assert kernel_spectral(_O2, 0.5, x[None], y[None], 10) == want
-    with pytest.raises(ValueError, match="one point pair"):
-        kernel_spectral(_O2, 0.5, np.stack([x, y]), y, 10)
+    row = kernel_spectral(_O2, 0.5, x[None], y[None], 10)
+    assert row.shape == (1,) and row[0] == want
+    # two pairs give the two per-pair values
+    both = kernel_spectral(_O2, 0.5, np.stack([x, y]), y, 10)
+    assert both.tolist() == [want, kernel_spectral(_O2, 0.5, y, y, 10)]
 
 
 def test_balls_coverings_and_fits_read_1d_flat_arrays_as_points():

@@ -6,7 +6,9 @@ Times, on the three grids of the ``grid-operators`` perfbench workload
 
 - ``semigroup_apply`` at t = 1/2, by kernel and by spectral multiplier;
 - ``maximal_function`` on a geometric ladder of 16, 6 and 4 times from
-  twice the node spacing to 30;
+  twice the node spacing to 30, and on the 576-node grid of the Tier-1
+  maximal tests (order 1/2, [1e-9, 12], 48 nodes per unit) with its
+  default ladder of 48 times;
 - ``square_function`` with its default levels and cut-off;
 - ``hardy_norm_maximal`` of one 1-D atom at p = 0.9, with the atom
   defaults (40 times, a 96-node evaluation grid);
@@ -121,6 +123,15 @@ def test_maximal_function(benchmark, grids, dim):
 
     order, f, ladder = grids[dim]
     _record(benchmark, lambda: maximal_function(order, f, t_grid=ladder), points=f.values.size)
+
+
+def test_maximal_function_fine_grid(benchmark):
+    from lagsem import Grid, GridFunction, MultiOrder, maximal_function
+
+    grid = Grid.box((1e-9,), (12.0,), nodes_per_unit=48)
+    x = grid.points().ravel()
+    f = GridFunction(grid, np.exp(-2.0 * (x - 3.0) ** 2))
+    _record(benchmark, lambda: maximal_function(MultiOrder((0.5,)), f), points=x.size)
 
 
 @pytest.mark.parametrize("dim", GRID_IDS)

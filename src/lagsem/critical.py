@@ -184,8 +184,11 @@ class Covering:
         """Invariant checks: disjointness, coverage, overlap bound, partition sum.
 
         The checks run on a lattice of ``points_per_axis`` points per axis
-        from the box's lower corner to its upper one, so at least two.
+        from the box's lower corner to its upper one, so an integer (not a
+        bool) of at least two.
         """
+        if not isinstance(points_per_axis, numbers.Integral) or isinstance(points_per_axis, bool):
+            raise ValueError(f"points_per_axis must be an integer, got {points_per_axis!r}")
         if points_per_axis < 2:
             raise ValueError(f"points_per_axis must be at least 2, got {points_per_axis}")
         axes = [np.linspace(a, b, points_per_axis) for a, b in zip(self.box_lo, self.box_hi)]

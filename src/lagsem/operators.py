@@ -20,18 +20,28 @@ import numpy as np
 from .critical import critical_weight
 from .grids import Grid, GridFunction, _leggauss, cross_pairs
 from .heat import (
+    _BLOCK,
+    _CLOSED_REL,
+    _FLOOR,
+    _UNIT,
     _axis_factors,
+    _block_majorant,
+    _diagonal_bounds,
+    _envelope,
     _exponents,
     _flat_pairs,
     _kernel_1d,
     _log_kernel_bound,
     _pair_rows,
     _row_products,
+    _tail_bound,
     _time_factors,
     delta_kernel_1d,
     kernel_1d_closed,
 )
 from .special import (
+    _TABLE_REL,
+    MAX_DEGREE,
     MultiOrder,
     _check_time,
     as_order,
@@ -211,6 +221,14 @@ def maximal_function(
     cannot be integrated accurately, so the default time ladder starts at
     twice the coarsest spacing; the small-t endpoint then recovers |f| up
     to O(spacing^2) damping.
+
+    The result is the maximum over the times of the closed-form values
+    |e^(-sL) f|(x), s = t^2, bit for bit.  On large grids (``_prunes``)
+    an eigen-sum pass and a majorant of the kernel first bound every one
+    of them from above and below (``_value_bounds``); the kernel is then
+    drawn only at the (time, target point) pairs whose upper bound reaches
+    the largest lower bound or value found so far at the point.  Every
+    other value is provably below the maximum and is not needed.
     """
     order = as_order(order)
     if t_grid is None:
@@ -219,11 +237,195 @@ def maximal_function(
     if t_grid.ndim != 1 or t_grid.size == 0:
         raise ValueError("t_grid must be one time or a 1-D array of at least one time")
     target = eval_grid if eval_grid is not None else f.grid
+    _check_grids(order, f.grid, target)
     arr = f.values * f.grid.weights_nd()
+    times = t_grid * t_grid
     best = np.zeros(target.shape)
-    for mats in _kernel_matrices(order, t_grid * t_grid, f.grid, target):
+    if not _prunes(order, times, f.grid, target):
+        for mats in _kernel_matrices(order, times, f.grid, target):
+            np.maximum(best, np.abs(_per_axis(mats, arr)), out=best)
+        return GridFunction(target, best)
+    lower, uppers = _value_bounds(order, times, f.grid, target, arr)
+    lower = np.max(lower, axis=0)
+    mats = [np.zeros((ev.nodes.size, src.nodes.size)) for ev, src in zip(target.axes, f.grid.axes)]
+    drawn = [np.zeros(0, dtype=np.intp)] * order.n
+    for s, upper in zip(times, uppers):
+        # where the upper bound lies below a lower bound of the maximum the
+        # value cannot set it; NaN is drawn
+        need = ~(upper < np.maximum(best, lower))
+        if not need.any():
+            continue
+        for j, (nu, ev, src) in enumerate(zip(order.nu, target.axes, f.grid.axes)):
+            mats[j][drawn[j]] = 0.0
+            drawn[j] = np.flatnonzero(need.any(axis=tuple(i for i in range(order.n) if i != j)))
+            _draw_rows(nu, s, ev.nodes, src.nodes, drawn[j], mats[j])
         np.maximum(best, np.abs(_per_axis(mats, arr)), out=best)
     return GridFunction(target, best)
+
+
+# ``maximal_function`` prunes when every axis matrix has at least
+# _PRUNE_ELEMENTS entries and the ladder at least _PRUNE_TIMES times.  Its
+# bounds also need every order at most 150, the range of ive's stated
+# accuracy (``heat._CLOSED_REL``), and every node at most 30, the range of
+# the Laguerre tables' measured accuracy (``special._TABLE_REL``).  The
+# eigen-sums keep at most _PRUNE_COEFFS coefficients, and at most degree
+# MAX_DEGREE per axis: 200 in 1-D, 44 in 2-D and 11 in 3-D.  On a 256 x 256
+# grid with 48 times, degree 200 per axis made the pass cost more than the
+# kernel rows it saved (786 against 563 ms), and degree 40 pruned the same
+# rows (486 ms).
+_PRUNE_ELEMENTS = 2**16
+_PRUNE_TIMES = 8
+_PRUNE_COEFFS = 2048
+_PRUNE_ORDER = 150.0
+_PRUNE_NODE = 30.0
+
+
+def _prunes(order: MultiOrder, times: np.ndarray, source: Grid, target: Grid) -> bool:
+    """Whether ``maximal_function`` bounds its values by an eigen-sum pass first.
+
+    The pass (the Laguerre tables, the closed-form diagonal at every time
+    and its halvings, the eigen-sums and the majorant) costs about as much
+    as one or two times of the full matrices on the 384-node benchmark
+    grid; it pays where the matrices are large and many.
+    """
+    return (
+        times.size >= _PRUNE_TIMES
+        and max(order.nu) <= _PRUNE_ORDER
+        and all(
+            ev.nodes.size * src.nodes.size >= _PRUNE_ELEMENTS
+            and max(ev.nodes.max(), src.nodes.max()) <= _PRUNE_NODE
+            for ev, src in zip(target.axes, source.axes)
+        )
+    )
+
+
+def _value_bounds(order: MultiOrder, times: np.ndarray, source: Grid, target: Grid, arr: np.ndarray):
+    """Bounds on the closed-form values C_s(x) = |e^(-sL) f|(x) that ``maximal_function`` takes.
+
+    ``arr`` holds f times the source weights.  Returns (lower, upper), each
+    of shape (times,) + target.shape, with lower <= |C_s(x)| <= upper.
+    Both come from the eigen-sum E_s(x) = sum_k e^(-s lambda_k) Phi_k(x)
+    <Phi_k, f> over the per-axis degrees k_j <= K (``_PRUNE_COEFFS``): |E_s(x)|
+    plus or minus a margin.  The margin bounds three errors, doubled for
+    the rounding of the bound itself:
+
+    - the truncated tail.  Per axis, the tail T_j(x_j) past K of
+      the diagonal eigen-sum is read by ``heat._tail_bound`` from the
+      closed-form diagonal D_j at s/2^i.  The n-D tail on the diagonal
+      is then at most sum_j T_j(x_j) prod_(l != j) D_l(x_l), so by
+      Cauchy-Schwarz the tail's part of the value at x is at most
+      sum_j sqrt(T_j) prod sqrt(D_l) at x times the same sum at y summed
+      against |f| w: rank-one factors per axis;
+    - rounding and table error of the eigen-sum: gamma times Q_s(x), the
+      same eigen-sum of moduli with each table entry raised by
+      ``heat._envelope``;
+    - the closed form's own error: ``heat._CLOSED_REL`` per axis factor and
+      the rounding of its contraction, times a bound on e^(-sL)(|f| w),
+      2 Q_s plus the tail part.
+
+    The upper bound is also at most ``_majorant`` of |f| w, raised by the
+    closed form's own error, which is far smaller where the eigen-sum's
+    tail is not: at small s, away from f's support.  An absolute floor
+    covers underflow.
+    """
+    n = order.n
+    k_max = min(MAX_DEGREE, int(_PRUNE_COEFFS ** (1.0 / n)) - 1)
+    a = np.abs(arr)
+    sizes = sum(ax.nodes.size for ax in source.axes)
+    # the tables' error, the contractions and the damping e^(-s lambda_k),
+    # whose exponent, while the damping is not below the floor, is under 750
+    gamma = 2.0 * (2 * n * _TABLE_REL + _UNIT * (sizes + n * (k_max + 1) + 2 * 750 + 4 * n))
+    closed = 2.0 * (n * _CLOSED_REL + _UNIT * (sizes + 2 * n))
+
+    def per_axis(grid):
+        # per axis of the grid: the table, its envelope, and the rank-one
+        # tail factors sqrt(T_j) and sqrt(D_j) at every time
+        out = []
+        for nu, ax in zip(order.nu, grid.axes):
+            diag = _diagonal_bounds(nu, times, ax.nodes)
+            tail = np.sqrt(_tail_bound(diag, times, 4.0 * (k_max + 1) + 2.0 * nu + 2.0))
+            diag = np.sqrt(diag[0])
+            table = laguerre_function_table(nu, ax.nodes, k_max)
+            out.append((table, _envelope(nu, ax.nodes, table, gamma), tail, diag))
+        return list(zip(*out))
+
+    tab_y, env_y, tail_y, diag_y = per_axis(source)
+    tab_x, env_x, tail_x, diag_x = (tab_y, env_y, tail_y, diag_y) if target is source else per_axis(target)
+    damp = np.exp(-np.multiply.outer(eigenvalue_array(order, k_max), times))
+    value = np.abs(_synthesis(tab_x, _per_axis(tab_y, arr)[..., None] * damp))
+    moduli = _synthesis(env_x, _per_axis(env_y, a)[..., None] * damp)
+    tail = 0.0
+    for j in range(n):
+        # the rank-one term of axis j: its tail factor, the other axes' diagonals
+        at_x = diag_x[:j] + tail_x[j:j + 1] + diag_x[j + 1:]
+        at_y = diag_y[:j] + tail_y[j:j + 1] + diag_y[j + 1:]
+        tail = tail + _outer(at_x) * _weighted(at_y, a).reshape(-1, *[1] * n)
+    floor = _FLOOR * (1.0 + a.sum())
+    margin = 2.0 * ((gamma + 2.0 * closed) * moduli + (1.0 + closed) * tail) + floor
+    lower, upper = value - margin, value + margin
+    # the majorant only at the times where these bounds leave a point open
+    open_ = np.flatnonzero(~(upper < lower.max(axis=0)).reshape(times.size, -1).all(axis=1))
+    if open_.size:
+        majorant = (1.0 + 2.0 * closed) * _majorant(order, times[open_], source, target, a) + floor
+        upper[open_] = np.minimum(upper[open_], majorant)
+    return lower, upper
+
+
+# Consecutive source nodes per block of ``_majorant``: on the 384-node
+# benchmark grid, blocks of 8, 16, 32 and 96 nodes left 470, 490, 620 and
+# 1,130 of 6,144 (time, row) pairs drawn (seeds 1, 2, 5, 7), against 1,430
+# with no majorant.
+_MAJORANT_NODES = 16
+
+
+def _majorant(order: MultiOrder, times: np.ndarray, source: Grid, target: Grid, a: np.ndarray) -> np.ndarray:
+    """Upper bounds on sum_y p_s(x, y) a(y), a >= 0 on the source grid, per time of ``times`` and target node.
+
+    Per axis the source nodes fall into blocks of _MAJORANT_NODES
+    consecutive nodes; ``heat._block_majorant`` bounds the axis kernel
+    over each block's span, and the bounds are contracted with the block
+    sums of a.  The walker ``heat._axis_factors`` draws them.
+    """
+    starts = [np.arange(0, ax.nodes.size, _MAJORANT_NODES) for ax in source.axes]
+    sums = a
+    for j, at in enumerate(starts):
+        sums = np.add.reduceat(sums, at, axis=j)
+    axes = []
+    for nu, ev, src, at in zip(order.nu, target.axes, source.axes, starts):
+        x, lo, hi = ev.nodes[:, None], np.minimum.reduceat(src.nodes, at), np.maximum.reduceat(src.nodes, at)
+        axes.append((partial(_block_majorant, nu), (x - np.clip(x, lo, hi), x * lo, np.log(x * hi))))
+    return np.array([_per_axis(mats, sums) for mats in _axis_factors(times, axes)])
+
+
+def _outer(vecs) -> np.ndarray:
+    """prod_j vecs[j][:, x_j] on the grid of the vectors, one array per leading index."""
+    out = vecs[0]
+    for v in vecs[1:]:
+        out = out[..., None] * v.reshape(v.shape[0], *[1] * (out.ndim - 1), v.shape[1])
+    return out
+
+
+def _weighted(vecs, a: np.ndarray) -> np.ndarray:
+    """sum_y prod_j vecs[j][:, y_j] a(y), one sum per leading index."""
+    out = np.tensordot(vecs[0], a, axes=(1, 0))
+    for v in vecs[1:]:
+        out = np.einsum("tm...,tm->t...", out, v)
+    return out
+
+
+def _draw_rows(nu: float, s: float, x: np.ndarray, y: np.ndarray, rows: np.ndarray, mat: np.ndarray) -> None:
+    """Set ``rows`` of ``mat`` to kernel_1d_closed(nu, s, x[rows], y).
+
+    The rows go in tiles of at most ``heat._BLOCK`` elements, as
+    ``heat._axis_factors`` draws them; each value is that of a call on
+    every row.  Rows stay in place, so the contraction of ``mat`` rounds
+    as it does on the full matrix.
+    """
+    t = np.array([[s]])
+    step = max(1, _BLOCK // y.size)
+    for lo in range(0, rows.size, step):
+        r = rows[lo:lo + step]
+        mat[r] = kernel_1d_closed(nu, t, x[r, None], y[None, :])
 
 
 def square_function(

@@ -25,6 +25,12 @@ __all__ = [
 ]
 
 MAX_DEGREE = 200
+# Error model of ``laguerre_function_table`` up to MAX_DEGREE, some three
+# times its measured worst case: a table entry is within _TABLE_REL of
+# itself, plus _TABLE_ABS where x^2 <= 2 lambda_k (lambda_k = 4k + 2 nu + 2),
+# plus an underflow floor.
+_TABLE_REL = 5e-13
+_TABLE_ABS = 1e-12
 
 _LOG2 = math.log(2.0)
 _TINY = float(np.finfo(float).tiny)
@@ -565,6 +571,19 @@ def laguerre_function_table(nu: float, x, k_max: int) -> np.ndarray:
     Runs the three-term recurrence on sqrt(k!/Gamma(k+nu+1)) L_k^nu(x^2)
     so the normalization never leaves the representable range, then
     multiplies by sqrt(2) x^(nu+1/2) exp(-x^2/2).
+
+    Accuracy up to MAX_DEGREE, against the same recurrence in mpmath at
+    40 digits, for nu in {-1/2, 0, 1/2, 1.3, 3.7, 25.5, 80, 150} and x in
+    [1e-4, 30] (``test_laguerre_table_against_mpmath``):
+
+    - where x^2 <= lambda_k = 4k + 2 nu + 2 (the oscillatory region) the
+      error is absolute: within 1.0e-13 for x >= 1/2 (2.2e-14 for
+      nu <= 1.3) and within 2.2e-13 for x < 1/2, where |phi_k| <= 1.06;
+    - beyond it the error is relative: within 7.6e-14 for nu <= 80 and
+      1.7e-13 at nu = 150, down to values of 1e-280; below that it is
+      absolute, at most 6.1e-294.
+
+    ``_TABLE_REL`` and ``_TABLE_ABS`` state this with room to spare.
     """
     nu = _check_order(nu)
     (k_max,) = _multi_index(k_max, 1)

@@ -311,6 +311,15 @@ def test_covering_verify_refuses_fewer_than_two_points_per_axis():
     assert cov.verify(points_per_axis=2)["covers_box"]
 
 
+def test_covering_verify_refuses_non_integer_points_per_axis():
+    # a float reached np.linspace as a count, and True was read as 1
+    cov = build_covering(MultiOrder((0.5,)), 0.4, 2.4)
+    for bad in (2.5, 3.0, True, False, "4", None):
+        with pytest.raises(ValueError, match="points_per_axis must be an integer"):
+            cov.verify(points_per_axis=bad)
+    assert cov.verify(points_per_axis=np.int64(3))["covers_box"]
+
+
 def test_covering_rejects_boundary_box():
     with pytest.raises(ValueError):
         build_covering(MultiOrder((0.5,)), 0.0, 1.0)

@@ -582,6 +582,30 @@ def test_spectral_batch_near_its_one_pair_sum_in_three_dimensions():
             assert plain[:6].all()
 
 
+def test_spectral_error_bound_holds_in_three_dimensions():
+    # the accuracy kernel_spectral states (heat._spectral_error_bound),
+    # against the closed form within its own accuracy, on the pairs of the
+    # test above.  At t = 0.05 and k_max = 40 the tail dominates; at
+    # t = 0.5 it is negligible, and the rounding term, which counts the
+    # cancellation of far pairs, is what bounds the error
+    from lagsem.heat import _CLOSED_REL, _spectral_error_bound
+
+    order = MultiOrder((0.5, -0.5, 1.3))
+    rng = np.random.default_rng(11)
+    x, y = rng.uniform(0.3, 2.5, size=(2, 12, 3))
+    y[:6] = x[:6] + rng.uniform(-0.1, 0.1, size=(6, 3))
+    for t in (0.05, 0.5, 2.0):
+        for k_max in (6, 40):
+            closed = kernel_nd(order, t, x, y)
+            err = np.abs(kernel_spectral(order, t, x, y, k_max) - closed)
+            bound = _spectral_error_bound(order, t, x, y, k_max)
+            assert np.all(err <= bound + order.n * _CLOSED_REL * np.abs(closed)), (t, k_max)
+    for t, lo, hi in ((0.5, 0.0, 1e-9), (0.05, 1e-3, np.inf)):
+        scale = np.sqrt(kernel_nd(order, t, x, x) * kernel_nd(order, t, y, y))
+        bound = _spectral_error_bound(order, t, x, y, 40)
+        assert np.all((lo * scale <= bound) & (bound <= hi * scale)), t
+
+
 def test_spectral_takes_one_time():
     order = MultiOrder((0.5, 1.0))
     x, y = np.array([[1.0, 2.0], [0.7, 1.1]]), np.array([1.2, 1.5])

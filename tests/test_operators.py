@@ -342,6 +342,200 @@ def test_maximal_refuses_nan_and_infinite_times(bad):
         maximal_function(ORDER, _bump(grid, center=2.0), t_grid=[0.1, bad])
 
 
+def _maximal_full_loop(order, f, t_grid, eval_grid=None):
+    # maximal_function before its eigen-sum pass: every time's closed-form
+    # matrices, contracted and maxed
+    from lagsem.operators import _kernel_matrices, _per_axis
+
+    target = eval_grid if eval_grid is not None else f.grid
+    arr = f.values * f.grid.weights_nd()
+    best = np.zeros(target.shape)
+    for mats in _kernel_matrices(order, np.asarray(t_grid) ** 2, f.grid, target):
+        np.maximum(best, np.abs(_per_axis(mats, arr)), out=best)
+    return best
+
+
+def _seeded_bumps(order, grid, seed):
+    # three seeded Gaussian bumps times x^(nu + 1/2) per axis, as the
+    # grid-operators benchmark draws its inputs
+    rng = np.random.default_rng(seed)
+    pts = grid.points()
+    vals = np.zeros(pts.shape[0])
+    for _ in range(3):
+        amp = rng.uniform(-1.0, 1.0)
+        center = rng.uniform(1.0, 2.5, size=order.n)
+        width = rng.uniform(0.35, 0.6)
+        vals += amp * np.exp(-np.sum((pts - center) ** 2, axis=-1) / (2.0 * width * width))
+    for j, nu in enumerate(order.nu):
+        vals *= pts[:, j] ** (nu + 0.5)
+    return GridFunction(grid, vals.reshape(grid.shape))
+
+
+def _bench_d1(seed):
+    # the 384-node 1-D grid and 16-time ladder of the grid-operators benchmark
+    axis = gauss_legendre_axis(0.0, 12.0, nodes_per_unit=32, min_nodes=32)
+    grid = Grid((axis,))
+    h = float(np.diff(axis.nodes).max())
+    return ORDER, _seeded_bumps(ORDER, grid, seed), np.geomspace(2.0 * h, 30.0, 16)
+
+
+def test_maximal_prunes_on_large_grids_only():
+    from lagsem.operators import _prunes
+
+    def rule(order, grid, n_times, target=None):
+        return _prunes(MultiOrder(order), np.ones(n_times), grid, target or grid)
+
+    d1 = _bench_d1(1)[1].grid
+    assert rule((0.5,), d1, 16) and rule((0.5,), _grid_1d(), 48)
+    # one time has nothing to prune, and a few do not pay for the pass
+    assert not rule((0.5,), d1, 1) and not rule((0.5,), d1, 7)
+    # atoms: 96 to 192 evaluation nodes against 48
+    atom = _axis_grid([(0.5, 1.5)], (48,))
+    assert not rule((0.5,), atom, 40, _axis_grid([(0.2, 1.0)], (192,)))
+    # the 2-D and 3-D benchmark grids, and a grid past the tables' range
+    for nu, hi, per_unit in (((0.5, 1.0), 6.0, 4), ((0.5, 1.0, 0.0), 4.0, 2)):
+        axis = gauss_legendre_axis(0.0, hi, nodes_per_unit=per_unit, min_nodes=per_unit)
+        assert not rule(nu, Grid((axis,) * len(nu)), 48)
+    assert not rule((0.5,), Grid.box((0.0,), (40.0,), nodes_per_unit=16), 48)
+    assert not rule((200.0,), d1, 16)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 5])
+def test_pruned_maximal_equals_full_loop_on_benchmark_inputs(seed):
+    order, f, ladder = _bench_d1(seed)
+    np.testing.assert_array_equal(maximal_function(order, f, t_grid=ladder).values,
+                                  _maximal_full_loop(order, f, ladder))
+
+
+@pytest.mark.parametrize("nu", [-0.5, 0.0, 1.3, 25.5])
+def test_pruned_maximal_equals_full_loop_on_the_fine_grid(nu):
+    # the 576-node grid of the maximal tests, on phi_0 and on a bump; every
+    # 4th time of the default ladder, and for order 25.5 eight times in
+    # [0.3, 3], where its Bessel factors are not in their slow range
+    from lagsem.operators import default_time_ladder
+
+    order = MultiOrder((nu,))
+    grid = _grid_1d()
+    x = grid.points().ravel()
+    ladder = default_time_ladder(grid)[::4] if nu < 25.0 else np.geomspace(0.3, 3.0, 8)
+    for values in (_phi(nu, 0, x), np.exp(-2.0 * (x - 3.0) ** 2) * x ** (nu + 0.5)):
+        f = GridFunction(grid, values)
+        np.testing.assert_array_equal(maximal_function(order, f, t_grid=ladder).values,
+                                      _maximal_full_loop(order, f, ladder))
+
+
+def test_pruned_maximal_equals_full_loop_in_two_dimensions():
+    # 256 x 256 nodes: each axis matrix has 2^16 entries, so the pass runs;
+    # with an evaluation grid of its own as well
+    order = MultiOrder((0.5, 1.0))
+    axis = gauss_legendre_axis(0.0, 8.0, nodes_per_unit=32, min_nodes=32)
+    grid = Grid((axis, axis))
+    f = _seeded_bumps(order, grid, 3)
+    ladder = np.geomspace(0.1, 30.0, 8)
+    np.testing.assert_array_equal(maximal_function(order, f, t_grid=ladder).values,
+                                  _maximal_full_loop(order, f, ladder))
+    target = Grid((gauss_legendre_axis(0.5, 6.0, nodes_per_unit=48), axis))
+    np.testing.assert_array_equal(maximal_function(order, f, t_grid=ladder, eval_grid=target).values,
+                                  _maximal_full_loop(order, f, ladder, target))
+
+
+def test_pruned_maximal_draws_fewer_kernel_rows(monkeypatch):
+    from lagsem import heat
+
+    drawn = []
+    kernel = heat._kernel_1d
+
+    def spy(nus, factors, x, y):
+        drawn.append(np.broadcast_shapes(factors[0].shape, np.shape(x), np.shape(y)))
+        return kernel(nus, factors, x, y)
+
+    monkeypatch.setattr(heat, "_kernel_1d", spy)
+    order, f, ladder = _bench_d1(5)
+    pruned = maximal_function(order, f, t_grid=ladder).values
+    n_pruned = sum(math.prod(s) for s in drawn)
+    rows = sum(math.prod(s[:-1]) for s in drawn if s[-1] == f.values.size)
+    drawn.clear()
+    full = _maximal_full_loop(order, f, ladder)
+    n_full = sum(math.prod(s) for s in drawn)
+    np.testing.assert_array_equal(pruned, full)
+    # every closed-form value the pass and the rows take, diagonals
+    # included, against the full matrices: 9% when this was written, and
+    # 8% of the (time, row) pairs
+    assert n_full == ladder.size * f.values.size**2
+    assert n_pruned < 0.2 * n_full
+    assert rows < 0.15 * ladder.size * f.values.size
+
+
+def _mp_kernel(nu, s, x, y):
+    # the 1-D heat kernel at 40 digits
+    import mpmath as mp
+
+    r = mp.exp(-4 * mp.mpf(s))
+    xy = mp.mpf(x) * mp.mpf(y)
+    return (2 * mp.sqrt(r * xy) / (1 - r) * mp.exp(-(1 + r) * (mp.mpf(x) ** 2 + mp.mpf(y) ** 2) / (2 * (1 - r)))
+            * mp.besseli(nu, 2 * mp.sqrt(r) * xy / (1 - r)))
+
+
+@pytest.mark.parametrize("nu", [(0.5,), (-0.5,), (1.3,), (0.5, -0.5)])
+def test_value_bounds_hold_against_mpmath(nu):
+    # the lower and upper bounds of maximal_function's pass, called
+    # directly on a small grid, against the values sum_y p_s(x, y) f(y) w(y)
+    # at 40 digits and against the closed form; the times put pairs on
+    # both sides of the prune switch (bounds that separate from the
+    # maximum and bounds that do not) and of the halving that sets the
+    # tail bound, and in 2-D the tail past degree 44 is not negligible
+    import mpmath as mp
+
+    from lagsem.heat import _diagonal_bounds
+    from lagsem.operators import _kernel_matrices, _per_axis, _value_bounds
+
+    order = MultiOrder(nu)
+    n = order.n
+    # 12 nodes in 1-D and 8 x 8 in 2-D, on [0.05, 4] per axis
+    per_unit = 3 if n == 1 else 2
+    grid = Grid((gauss_legendre_axis(0.05, 4.0, nodes_per_unit=per_unit, min_nodes=per_unit),) * n)
+    f = _seeded_bumps(order, grid, 7)
+    arr = f.values * grid.weights_nd()
+    times = np.array([0.004, 0.02, 0.06, 0.2, 0.7, 3.0])
+    lower, upper = _value_bounds(order, times, grid, grid, arr)
+    with mp.workdps(40):
+        # per axis and time, the symmetric kernel matrix on the nodes
+        mats = []
+        for nu_j, ax in zip(order.nu, grid.axes):
+            per_time = []
+            for s in times:
+                mat = [[None] * ax.nodes.size for _ in ax.nodes]
+                for a, b in itertools.combinations_with_replacement(range(ax.nodes.size), 2):
+                    mat[a][b] = mat[b][a] = _mp_kernel(nu_j, s, ax.nodes[a], ax.nodes[b])
+                per_time.append(mat)
+            mats.append(per_time)
+        flat = [mp.mpf(float(v)) for v in arr.ravel()]
+        exact = np.empty((times.size, *grid.shape))
+        for i in range(times.size):
+            for idx in np.ndindex(*grid.shape):
+                total = mp.mpf(0)
+                for jdx, g in zip(np.ndindex(*grid.shape), flat):
+                    term = g
+                    for j in range(n):
+                        term *= mats[j][i][idx[j]][jdx[j]]
+                    total += term
+                exact[(i, *idx)] = float(abs(total))
+    assert np.all((lower <= exact) & (exact <= upper))
+    closed = np.array([np.abs(_per_axis(m, arr)) for m in _kernel_matrices(order, times, grid, grid)])
+    assert np.all((lower <= closed) & (closed <= upper))
+    # the prune switch: some pairs certified below the largest lower bound,
+    # some not
+    below = upper < np.max(lower, axis=0)
+    assert below.any() and not below.all()
+    # the halving s/2^j that sets the tail bound (heat._tail_bound) differs
+    # between the times
+    diag = _diagonal_bounds(order.nu[0], times, grid.axes[0].nodes)
+    k_next = 201 if n == 1 else 45
+    gap = np.multiply.outer(1.0 - 0.5 ** np.arange(len(diag)), times) * (4.0 * k_next + 2.0 * order.nu[0] + 2.0)
+    halving = np.argmin(np.exp(-gap)[..., None] * diag, axis=0)
+    assert len(np.unique(halving)) > 1
+
+
 def test_time_rule_names_its_interval_in_every_caller():
     # heat kernels take t in (0, inf] (inf is their t -> inf limit, 0), the
     # semigroup and the composite Riesz kernel [0, inf), the maximal
@@ -905,6 +1099,27 @@ def test_log_kernel_bound_lies_above_the_kernel_and_peaks_once(nu):
     # rises, then falls: the sign of its steps changes at most once, from + to -
     falls = np.diff(bound, axis=0) < 0.0
     assert np.all(falls[1:] >= falls[:-1])
+
+
+@pytest.mark.parametrize("nu", [-0.5, -0.2, 0.0, 0.5, 1.3, 25.5])
+def test_block_majorant_lies_above_the_kernel_on_its_block(nu):
+    from lagsem.heat import _block_majorant
+
+    t = np.geomspace(1e-4, 500.0, 30)[:, None, None]
+    x = np.geomspace(0.01, 20.0, 20)[:, None]
+    lo = np.array([0.02, 0.5, 1.0, 3.0, 8.0])
+    hi = lo + np.array([0.01, 0.3, 1.0, 0.5, 4.0])
+    bound = _block_majorant(nu, t, x - np.clip(x, lo, hi), x * lo, np.log(x * hi))
+    ys = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, 25)
+    kernel = kernel_1d_closed(nu, t[..., None], x[..., None], ys)
+    # below e^(-666) the kernel's factors reach subnormals, which round coarsely
+    normal = kernel > 1e-290
+    assert normal.mean() > 0.3
+    assert np.all(np.broadcast_to(bound[..., None], kernel.shape)[normal] >= kernel[normal])
+    # not finite only where sqrt(r) = e^(-2t) underflows, and +inf there
+    gone = np.exp(-2.0 * t) == 0.0
+    assert np.all(np.isinf(bound[np.broadcast_to(gone, bound.shape)]))
+    assert np.all(np.isfinite(bound[~np.broadcast_to(gone, bound.shape)]))
 
 
 def test_riesz_windows_skip_the_panels_far_pairs_cannot_use(monkeypatch):

@@ -450,6 +450,54 @@ def test_laguerre_function_high_degree_no_overflow():
     assert np.max(np.abs(table[200])) > 0.0
 
 
+def _mp_laguerre_table(nu, xs, k_max):
+    # the recurrence of laguerre_function_table in mpmath at 40 digits
+    nu = mp.mpf(nu)
+    out = np.empty((k_max + 1, len(xs)))
+    for i, x in enumerate(xs):
+        x = mp.mpf(float(x))
+        y = x * x
+        outer = mp.sqrt(2) * x ** (nu + mp.mpf(0.5)) * mp.exp(-y / 2)
+        prev, cur = mp.mpf(0), 1 / mp.sqrt(mp.gamma(nu + 1))
+        out[0, i] = float(cur * outer)
+        for k in range(k_max):
+            prev, cur = cur, ((2 * k + 1 + nu - y) * cur - mp.sqrt(k * (k + nu)) * prev) / mp.sqrt(
+                (k + 1) * (k + 1 + nu))
+            out[k + 1, i] = float(cur * outer)
+    return out
+
+
+@pytest.mark.parametrize("nu", [-0.5, 0.0, 0.5, 1.3, 3.7, 25.5, 80.0, 150.0])
+def test_laguerre_table_against_mpmath(nu):
+    # the accuracy laguerre_function_table states up to MAX_DEGREE, on
+    # every third point of the sweep it was measured on, and the error
+    # model (special._TABLE_REL, _TABLE_ABS) that the maximal function's
+    # bounds rest on
+    from lagsem.special import _TABLE_ABS, _TABLE_REL, MAX_DEGREE
+
+    xs = np.concatenate([np.geomspace(1e-4, 0.5, 25, endpoint=False), np.linspace(0.5, 30.0, 150)])[::3]
+    with mp.workdps(40):
+        want = _mp_laguerre_table(nu, xs, MAX_DEGREE)
+        # the reference recurrence is the normalized Laguerre polynomial
+        for k, i in ((0, 10), (37, 20), (MAX_DEGREE, 40)):
+            x, a = mp.mpf(float(xs[i])), mp.mpf(nu)
+            direct = (mp.sqrt(2 * mp.gamma(k + 1) / mp.gamma(k + a + 1)) * x ** (a + mp.mpf(0.5))
+                      * mp.exp(-x * x / 2) * mp.laguerre(k, a, x * x))
+            assert want[k, i] == pytest.approx(float(direct), rel=1e-14, abs=1e-300)
+    got = laguerre_function_table(nu, xs, MAX_DEGREE)
+    err = np.abs(got - want)
+    lam = 4.0 * np.arange(MAX_DEGREE + 1)[:, None] + 2.0 * nu + 2.0
+    inside = xs**2 <= lam
+    small = np.broadcast_to(xs < 0.5, err.shape)
+    assert np.all(err[inside & ~small] <= (2.2e-14 if nu <= 1.3 else 1.0e-13))
+    assert np.all(err[inside & small] <= 2.2e-13)
+    big = np.abs(want) >= 1e-280
+    beyond = ~inside & big
+    assert np.all(err[beyond] <= (7.6e-14 if nu <= 80.0 else 1.7e-13) * np.abs(want[beyond]))
+    assert np.all(err[~big] <= 6.1e-294)
+    assert np.all(err <= _TABLE_REL * np.abs(got) + _TABLE_ABS * (xs**2 <= 2.0 * lam) + 1e-290)
+
+
 def test_laguerre_function_domain_error():
     with pytest.raises(ValueError):
         laguerre_function((0,), MultiOrder((0.5,)), (0.0,))

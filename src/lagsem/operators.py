@@ -223,12 +223,13 @@ def maximal_function(
     to O(spacing^2) damping.
 
     The result is the maximum over the times of the closed-form values
-    |e^(-sL) f|(x), s = t^2, bit for bit.  On large grids (``_prunes``)
-    an eigen-sum pass and a majorant of the kernel first bound every one
-    of them from above and below (``_value_bounds``); the kernel is then
-    drawn only at the (time, target point) pairs whose upper bound reaches
-    the largest lower bound or value found so far at the point.  Every
-    other value is provably below the maximum and is not needed.
+    |e^(-sL) f|(x), s = t^2, bit for bit.  On large 1-D grids
+    (``_prunes``) an eigen-sum pass and a majorant of the kernel first
+    bound every one of them from above and below (``_value_bounds``); the
+    kernel is then drawn only at the (time, target point) pairs whose
+    upper bound reaches the largest lower bound or value found so far at
+    the point.  Every other value is provably below the maximum and is not
+    needed.
     """
     order = as_order(order)
     if t_grid is None:
@@ -245,37 +246,37 @@ def maximal_function(
         for mats in _kernel_matrices(order, times, f.grid, target):
             np.maximum(best, np.abs(_per_axis(mats, arr)), out=best)
         return GridFunction(target, best)
-    lower, uppers = _value_bounds(order, times, f.grid, target, arr)
+    (nu,), (x,), (y,) = order.nu, target.axes, f.grid.axes
+    lower, uppers = _value_bounds(order, times, y.nodes, x.nodes, arr)
     lower = np.max(lower, axis=0)
-    mats = [np.zeros((ev.nodes.size, src.nodes.size)) for ev, src in zip(target.axes, f.grid.axes)]
-    drawn = [np.zeros(0, dtype=np.intp)] * order.n
+    # rows not drawn at a time hold 0 or the row of an earlier time, whose
+    # value is already in best
+    mat = np.zeros((x.nodes.size, y.nodes.size))
     for s, upper in zip(times, uppers):
         # where the upper bound lies below a lower bound of the maximum the
         # value cannot set it; NaN is drawn
-        need = ~(upper < np.maximum(best, lower))
-        if not need.any():
-            continue
-        for j, (nu, ev, src) in enumerate(zip(order.nu, target.axes, f.grid.axes)):
-            mats[j][drawn[j]] = 0.0
-            drawn[j] = np.flatnonzero(need.any(axis=tuple(i for i in range(order.n) if i != j)))
-            _draw_rows(nu, s, ev.nodes, src.nodes, drawn[j], mats[j])
-        np.maximum(best, np.abs(_per_axis(mats, arr)), out=best)
+        need = np.flatnonzero(~(upper < np.maximum(best, lower)))
+        if need.size:
+            _draw_rows(nu, s, x.nodes, y.nodes, need, mat)
+            np.maximum(best, np.abs(_per_axis((mat,), arr)), out=best)
     return GridFunction(target, best)
 
 
-# ``maximal_function`` prunes when every axis matrix has at least
+# ``maximal_function`` prunes in 1-D when the kernel matrix has at least
 # _PRUNE_ELEMENTS entries and the ladder at least _PRUNE_TIMES times.  Its
-# bounds also need every order at most 150, the range of ive's stated
+# bounds also need the order at most 150, the range of ive's stated
 # accuracy (``heat._CLOSED_REL``), and every node at most 30, the range of
-# the Laguerre tables' measured accuracy (``special._TABLE_REL``).  The
-# eigen-sums keep at most _PRUNE_COEFFS coefficients, and at most degree
-# MAX_DEGREE per axis: 200 in 1-D, 44 in 2-D and 11 in 3-D.  On a 256 x 256
-# grid with 48 times, degree 200 per axis made the pass cost more than the
-# kernel rows it saved (786 against 563 ms), and degree 40 pruned the same
-# rows (486 ms).
+# the Laguerre tables' measured accuracy (``special._TABLE_REL``).  In
+# 2-D and 3-D the contraction, which the pass does not shrink, dominates:
+# on a 256 x 256 grid a product form of the pass cost 81 against 51 ms at
+# 8 times and 429 against 444 ms at 48, so n-D grids keep the full loop.
+# The 1-D thresholds do not mark where the pass stops paying: timed in
+# one process (BENCH_21.json `boundary`), it was faster on both sides of
+# them, down to 4 times on 256 nodes and 48 x 48 nodes at 40 times, and
+# slower only at 2 times.  They keep the atoms of ``hardy_norm_maximal``
+# (96-192 x 48 nodes, 40 times) on the full loop.
 _PRUNE_ELEMENTS = 2**16
 _PRUNE_TIMES = 8
-_PRUNE_COEFFS = 2048
 _PRUNE_ORDER = 150.0
 _PRUNE_NODE = 30.0
 
@@ -285,88 +286,73 @@ def _prunes(order: MultiOrder, times: np.ndarray, source: Grid, target: Grid) ->
 
     The pass (the Laguerre tables, the closed-form diagonal at every time
     and its halvings, the eigen-sums and the majorant) costs about as much
-    as one or two times of the full matrices on the 384-node benchmark
-    grid; it pays where the matrices are large and many.
+    as one or two times of the full matrix on the 384-node benchmark
+    grid; it pays where the matrix is large and the times many.
     """
+    if order.n != 1:
+        return False
+    (nu,), (x,), (y,) = order.nu, target.axes, source.axes
     return (
         times.size >= _PRUNE_TIMES
-        and max(order.nu) <= _PRUNE_ORDER
-        and all(
-            ev.nodes.size * src.nodes.size >= _PRUNE_ELEMENTS
-            and max(ev.nodes.max(), src.nodes.max()) <= _PRUNE_NODE
-            for ev, src in zip(target.axes, source.axes)
-        )
+        and nu <= _PRUNE_ORDER
+        and x.nodes.size * y.nodes.size >= _PRUNE_ELEMENTS
+        and max(x.nodes.max(), y.nodes.max()) <= _PRUNE_NODE
     )
 
 
-def _value_bounds(order: MultiOrder, times: np.ndarray, source: Grid, target: Grid, arr: np.ndarray):
-    """Bounds on the closed-form values C_s(x) = |e^(-sL) f|(x) that ``maximal_function`` takes.
+def _value_bounds(order: MultiOrder, times: np.ndarray, y: np.ndarray, x: np.ndarray, arr: np.ndarray):
+    """Bounds on the 1-D closed-form values C_s(x) = |e^(-sL) f|(x) that ``maximal_function`` takes.
 
-    ``arr`` holds f times the source weights.  Returns (lower, upper), each
-    of shape (times,) + target.shape, with lower <= |C_s(x)| <= upper.
-    Both come from the eigen-sum E_s(x) = sum_k e^(-s lambda_k) Phi_k(x)
-    <Phi_k, f> over the per-axis degrees k_j <= K (``_PRUNE_COEFFS``): |E_s(x)|
-    plus or minus a margin.  The margin bounds three errors, doubled for
-    the rounding of the bound itself:
+    ``y`` and ``x`` are the source and target nodes, ``arr`` f times the
+    source weights.  Returns (lower, upper), each of shape (times, x), with
+    lower <= |C_s(x)| <= upper.  Both come from the eigen-sum
+    E_s(x) = sum_k e^(-s lambda_k) phi_k(x) <phi_k, f> over k <= K =
+    MAX_DEGREE: |E_s(x)| plus or minus a margin.  The margin bounds three
+    errors, doubled for the rounding of the bound itself:
 
-    - the truncated tail.  Per axis, the tail T_j(x_j) past K of
-      the diagonal eigen-sum is read by ``heat._tail_bound`` from the
-      closed-form diagonal D_j at s/2^i.  The n-D tail on the diagonal
-      is then at most sum_j T_j(x_j) prod_(l != j) D_l(x_l), so by
-      Cauchy-Schwarz the tail's part of the value at x is at most
-      sum_j sqrt(T_j) prod sqrt(D_l) at x times the same sum at y summed
-      against |f| w: rank-one factors per axis;
+    - the truncated tail.  The tail T(x) past K of the diagonal eigen-sum
+      is read by ``heat._tail_bound`` from the closed-form diagonal at
+      s/2^i, so by Cauchy-Schwarz the tail's part of the value at x is at
+      most sqrt(T(x)) times sqrt(T(y)) summed against |f| w;
     - rounding and table error of the eigen-sum: gamma times Q_s(x), the
       same eigen-sum of moduli with each table entry raised by
       ``heat._envelope``;
-    - the closed form's own error: ``heat._CLOSED_REL`` per axis factor and
-      the rounding of its contraction, times a bound on e^(-sL)(|f| w),
-      2 Q_s plus the tail part.
+    - the closed form's own error: ``heat._CLOSED_REL`` and the rounding
+      of its contraction, times a bound on e^(-sL)(|f| w), 2 Q_s plus the
+      tail part.
 
     The upper bound is also at most ``_majorant`` of |f| w, raised by the
     closed form's own error, which is far smaller where the eigen-sum's
     tail is not: at small s, away from f's support.  An absolute floor
     covers underflow.
     """
-    n = order.n
-    k_max = min(MAX_DEGREE, int(_PRUNE_COEFFS ** (1.0 / n)) - 1)
+    (nu,) = order.nu
     a = np.abs(arr)
-    sizes = sum(ax.nodes.size for ax in source.axes)
     # the tables' error, the contractions and the damping e^(-s lambda_k),
     # whose exponent, while the damping is not below the floor, is under 750
-    gamma = 2.0 * (2 * n * _TABLE_REL + _UNIT * (sizes + n * (k_max + 1) + 2 * 750 + 4 * n))
-    closed = 2.0 * (n * _CLOSED_REL + _UNIT * (sizes + 2 * n))
+    gamma = 2.0 * (2 * _TABLE_REL + _UNIT * (y.size + MAX_DEGREE + 1 + 2 * 750 + 4))
+    closed = 2.0 * (_CLOSED_REL + _UNIT * (y.size + 2))
 
-    def per_axis(grid):
-        # per axis of the grid: the table, its envelope, and the rank-one
-        # tail factors sqrt(T_j) and sqrt(D_j) at every time
-        out = []
-        for nu, ax in zip(order.nu, grid.axes):
-            diag = _diagonal_bounds(nu, times, ax.nodes)
-            tail = np.sqrt(_tail_bound(diag, times, 4.0 * (k_max + 1) + 2.0 * nu + 2.0))
-            diag = np.sqrt(diag[0])
-            table = laguerre_function_table(nu, ax.nodes, k_max)
-            out.append((table, _envelope(nu, ax.nodes, table, gamma), tail, diag))
-        return list(zip(*out))
+    def per_node(nodes):
+        # the table, its envelope, and the tail factor sqrt(T) at every time
+        diag = _diagonal_bounds(nu, times, nodes)
+        tail = np.sqrt(_tail_bound(diag, times, order.degree_eigenvalue(MAX_DEGREE + 1)))
+        table = laguerre_function_table(nu, nodes, MAX_DEGREE)
+        return table, _envelope(nu, nodes, table, gamma), tail
 
-    tab_y, env_y, tail_y, diag_y = per_axis(source)
-    tab_x, env_x, tail_x, diag_x = (tab_y, env_y, tail_y, diag_y) if target is source else per_axis(target)
-    damp = np.exp(-np.multiply.outer(eigenvalue_array(order, k_max), times))
-    value = np.abs(_synthesis(tab_x, _per_axis(tab_y, arr)[..., None] * damp))
-    moduli = _synthesis(env_x, _per_axis(env_y, a)[..., None] * damp)
-    tail = 0.0
-    for j in range(n):
-        # the rank-one term of axis j: its tail factor, the other axes' diagonals
-        at_x = diag_x[:j] + tail_x[j:j + 1] + diag_x[j + 1:]
-        at_y = diag_y[:j] + tail_y[j:j + 1] + diag_y[j + 1:]
-        tail = tail + _outer(at_x) * _weighted(at_y, a).reshape(-1, *[1] * n)
+    tab_y, env_y, tail_y = per_node(y)
+    tab_x, env_x, tail_x = (tab_y, env_y, tail_y) if x is y else per_node(x)
+    damp = np.exp(-np.multiply.outer(eigenvalue_array(order, MAX_DEGREE), times))
+    value = np.abs(((tab_y @ arr)[:, None] * damp).T @ tab_x)
+    moduli = ((env_y @ a)[:, None] * damp).T @ env_x
+    tail = tail_x * (tail_y @ a)[:, None]
     floor = _FLOOR * (1.0 + a.sum())
     margin = 2.0 * ((gamma + 2.0 * closed) * moduli + (1.0 + closed) * tail) + floor
     lower, upper = value - margin, value + margin
     # the majorant only at the times where these bounds leave a point open
-    open_ = np.flatnonzero(~(upper < lower.max(axis=0)).reshape(times.size, -1).all(axis=1))
+    open_ = np.flatnonzero(~(upper < lower.max(axis=0)).all(axis=1))
     if open_.size:
-        majorant = (1.0 + 2.0 * closed) * _majorant(order, times[open_], source, target, a) + floor
+        majorant = (1.0 + 2.0 * closed) * _majorant(nu, times[open_], y, x, a) + floor
         upper[open_] = np.minimum(upper[open_], majorant)
     return lower, upper
 
@@ -378,39 +364,19 @@ def _value_bounds(order: MultiOrder, times: np.ndarray, source: Grid, target: Gr
 _MAJORANT_NODES = 16
 
 
-def _majorant(order: MultiOrder, times: np.ndarray, source: Grid, target: Grid, a: np.ndarray) -> np.ndarray:
-    """Upper bounds on sum_y p_s(x, y) a(y), a >= 0 on the source grid, per time of ``times`` and target node.
+def _majorant(nu: float, times: np.ndarray, y: np.ndarray, x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Upper bounds on sum_y p_s(x, y) a(y), a >= 0 at the source nodes y, per time of ``times`` and target node.
 
-    Per axis the source nodes fall into blocks of _MAJORANT_NODES
-    consecutive nodes; ``heat._block_majorant`` bounds the axis kernel
-    over each block's span, and the bounds are contracted with the block
-    sums of a.  The walker ``heat._axis_factors`` draws them.
+    The source nodes fall into blocks of _MAJORANT_NODES consecutive
+    nodes; ``heat._block_majorant`` bounds the kernel over each block's
+    span, and the bounds are contracted with the block sums of a.  The
+    walker ``heat._axis_factors`` draws them.
     """
-    starts = [np.arange(0, ax.nodes.size, _MAJORANT_NODES) for ax in source.axes]
-    sums = a
-    for j, at in enumerate(starts):
-        sums = np.add.reduceat(sums, at, axis=j)
-    axes = []
-    for nu, ev, src, at in zip(order.nu, target.axes, source.axes, starts):
-        x, lo, hi = ev.nodes[:, None], np.minimum.reduceat(src.nodes, at), np.maximum.reduceat(src.nodes, at)
-        axes.append((partial(_block_majorant, nu), (x - np.clip(x, lo, hi), x * lo, np.log(x * hi))))
-    return np.array([_per_axis(mats, sums) for mats in _axis_factors(times, axes)])
-
-
-def _outer(vecs) -> np.ndarray:
-    """prod_j vecs[j][:, x_j] on the grid of the vectors, one array per leading index."""
-    out = vecs[0]
-    for v in vecs[1:]:
-        out = out[..., None] * v.reshape(v.shape[0], *[1] * (out.ndim - 1), v.shape[1])
-    return out
-
-
-def _weighted(vecs, a: np.ndarray) -> np.ndarray:
-    """sum_y prod_j vecs[j][:, y_j] a(y), one sum per leading index."""
-    out = np.tensordot(vecs[0], a, axes=(1, 0))
-    for v in vecs[1:]:
-        out = np.einsum("tm...,tm->t...", out, v)
-    return out
+    starts = np.arange(0, y.size, _MAJORANT_NODES)
+    x, lo, hi = x[:, None], np.minimum.reduceat(y, starts), np.maximum.reduceat(y, starts)
+    cols = (x - np.clip(x, lo, hi), x * lo, np.log(x * hi))
+    sums = np.add.reduceat(a, starts)
+    return np.array([mat @ sums for (mat,) in _axis_factors(times, [(partial(_block_majorant, nu), cols)])])
 
 
 def _draw_rows(nu: float, s: float, x: np.ndarray, y: np.ndarray, rows: np.ndarray, mat: np.ndarray) -> None:

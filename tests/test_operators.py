@@ -387,13 +387,14 @@ def test_maximal_prunes_on_large_grids_only():
 
     d1 = _bench_d1(1)[1].grid
     assert rule((0.5,), d1, 16) and rule((0.5,), _grid_1d(), 48)
-    # one time has nothing to prune, and a few do not pay for the pass
+    # one time has nothing to prune, and below 8 times the pass is not taken
     assert not rule((0.5,), d1, 1) and not rule((0.5,), d1, 7)
     # atoms: 96 to 192 evaluation nodes against 48
     atom = _axis_grid([(0.5, 1.5)], (48,))
     assert not rule((0.5,), atom, 40, _axis_grid([(0.2, 1.0)], (192,)))
-    # the 2-D and 3-D benchmark grids, and a grid past the tables' range
-    for nu, hi, per_unit in (((0.5, 1.0), 6.0, 4), ((0.5, 1.0, 0.0), 4.0, 2)):
+    # the 2-D and 3-D benchmark grids, a 2-D grid whose axis matrices are
+    # as large as d1's, and a grid past the tables' range
+    for nu, hi, per_unit in (((0.5, 1.0), 6.0, 4), ((0.5, 1.0, 0.0), 4.0, 2), ((0.5, 1.0), 12.0, 32)):
         axis = gauss_legendre_axis(0.0, hi, nodes_per_unit=per_unit, min_nodes=per_unit)
         assert not rule(nu, Grid((axis,) * len(nu)), 48)
     assert not rule((0.5,), Grid.box((0.0,), (40.0,), nodes_per_unit=16), 48)
@@ -424,19 +425,22 @@ def test_pruned_maximal_equals_full_loop_on_the_fine_grid(nu):
                                       _maximal_full_loop(order, f, ladder))
 
 
-def test_pruned_maximal_equals_full_loop_in_two_dimensions():
-    # 256 x 256 nodes: each axis matrix has 2^16 entries, so the pass runs;
-    # with an evaluation grid of its own as well
+def test_maximal_keeps_the_full_loop_in_two_dimensions():
+    # 256 x 256 nodes: each axis matrix has 2^16 entries, as many as the
+    # 1-D rule asks, but n-D grids take the full loop; with an evaluation
+    # grid of its own as well
+    from lagsem.operators import _prunes
+
     order = MultiOrder((0.5, 1.0))
     axis = gauss_legendre_axis(0.0, 8.0, nodes_per_unit=32, min_nodes=32)
     grid = Grid((axis, axis))
     f = _seeded_bumps(order, grid, 3)
     ladder = np.geomspace(0.1, 30.0, 8)
-    np.testing.assert_array_equal(maximal_function(order, f, t_grid=ladder).values,
-                                  _maximal_full_loop(order, f, ladder))
     target = Grid((gauss_legendre_axis(0.5, 6.0, nodes_per_unit=48), axis))
-    np.testing.assert_array_equal(maximal_function(order, f, t_grid=ladder, eval_grid=target).values,
-                                  _maximal_full_loop(order, f, ladder, target))
+    for ev in (grid, target):
+        assert not _prunes(order, ladder**2, grid, ev)
+        np.testing.assert_array_equal(maximal_function(order, f, t_grid=ladder, eval_grid=ev).values,
+                                      _maximal_full_loop(order, f, ladder, ev))
 
 
 def test_pruned_maximal_draws_fewer_kernel_rows(monkeypatch):
@@ -476,50 +480,30 @@ def _mp_kernel(nu, s, x, y):
             * mp.besseli(nu, 2 * mp.sqrt(r) * xy / (1 - r)))
 
 
-@pytest.mark.parametrize("nu", [(0.5,), (-0.5,), (1.3,), (0.5, -0.5)])
+@pytest.mark.parametrize("nu", [0.5, -0.5, 1.3])
 def test_value_bounds_hold_against_mpmath(nu):
     # the lower and upper bounds of maximal_function's pass, called
     # directly on a small grid, against the values sum_y p_s(x, y) f(y) w(y)
     # at 40 digits and against the closed form; the times put pairs on
     # both sides of the prune switch (bounds that separate from the
     # maximum and bounds that do not) and of the halving that sets the
-    # tail bound, and in 2-D the tail past degree 44 is not negligible
+    # tail bound
     import mpmath as mp
 
     from lagsem.heat import _diagonal_bounds
     from lagsem.operators import _kernel_matrices, _per_axis, _value_bounds
 
-    order = MultiOrder(nu)
-    n = order.n
-    # 12 nodes in 1-D and 8 x 8 in 2-D, on [0.05, 4] per axis
-    per_unit = 3 if n == 1 else 2
-    grid = Grid((gauss_legendre_axis(0.05, 4.0, nodes_per_unit=per_unit, min_nodes=per_unit),) * n)
+    order = MultiOrder((nu,))
+    # 12 nodes on [0.05, 4]
+    grid = Grid((gauss_legendre_axis(0.05, 4.0, nodes_per_unit=3, min_nodes=3),))
+    nodes = grid.axes[0].nodes
     f = _seeded_bumps(order, grid, 7)
     arr = f.values * grid.weights_nd()
     times = np.array([0.004, 0.02, 0.06, 0.2, 0.7, 3.0])
-    lower, upper = _value_bounds(order, times, grid, grid, arr)
+    lower, upper = _value_bounds(order, times, nodes, nodes, arr)
     with mp.workdps(40):
-        # per axis and time, the symmetric kernel matrix on the nodes
-        mats = []
-        for nu_j, ax in zip(order.nu, grid.axes):
-            per_time = []
-            for s in times:
-                mat = [[None] * ax.nodes.size for _ in ax.nodes]
-                for a, b in itertools.combinations_with_replacement(range(ax.nodes.size), 2):
-                    mat[a][b] = mat[b][a] = _mp_kernel(nu_j, s, ax.nodes[a], ax.nodes[b])
-                per_time.append(mat)
-            mats.append(per_time)
-        flat = [mp.mpf(float(v)) for v in arr.ravel()]
-        exact = np.empty((times.size, *grid.shape))
-        for i in range(times.size):
-            for idx in np.ndindex(*grid.shape):
-                total = mp.mpf(0)
-                for jdx, g in zip(np.ndindex(*grid.shape), flat):
-                    term = g
-                    for j in range(n):
-                        term *= mats[j][i][idx[j]][jdx[j]]
-                    total += term
-                exact[(i, *idx)] = float(abs(total))
+        exact = np.array([[float(abs(mp.fsum(_mp_kernel(nu, s, x, y) * mp.mpf(float(g)) for y, g in zip(nodes, arr))))
+                           for x in nodes] for s in times])
     assert np.all((lower <= exact) & (exact <= upper))
     closed = np.array([np.abs(_per_axis(m, arr)) for m in _kernel_matrices(order, times, grid, grid)])
     assert np.all((lower <= closed) & (closed <= upper))
@@ -529,9 +513,8 @@ def test_value_bounds_hold_against_mpmath(nu):
     assert below.any() and not below.all()
     # the halving s/2^j that sets the tail bound (heat._tail_bound) differs
     # between the times
-    diag = _diagonal_bounds(order.nu[0], times, grid.axes[0].nodes)
-    k_next = 201 if n == 1 else 45
-    gap = np.multiply.outer(1.0 - 0.5 ** np.arange(len(diag)), times) * (4.0 * k_next + 2.0 * order.nu[0] + 2.0)
+    diag = _diagonal_bounds(nu, times, nodes)
+    gap = np.multiply.outer(1.0 - 0.5 ** np.arange(len(diag)), times) * (4.0 * 201 + 2.0 * nu + 2.0)
     halving = np.argmin(np.exp(-gap)[..., None] * diag, axis=0)
     assert len(np.unique(halving)) > 1
 

@@ -10,8 +10,9 @@ Times, on the three grids of the ``grid-operators`` perfbench workload
   maximal tests (order 1/2, [1e-9, 12], 48 nodes per unit) with its
   default ladder of 48 times;
 - ``square_function`` with its default levels and cut-off;
-- ``hardy_norm_maximal`` of one 1-D atom at p = 0.9, with the atom
-  defaults (40 times, a 96-node evaluation grid);
+- ``hardy_norm_maximal`` of two 1-D atoms at p = 0.9, with the atom
+  defaults (40 times, 48 source nodes): one with a 96-node evaluation
+  grid, which keeps the full loop, and one with 192, which prunes;
 - the four Riesz families of the standard bound suite (``fast = false``):
   ``riesz_kernel`` with k = (1,) and (2,) on the 10,100 1-D ``riesz-size``
   pairs and with k = (1, 0) on the 12,100 2-D pairs, and
@@ -149,6 +150,16 @@ def test_hardy_norm_maximal_atom(benchmark, grids):
     # radius 0.0086: a 96-node evaluation grid against the atom's 48 nodes
     atom = random_atom(order, 0.9, seed=3)
     _record(benchmark, lambda: hardy_norm_maximal(order, atom, 0.9), points=96)
+
+
+def test_hardy_norm_maximal_atom_192(benchmark, grids):
+    from lagsem import hardy_norm_maximal, random_atom
+
+    order = grids["d1"][0]
+    # a grid-operators atom of radius 0.031: 192 evaluation nodes against
+    # the atom's 48, where maximal_function takes its eigen-sum pass
+    atom = random_atom(order, 0.9, seed=908297868)
+    _record(benchmark, lambda: hardy_norm_maximal(order, atom, 0.9), points=192)
 
 
 @pytest.mark.parametrize("case", RIESZ, ids=[r[0] for r in RIESZ])

@@ -86,7 +86,7 @@ def check_slow_variation(
     Base points are log-uniform in [0.05, 10]^n, companions uniform in the
     dilated ball intersected with the open orthant.
     """
-    if not isinstance(n_pairs, numbers.Integral) or n_pairs < 1:
+    if not isinstance(n_pairs, numbers.Integral) or isinstance(n_pairs, bool) or n_pairs < 1:
         raise ValueError(f"n_pairs must be a positive integer, got {n_pairs!r}")
     order = as_order(order)
     rng = np.random.default_rng(seed)

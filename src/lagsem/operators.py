@@ -223,7 +223,7 @@ def maximal_function(
     to O(spacing^2) damping.
 
     The result is the maximum over the times of the closed-form values
-    |e^(-sL) f|(x), s = t^2, bit for bit.  On large 1-D grids
+    |e^(-sL) f|(x), s = t^2, bit for bit.  On large 1-D ladders
     (``_prunes``) an eigen-sum pass and a majorant of the kernel first
     bound every one of them from above and below (``_value_bounds``); the
     kernel is then drawn only at the (time, target point) pairs whose
@@ -262,21 +262,23 @@ def maximal_function(
     return GridFunction(target, best)
 
 
-# ``maximal_function`` prunes in 1-D when the kernel matrix has at least
-# _PRUNE_ELEMENTS entries and the ladder at least _PRUNE_TIMES times.  Its
+# ``maximal_function`` prunes in 1-D when the ladder has more than one time
+# (one time has nothing to skip) and at least _PRUNE_ELEMENTS kernel
+# elements over all of it (times x target nodes x source nodes).  Its
 # bounds also need the order at most 150, the range of ive's stated
 # accuracy (``heat._CLOSED_REL``), and every node at most 30, the range of
-# the Laguerre tables' measured accuracy (``special._TABLE_REL``).  In
-# 2-D and 3-D the contraction, which the pass does not shrink, dominates:
-# on a 256 x 256 grid a product form of the pass cost 81 against 51 ms at
-# 8 times and 429 against 444 ms at 48, so n-D grids keep the full loop.
-# The 1-D thresholds do not mark where the pass stops paying: timed in
-# one process (BENCH_21.json `boundary`), it was faster on both sides of
-# them, down to 4 times on 256 nodes and 48 x 48 nodes at 40 times, and
-# slower only at 2 times.  They keep the atoms of ``hardy_norm_maximal``
-# (96-192 x 48 nodes, 40 times) on the full loop.
-_PRUNE_ELEMENTS = 2**16
-_PRUNE_TIMES = 8
+# the Laguerre tables' measured accuracy (``special._TABLE_REL``).  Timed
+# in one process against the full loop (BENCH_22.json `boundary`), the
+# pass was faster in every case measured at or above 2^18 elements: 0.98
+# at 384 x 384 nodes and 2 times, 0.66 at 256 x 256 and 4, 0.44 at
+# 128 x 128 and 16, 0.71 and 0.59 on the atoms of ``hardy_norm_maximal``
+# with 192 and 288 x 48 nodes at 40 times.  Every loss lay below it: 1.3-1.9
+# at one time, 1.32 at 256 x 256 and 2 times, 1.02 at 360 x 360 and 2, and
+# 1.27-8.4 on the 96 x 48 atom at 2-40 times.  In 2-D and 3-D the
+# contraction, which the pass does not shrink, dominates: on a 256 x 256
+# grid a product form of the pass cost 81 against 51 ms at 8 times and
+# 429 against 444 ms at 48, so n-D grids keep the full loop.
+_PRUNE_ELEMENTS = 2**18
 _PRUNE_ORDER = 150.0
 _PRUNE_NODE = 30.0
 
@@ -287,15 +289,15 @@ def _prunes(order: MultiOrder, times: np.ndarray, source: Grid, target: Grid) ->
     The pass (the Laguerre tables, the closed-form diagonal at every time
     and its halvings, the eigen-sums and the majorant) costs about as much
     as one or two times of the full matrix on the 384-node benchmark
-    grid; it pays where the matrix is large and the times many.
+    grid; it pays where the ladder has many kernel elements.
     """
     if order.n != 1:
         return False
     (nu,), (x,), (y,) = order.nu, target.axes, source.axes
     return (
-        times.size >= _PRUNE_TIMES
+        times.size > 1
+        and times.size * x.nodes.size * y.nodes.size >= _PRUNE_ELEMENTS
         and nu <= _PRUNE_ORDER
-        and x.nodes.size * y.nodes.size >= _PRUNE_ELEMENTS
         and max(x.nodes.max(), y.nodes.max()) <= _PRUNE_NODE
     )
 
@@ -373,9 +375,11 @@ def _majorant(nu: float, times: np.ndarray, y: np.ndarray, x: np.ndarray, a: np.
     walker ``heat._axis_factors`` draws them.
     """
     starts = np.arange(0, y.size, _MAJORANT_NODES)
-    x, lo, hi = x[:, None], np.minimum.reduceat(y, starts), np.maximum.reduceat(y, starts)
-    cols = (x - np.clip(x, lo, hi), x * lo, np.log(x * hi))
+    # a block of no mass adds nothing, and where its bound is +inf it would add NaN
     sums = np.add.reduceat(a, starts)
+    mass = sums > 0.0
+    x, lo, hi = x[:, None], np.minimum.reduceat(y, starts)[mass], np.maximum.reduceat(y, starts)[mass]
+    cols, sums = (x - np.clip(x, lo, hi), x * lo, np.log(x * hi)), sums[mass]
     return np.array([mat @ sums for (mat,) in _axis_factors(times, [(partial(_block_majorant, nu), cols)])])
 
 
@@ -577,7 +581,7 @@ def _first_panels(order: MultiOrder, t, rows, pair_row, bounds):
     # rises by less than the margin along the whole ladder skips nothing
     rise = 0.0
     for _, t_row, x_row, y_row, at in axes:
-        gauss, _ = _exponents(_time_factors(ends[[0, -1]] + t_row), x_row, y_row)
+        gauss, _ = _exponents(_time_factors(ends[[0, -1]] + t_row), x_row - y_row, x_row, y_row)
         rise = rise + np.take(gauss[1] - gauss[0], at)
     first = np.zeros(pair_row[0].size, dtype=int)
     far = np.flatnonzero(rise >= _WINDOW_EXPONENT)
@@ -591,7 +595,9 @@ def _first_panels(order: MultiOrder, t, rows, pair_row, bounds):
         at = np.cumsum(used)[at[far]] - 1
         s = ends + (t_row[used] if t_row.ndim else t_row)
         x_row, y_row = x_row[used], y_row[used]
-        per_row = _log_kernel_bound(nu, _time_factors(s), x_row, y_row).T
+        with np.errstate(divide="ignore"):
+            log_xy = np.log(x_row * y_row)
+        per_row = _log_kernel_bound(nu, _time_factors(s), x_row - y_row, x_row, y_row, log_xy).T
         # a row whose bound is not finite somewhere is +inf throughout, so
         # that its pairs skip nothing
         per_row[~np.isfinite(per_row).all(axis=1)] = np.inf

@@ -109,7 +109,7 @@ def test_slow_variation_two_dimensional():
     assert report.passed
 
 
-@pytest.mark.parametrize("n_pairs", [0, -1, 2.5])
+@pytest.mark.parametrize("n_pairs", [0, -1, 2.5, True])
 def test_slow_variation_refuses_a_pair_count_that_is_not_a_positive_integer(n_pairs):
     with pytest.raises(ValueError, match="n_pairs must be a positive integer"):
         check_slow_variation(MultiOrder((0.5,)), n_pairs=n_pairs)

@@ -379,19 +379,43 @@ def _bench_d1(seed):
     return ORDER, _seeded_bumps(ORDER, grid, seed), np.geomspace(2.0 * h, 30.0, 16)
 
 
+def _ladder_grid(n_nodes, n_times, hi=12.0, seed=5):
+    # n_nodes Gauss-Legendre nodes in unit panels on [0, hi], seeded bumps
+    # and the benchmark's ladder of n_times from twice the node spacing to 30
+    per_unit = round(n_nodes / hi)
+    axis = gauss_legendre_axis(0.0, hi, nodes_per_unit=per_unit, min_nodes=per_unit)
+    assert axis.nodes.size == n_nodes
+    grid = Grid((axis,))
+    h = float(np.diff(axis.nodes).max())
+    return _seeded_bumps(ORDER, grid, seed), np.geomspace(2.0 * h, 30.0, n_times)
+
+
+# (nodes per axis, times) just below and just above 2^18 kernel elements:
+# 360^2 x 2 and 252^2 x 4 below, 384^2 x 2 and 132^2 x 16 above
+_RULE_EDGE = {(360, 2): False, (252, 4): False, (384, 2): True, (132, 16): True}
+
+
 def test_maximal_prunes_on_large_grids_only():
-    from lagsem.operators import _prunes
+    from lagsem.operators import _PRUNE_ELEMENTS, _prunes
 
     def rule(order, grid, n_times, target=None):
         return _prunes(MultiOrder(order), np.ones(n_times), grid, target or grid)
 
     d1 = _bench_d1(1)[1].grid
     assert rule((0.5,), d1, 16) and rule((0.5,), _grid_1d(), 48)
-    # one time has nothing to prune, and below 8 times the pass is not taken
-    assert not rule((0.5,), d1, 1) and not rule((0.5,), d1, 7)
-    # atoms: 96 to 192 evaluation nodes against 48
+    for (n_nodes, n_times), prunes in _RULE_EDGE.items():
+        assert (n_times * n_nodes**2 >= _PRUNE_ELEMENTS) == prunes
+        assert rule((0.5,), _ladder_grid(n_nodes, n_times)[0].grid, n_times) == prunes
+    # one time has nothing to skip, however large its matrix; 256 x 256
+    # nodes at 2 times are below the rule
+    assert not rule((0.5,), _ladder_grid(600, 1)[0].grid, 1)
+    assert not rule((0.5,), _ladder_grid(256, 2, hi=8.0)[0].grid, 2)
+    # atoms: 48 source nodes and 40 times against 96 evaluation nodes stay
+    # on the full loop, against 192 or 288 they prune
     atom = _axis_grid([(0.5, 1.5)], (48,))
-    assert not rule((0.5,), atom, 40, _axis_grid([(0.2, 1.0)], (192,)))
+    assert not rule((0.5,), atom, 40, _axis_grid([(0.2, 1.0)], (96,)))
+    assert rule((0.5,), atom, 40, _axis_grid([(0.2, 1.0)], (192,)))
+    assert rule((0.5,), atom, 40, _axis_grid([(0.2, 1.0)], (288,)))
     # the 2-D and 3-D benchmark grids, a 2-D grid whose axis matrices are
     # as large as d1's, and a grid past the tables' range
     for nu, hi, per_unit in (((0.5, 1.0), 6.0, 4), ((0.5, 1.0, 0.0), 4.0, 2), ((0.5, 1.0), 12.0, 32)):
@@ -399,6 +423,55 @@ def test_maximal_prunes_on_large_grids_only():
         assert not rule(nu, Grid((axis,) * len(nu)), 48)
     assert not rule((0.5,), Grid.box((0.0,), (40.0,), nodes_per_unit=16), 48)
     assert not rule((200.0,), d1, 16)
+
+
+@pytest.mark.parametrize("n_nodes, n_times", list(_RULE_EDGE))
+def test_maximal_equals_full_loop_on_each_side_of_the_rule(n_nodes, n_times):
+    f, ladder = _ladder_grid(n_nodes, n_times)
+    np.testing.assert_array_equal(maximal_function(ORDER, f, t_grid=ladder).values,
+                                  _maximal_full_loop(ORDER, f, ladder))
+
+
+@pytest.mark.parametrize("seed, n_eval, prunes", [(1043323488, 96, False), (908297868, 192, True),
+                                                  (1543657889, 288, True)])
+def test_hardy_norm_atoms_equal_the_full_loop(monkeypatch, seed, n_eval, prunes):
+    # grid-operators atoms (order 1/2, p = 0.9) with 96, 192 and 288
+    # evaluation nodes, through hardy_norm_maximal and its atom defaults
+    from lagsem import hardy, random_atom
+    from lagsem.operators import _prunes
+
+    calls = []
+
+    def spy(order, f, t_grid, eval_grid):
+        calls.append((order, f, t_grid, eval_grid, maximal_function(order, f, t_grid=t_grid, eval_grid=eval_grid)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(hardy, "maximal_function", spy)
+    value = hardy.hardy_norm_maximal(ORDER, random_atom(ORDER, 0.9, seed=seed), 0.9).value
+    ((order, f, ladder, ev, mf),) = calls
+    assert ev.shape == (n_eval,) and f.grid.shape == (48,) and ladder.size == 40
+    assert _prunes(order, ladder**2, f.grid, ev) == prunes
+    full = _maximal_full_loop(order, f, ladder, ev)
+    np.testing.assert_array_equal(mf.values, full)
+    assert value == GridFunction(ev, full).norm_lp(0.9)
+
+
+@pytest.mark.parametrize("support", [0.0, 3.0])
+def test_pruned_maximal_of_data_without_mass_on_blocks(support):
+    # f = 0, and f = 0 beyond x = support, on the 384-node benchmark grid
+    # with the default ladder: the majorant's blocks of no mass, whose
+    # bound is +inf at the last times, add nothing rather than NaN
+    from lagsem.operators import _prunes, default_time_ladder
+
+    grid = _bench_d1(1)[1].grid
+    x = grid.points().ravel()
+    f = GridFunction(grid, np.where(x < support, np.exp(-2.0 * (x - 2.0) ** 2), 0.0))
+    ladder = default_time_ladder(grid)
+    assert _prunes(ORDER, ladder**2, grid, grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pruned = maximal_function(ORDER, f, t_grid=ladder).values
+    np.testing.assert_array_equal(pruned, _maximal_full_loop(ORDER, f, ladder))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 5])
@@ -1071,7 +1144,7 @@ def test_log_kernel_bound_lies_above_the_kernel_and_peaks_once(nu):
     t = np.geomspace(1e-6, 20.0, 200)[:, None]
     pts = np.geomspace(0.01, 30.0, 25)
     x, y = np.repeat(pts, pts.size), np.tile(pts, pts.size)
-    bound = _log_kernel_bound(nu, _time_factors(t), x, y)
+    bound = _log_kernel_bound(nu, _time_factors(t), x - y, x, y, np.log(x * y))
     with np.errstate(divide="ignore"):
         log_kernel = np.log(kernel_1d_closed(nu, t, x, y))
     assert np.all(np.isfinite(bound))

@@ -1,56 +1,42 @@
-"""Layer benchmark of ``fit_gaussian_bound``, one benchmark per bound family.
+"""Layer benchmark of ``fit_gaussian_bound``, one row per bound family.
 
 Every task of ``standard_bound_suite(fast=False)`` (the grids of a
-``fast = false`` suite run) is fitted ``ROUNDS_PER_RUN`` times after one
-warm-up fit, and its sample count after the family's window is recorded
-in ``extra_info``.  The lagsem imports sit inside the hooks, fixtures and
-benchmarks, so the module also runs as a script without lagsem on the
-path.  The file is outside the Tier-1 ``testpaths``; run it with
-
-    python3 -m pytest benchmarks/bench_bounds.py
-
-or compare two checkouts and write a JSON table of both:
-
-    python3 benchmarks/bench_bounds.py --parent-src ../parent/src --out layers.json
-
-which alternates the parent's ``src`` and this checkout's
-``bench_bessel.ROUNDS`` times, as ``benchmarks/bench_bessel.py`` does.
-``BENCH_6.json`` holds such a table.
+``fast = false`` suite run) is one row, which fits the family on its
+samples; its work count is the sample count after the family's window.
+The rows are the families of this checkout's suite, each built on either
+side from the suite of that side.  ``benchmarks/ab.py`` says how the rows
+run: ``python3 -m pytest benchmarks/bench_bounds.py`` on this checkout,
+or ``python3 benchmarks/bench_bounds.py --parent-src ../parent/src --out
+layers.json`` against another tree in one process.  ``BENCH_6.json``
+holds a table of an earlier, one-process-per-side form.
 """
 
 from __future__ import annotations
 
-import pytest
+import ab  # first: it runs BLAS on one thread, before numpy loads
 
-from bench_bessel import compare_checkouts
+from functools import cache, partial
 
-# fits per benchmark in one pytest run
-ROUNDS_PER_RUN = 5
-
-
-def pytest_generate_tests(metafunc):
-    if "task_index" in metafunc.fixturenames:
-        from lagsem.bounds import standard_bound_suite
-
-        ids = [task.family.family_id for task in standard_bound_suite(fast=False)]
-        metafunc.parametrize("task_index", range(len(ids)), ids=ids)
+import lagsem
 
 
-@pytest.fixture(scope="module")
-def tasks():
-    from lagsem.bounds import standard_bound_suite
-
-    return standard_bound_suite(fast=False)
+@cache
+def _tasks(package) -> dict:
+    return {task.family.family_id: task for task in package.standard_bound_suite(fast=False)}
 
 
-def test_fit_gaussian_bound(benchmark, tasks, task_index):
-    from lagsem.bounds import fit_gaussian_bound
+def _fit(family_id):
+    def build(package):
+        task = _tasks(package)[family_id]
+        fit = partial(package.fit_gaussian_bound, task.family, task.samples)
+        return fit, {"samples": fit().n_samples}
 
-    task = tasks[task_index]
-    args = (task.family, task.samples)
-    benchmark.extra_info["samples"] = fit_gaussian_bound(*args).n_samples
-    benchmark.pedantic(fit_gaussian_bound, args=args, rounds=ROUNDS_PER_RUN, warmup_rounds=1)
+    return build
 
+
+CASES = {f"test_fit_gaussian_bound[{family_id}]": _fit(family_id) for family_id in _tasks(lagsem)}
+
+test_layer = ab.pytest_test(CASES)
 
 if __name__ == "__main__":
-    raise SystemExit(compare_checkouts(__file__))
+    raise SystemExit(ab.main(CASES))

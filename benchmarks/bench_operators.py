@@ -1,4 +1,4 @@
-"""Layer benchmarks of the grid operators (pytest-benchmark).
+"""Layer benchmarks of the grid operators, the scattered-pair kernels and the covering.
 
 Times, on the three grids of the ``grid-operators`` perfbench workload
 (384 nodes for order 1/2, 24 x 24 for (1/2, 1), 8 x 8 x 8 for
@@ -21,170 +21,139 @@ Times, on the three grids of the ``grid-operators`` perfbench workload
 - the other users of the n-D pair product, on the 19,208 pairs (one time
   per pair) of the 2-D sample set ``bounds._grid_2d(fast=False)``:
   ``delta_kernel`` at m = (1, 1), and the left-hand side of
-  ``product_adjoint_family`` at m = 1, k = (0, 0), ell = (2, 2).
+  ``product_adjoint_family`` at m = 1, k = (0, 0), ell = (2, 2);
+- ``build_covering`` and ``Covering.verify`` of the suite's
+  ``critical-covering`` check: order 1/2 on [0.4, 2.4] (801 candidates,
+  verified on 200 points) and order (1/2, 1) on [0.4, 1.6]^2 (481 x 481
+  candidates, verified on 60 x 60 points).
 
 The grid operators and the Riesz kernels draw their 1-D factors from one
 walker, ``heat._axis_factors``; the Riesz kernels and the product kernels
 form their products at scattered point pairs in one place,
-``heat._row_products``.  Each benchmark records its output
-grid points or point pairs in ``extra_info`` as its work count, and the
-minor page faults of one call, averaged over
-``FAULT_CALLS`` calls after a warm-up call, as ``minor_faults_per_call``.
-The lagsem imports sit inside the fixtures and benchmarks, so the module
-also runs as a script without lagsem on the path.  The file is outside
-the Tier-1 ``testpaths``; run it with
-
-    python3 -m pytest benchmarks/bench_operators.py
-
-or compare two checkouts and write a JSON table of both:
-
-    python3 benchmarks/bench_operators.py --parent-src ../parent/src --out layers.json
-
-which alternates the parent's ``src`` and this checkout's
-``bench_bessel.ROUNDS`` times, as ``benchmarks/bench_bessel.py`` does.
-``BENCH_15.json``, ``BENCH_17.json`` and ``BENCH_18.json`` hold such tables.
+``heat._row_products``.  Each row's work count is its output grid points,
+point pairs, covering candidates or verified lattice points.
+``benchmarks/ab.py`` says how the rows run: ``python3 -m pytest
+benchmarks/bench_operators.py`` on this checkout, or ``python3
+benchmarks/bench_operators.py --parent-src ../parent/src --out
+layers.json`` against another tree in one process.  ``BENCH_15.json``,
+``BENCH_17.json`` and ``BENCH_18.json`` hold tables of an earlier,
+one-process-per-side form.
 """
 
 from __future__ import annotations
 
-import resource
+import ab  # first: it runs BLAS on one thread, before numpy loads
+
+from functools import partial
 
 import numpy as np
-import pytest
 
-from bench_bessel import compare_checkouts
-
-# calls per page-fault count
-FAULT_CALLS = 5
 T = 0.5
-# (id, order, axis hi, nodes per unit, maximal-function ladder steps)
-GRIDS = (
-    ("d1", (0.5,), 12.0, 32, 16),
-    ("d2", (0.5, 1.0), 6.0, 4, 6),
-    ("d3", (0.5, 1.0, 0.0), 4.0, 2, 4),
-)
-GRID_IDS = [g[0] for g in GRIDS]
-# (id, order, k, sample set of lagsem.bounds, heat-composed)
-RIESZ = (
-    ("size-d1-k1", (0.5,), (1,), "_grid_riesz_1d", False),
-    ("size-d1-k2", (0.5,), (2,), "_grid_riesz_1d", False),
-    ("size-d2-k10", (0.5, 1.0), (1, 0), "_grid_riesz_2d", False),
-    ("heat-d1-k1", (0.5,), (1,), "_grid_riesz_heat", True),
-)
-PRODUCTS = ("delta-d2-m11", "adjoint-d2-m1")
+# id -> (order, axis hi, nodes per unit, maximal-function ladder steps)
+GRIDS = {
+    "d1": ((0.5,), 12.0, 32, 16),
+    "d2": ((0.5, 1.0), 6.0, 4, 6),
+    "d3": ((0.5, 1.0, 0.0), 4.0, 2, 4),
+}
+# id -> (order, k, sample set of lagsem.bounds, heat-composed)
+RIESZ = {
+    "size-d1-k1": ((0.5,), (1,), "_grid_riesz_1d", False),
+    "size-d1-k2": ((0.5,), (2,), "_grid_riesz_1d", False),
+    "size-d2-k10": ((0.5, 1.0), (1, 0), "_grid_riesz_2d", False),
+    "heat-d1-k1": ((0.5,), (1,), "_grid_riesz_heat", True),
+}
+# id -> (order, box hi from 0.4, verify points per axis, candidates of the build)
+COVERINGS = {"d1": ((0.5,), 2.4, 200, 801), "d2": ((0.5, 1.0), 1.6, 60, 481 * 481)}
 
 
-def _minor_faults() -> int:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-
-
-def _record(benchmark, fn, **work):
-    """Benchmark ``fn`` after counting its minor page faults per call; ``work`` names its work count."""
-    fn()
-    before = _minor_faults()
-    for _ in range(FAULT_CALLS):
-        fn()
-    benchmark.extra_info.update(work)
-    benchmark.extra_info["minor_faults_per_call"] = (_minor_faults() - before) / FAULT_CALLS
-    benchmark(fn)
-
-
-@pytest.fixture(scope="module")
-def grids():
-    """Per grid id: the order, a bump function on the grid and the time ladder."""
-    from lagsem import Grid, GridFunction, MultiOrder, gauss_legendre_axis
-
-    out = {}
-    for name, nu, hi, per_unit, steps in GRIDS:
-        order = MultiOrder(nu)
-        axis = gauss_legendre_axis(0.0, hi, nodes_per_unit=per_unit, min_nodes=per_unit)
-        grid = Grid((axis,) * order.n)
+def _on_grid(dim, op, *args, ladder=False, **kwargs):
+    """A row calling ``op(order, f, *args, **kwargs)`` on grid ``dim``; ``ladder`` adds its ``t_grid``."""
+    def build(lagsem):
+        nu, hi, per_unit, steps = GRIDS[dim]
+        order = lagsem.MultiOrder(nu)
+        axis = lagsem.gauss_legendre_axis(0.0, hi, nodes_per_unit=per_unit, min_nodes=per_unit)
+        grid = lagsem.Grid((axis,) * order.n)
         pts = grid.points()
         vals = np.exp(-np.sum((pts - 1.5) ** 2, axis=-1) / 0.5)
         for j, nu_j in enumerate(nu):
             vals *= pts[:, j] ** (nu_j + 0.5)
         h = float(np.diff(axis.nodes).max())
-        ladder = np.geomspace(2.0 * h, 30.0, steps)
-        out[name] = (order, GridFunction(grid, vals.reshape(grid.shape)), ladder)
-    return out
+        times = {"t_grid": np.geomspace(2.0 * h, 30.0, steps)} if ladder else {}
+        f = lagsem.GridFunction(grid, vals.reshape(grid.shape))
+        return partial(getattr(lagsem, op), order, f, *args, **kwargs, **times), {"points": f.values.size}
+
+    return build
 
 
-@pytest.mark.parametrize("method", ["kernel", "spectral"])
-@pytest.mark.parametrize("dim", GRID_IDS)
-def test_semigroup_apply(benchmark, grids, dim, method):
-    from lagsem import semigroup_apply
-
-    order, f, _ = grids[dim]
-    _record(benchmark, lambda: semigroup_apply(order, f, T, method=method), points=f.values.size)
-
-
-@pytest.mark.parametrize("dim", GRID_IDS)
-def test_maximal_function(benchmark, grids, dim):
-    from lagsem import maximal_function
-
-    order, f, ladder = grids[dim]
-    _record(benchmark, lambda: maximal_function(order, f, t_grid=ladder), points=f.values.size)
-
-
-def test_maximal_function_fine_grid(benchmark):
-    from lagsem import Grid, GridFunction, MultiOrder, maximal_function
-
-    grid = Grid.box((1e-9,), (12.0,), nodes_per_unit=48)
+def _fine_grid(lagsem):
+    grid = lagsem.Grid.box((1e-9,), (12.0,), nodes_per_unit=48)
     x = grid.points().ravel()
-    f = GridFunction(grid, np.exp(-2.0 * (x - 3.0) ** 2))
-    _record(benchmark, lambda: maximal_function(MultiOrder((0.5,)), f), points=x.size)
+    f = lagsem.GridFunction(grid, np.exp(-2.0 * (x - 3.0) ** 2))
+    return partial(lagsem.maximal_function, lagsem.MultiOrder((0.5,)), f), {"points": x.size}
 
 
-@pytest.mark.parametrize("dim", GRID_IDS)
-def test_square_function(benchmark, grids, dim):
-    from lagsem import square_function
+def _atom(seed, points):
+    """``hardy_norm_maximal`` of the order-1/2 atom of ``seed``, evaluated on ``points`` nodes."""
+    def build(lagsem):
+        order = lagsem.MultiOrder((0.5,))
+        atom = lagsem.random_atom(order, 0.9, seed=seed)
+        return partial(lagsem.hardy_norm_maximal, order, atom, 0.9), {"points": points}
 
-    order, f, _ = grids[dim]
-    _record(benchmark, lambda: square_function(order, f), points=f.values.size)
+    return build
 
 
-def test_hardy_norm_maximal_atom(benchmark, grids):
-    from lagsem import hardy_norm_maximal, random_atom
+def _riesz(nu, k, sample_set, heat):
+    def build(lagsem):
+        s = getattr(lagsem.bounds, sample_set)(False)
+        order = lagsem.MultiOrder(nu)
+        fn = (partial(lagsem.riesz_heat_composite_kernel, order, k, s["t"]) if heat
+              else partial(lagsem.riesz_kernel, order, k))
+        return partial(fn, s["x"], s["y"]), {"pairs": len(s["x"])}
 
-    order = grids["d1"][0]
+    return build
+
+
+def _pair_product(adjoint):
+    def build(lagsem):
+        order = lagsem.MultiOrder((0.5, 1.0))
+        s = lagsem.bounds._grid_2d(False)
+        fn = (lagsem.bounds.product_adjoint_family(order, 1, (0, 0), (2, 2)).lhs if adjoint
+              else partial(lagsem.delta_kernel, order, (1, 1)))
+        return partial(fn, s["t"], s["x"], s["y"]), {"pairs": len(s["x"])}
+
+    return build
+
+
+def _covering(dim, verify):
+    def build(lagsem):
+        nu, hi, per_axis, candidates = COVERINGS[dim]
+        covering = partial(lagsem.build_covering, lagsem.MultiOrder(nu), 0.4, hi)
+        if verify:
+            return partial(covering().verify, points_per_axis=per_axis), {"points": per_axis ** len(nu)}
+        return covering, {"candidates": candidates}
+
+    return build
+
+
+CASES = {
+    **{f"test_semigroup_apply[{dim}-{method}]": _on_grid(dim, "semigroup_apply", T, method=method)
+       for dim in GRIDS for method in ("kernel", "spectral")},
+    **{f"test_maximal_function[{dim}]": _on_grid(dim, "maximal_function", ladder=True) for dim in GRIDS},
+    "test_maximal_function_fine_grid": _fine_grid,
+    **{f"test_square_function[{dim}]": _on_grid(dim, "square_function") for dim in GRIDS},
     # radius 0.0086: a 96-node evaluation grid against the atom's 48 nodes
-    atom = random_atom(order, 0.9, seed=3)
-    _record(benchmark, lambda: hardy_norm_maximal(order, atom, 0.9), points=96)
-
-
-def test_hardy_norm_maximal_atom_192(benchmark, grids):
-    from lagsem import hardy_norm_maximal, random_atom
-
-    order = grids["d1"][0]
+    "test_hardy_norm_maximal_atom": _atom(3, 96),
     # a grid-operators atom of radius 0.031: 192 evaluation nodes against
     # the atom's 48, where maximal_function takes its eigen-sum pass
-    atom = random_atom(order, 0.9, seed=908297868)
-    _record(benchmark, lambda: hardy_norm_maximal(order, atom, 0.9), points=192)
+    "test_hardy_norm_maximal_atom_192": _atom(908297868, 192),
+    **{f"test_riesz[{name}]": _riesz(*spec) for name, spec in RIESZ.items()},
+    "test_pair_product[delta-d2-m11]": _pair_product(adjoint=False),
+    "test_pair_product[adjoint-d2-m1]": _pair_product(adjoint=True),
+    **{f"test_build_covering[{dim}]": _covering(dim, verify=False) for dim in COVERINGS},
+    **{f"test_covering_verify[{dim}]": _covering(dim, verify=True) for dim in COVERINGS},
+}
 
-
-@pytest.mark.parametrize("case", RIESZ, ids=[r[0] for r in RIESZ])
-def test_riesz(benchmark, case):
-    from lagsem import MultiOrder, bounds, riesz_heat_composite_kernel, riesz_kernel
-
-    _, nu, k, sample_set, heat = case
-    order = MultiOrder(nu)
-    s = getattr(bounds, sample_set)(False)
-    fn = ((lambda: riesz_heat_composite_kernel(order, k, s["t"], s["x"], s["y"])) if heat
-          else (lambda: riesz_kernel(order, k, s["x"], s["y"])))
-    _record(benchmark, fn, pairs=len(s["x"]))
-
-
-@pytest.mark.parametrize("case", PRODUCTS)
-def test_pair_product(benchmark, case):
-    from lagsem import MultiOrder, bounds, delta_kernel
-
-    order = MultiOrder((0.5, 1.0))
-    s = bounds._grid_2d(False)
-    adjoint = bounds.product_adjoint_family(order, 1, (0, 0), (2, 2)).lhs
-    fn = ((lambda: delta_kernel(order, (1, 1), s["t"], s["x"], s["y"])) if case == "delta-d2-m11"
-          else (lambda: adjoint(s["t"], s["x"], s["y"])))
-    _record(benchmark, fn, pairs=len(s["x"]))
-
+test_layer = ab.pytest_test(CASES)
 
 if __name__ == "__main__":
-    raise SystemExit(compare_checkouts(__file__))
+    raise SystemExit(ab.main(CASES))

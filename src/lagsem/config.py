@@ -47,6 +47,8 @@ class SuiteConfig:
             raise ConfigError("order: at most three axes are supported")
         if not 0 <= self.k_max <= 200:
             raise ConfigError("k_max: must lie in [0, 200]")
+        if self.seed < 0:
+            raise ConfigError("seed: must be a non-negative integer")
         _by_rule("atom_p", _check_exponent, self.atom_p)
         if self.n_atoms < 1:
             raise ConfigError("n_atoms: must be at least 1")

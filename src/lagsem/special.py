@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,10 +47,15 @@ def _check_order(nu) -> float:
 
 
 def _multi_index(k, n: int) -> tuple[int, ...]:
-    """The multi-index rule: k (a scalar if n = 1) as n nonnegative ints, else ValueError."""
-    entries = np.atleast_1d(k).tolist()
+    """The multi-index rule: k (a scalar if n = 1) as n nonnegative ints, else ValueError.
+
+    The entries keep their own types (an object array), so a bool among ints
+    is refused rather than read as 0 or 1.
+    """
+    entries = np.atleast_1d(np.asarray(k, dtype=object)).tolist()
     if len(entries) != n or not all(
-        isinstance(v, (int, float)) and v >= 0 and float(v).is_integer() for v in entries
+        isinstance(v, numbers.Real) and not isinstance(v, bool) and v >= 0 and float(v).is_integer()
+        for v in entries
     ):
         raise ValueError(f"multi-index needs n = {n} entries, each a nonnegative integer; got {k!r}")
     return tuple(int(v) for v in entries)

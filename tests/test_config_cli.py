@@ -81,6 +81,8 @@ def test_config_range_checks():
         SuiteConfig(k_max=500).validate()
     with pytest.raises(ConfigError, match="box_lo"):
         SuiteConfig(box_lo=3.0, box_hi=1.0).validate()
+    with pytest.raises(ConfigError, match="seed: must be a non-negative integer"):
+        SuiteConfig(seed=-1)
 
 
 @st.composite
@@ -89,7 +91,7 @@ def _configs(draw):
     return SuiteConfig(
         order=tuple(draw(st.lists(st.floats(min_value=-0.5, max_value=1e6), min_size=1, max_size=3))),
         k_max=draw(st.integers(0, 200)),
-        seed=draw(st.integers(-(2**63), 2**63)),
+        seed=draw(st.integers(0, 2**63)),
         fast=draw(st.booleans()),
         atom_p=draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True)),
         n_atoms=draw(st.integers(1, 10**6)),
@@ -374,3 +376,5 @@ def test_cli_seed_override(tmp_path, monkeypatch, capsys):
     assert main(["run", "--config", str(path)]) == 0
     capsys.readouterr()
     assert seen == [42, 1]
+    assert main(["run", "--suite", "critical", "--seed", "-3"]) == 2
+    assert "seed: must be a non-negative integer" in capsys.readouterr().err

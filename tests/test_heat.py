@@ -314,6 +314,9 @@ def test_derivative_counts_follow_the_multi_index_rule():
         lambda: delta_kernel_1d(0.5, -1, 0.5, 1.0, 1.2),
         lambda: partial_delta_kernel_1d(0.5, -1, 0, 0.5, 1.0, 1.2),
         lambda: shifted_adjoint_kernel_1d(0.5, 0, 1.5, 2, 0.5, 1.0, 1.2),
+        # a bool among ints is no count, though numpy would read it as one
+        lambda: delta_kernel(order, (True, 0), 0.5, x, y),
+        lambda: delta_kernel_1d(0.5, True, 0.5, 1.0, 1.2),
     )
     for call in calls:
         with pytest.raises(ValueError, match="each a nonnegative integer"):

@@ -526,7 +526,7 @@ def test_multi_order_derived_fields():
     assert math.isclose(MultiOrder((0.5,)).eigenvalue((3,)), 4 * 3 + 2 * 0.5 + 2)
 
 
-@pytest.mark.parametrize("k", [(-2,), (1.5,), (1, 0), (math.nan,), (math.inf,)])
+@pytest.mark.parametrize("k", [(-2,), (1.5,), (1, 0), (math.nan,), (math.inf,), (True,)])
 def test_multi_index_rule_is_named_by_every_caller(k):
     order = MultiOrder((0.5,))
     calls = (

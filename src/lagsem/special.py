@@ -542,12 +542,42 @@ def ive(alpha: float, z):
     return out.reshape(zz.shape)
 
 
+def _two_sum(a, b):
+    """a + b as (s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth)."""
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _two_prod(a, b):
+    """a * b as (p, e) with p = fl(a * b) and p + e = a * b exactly (Dekker)."""
+    p = a * b
+    ca, cb = 134217729.0 * a, 134217729.0 * b  # Veltkamp split at 2^27 + 1
+    ah, bh = ca - (ca - a), cb - (cb - b)
+    al, bl = a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _dd_three_term(c, cur, d, prev, den):
+    """(c * cur - d * prev) / den in double-double; c, d, cur, prev are (hi, lo) pairs."""
+    p, e = _two_prod(c[0], cur[0])
+    q, f = _two_prod(d[0], prev[0])
+    s, g = _two_sum(p, -q)
+    lo = g + (e - f) + (c[0] * cur[1] + c[1] * cur[0]) - (d[0] * prev[1] + d[1] * prev[0])
+    s, lo = _two_sum(s, lo)
+    hi = s / den
+    p, e = _two_prod(hi, den)
+    return _two_sum(hi, (((s - p) - e) + lo) / den)
+
+
 def laguerre_polynomial(k: int, alpha: float, x):
     """Generalized Laguerre polynomial L_k^alpha(x) by the forward recurrence.
 
-    The three-term recurrence is stable in the oscillatory regime used by
-    the eigenfunctions.  Total function of (alpha, x); k must be a
-    nonnegative integer.
+    The three-term recurrence runs in double-double arithmetic (about 32
+    digits), so the result keeps its relative accuracy next to a zero of
+    L_k, where the terms cancel.  Where the double-double steps overflow
+    (values beyond about 1e300) the plain double recurrence is returned.
+    Total function of (alpha, x); k must be a nonnegative integer.
     """
     (k,) = _multi_index(k, 1)
     x = np.asarray(x, dtype=float)
@@ -557,6 +587,18 @@ def laguerre_polynomial(k: int, alpha: float, x):
     cur = 1.0 + alpha - x
     for i in range(1, k):
         prev, cur = cur, ((2.0 * i + 1.0 + alpha - x) * cur - (i + alpha) * prev) / (i + 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dd_prev = (np.ones_like(x), np.zeros_like(x))
+        s, e = _two_sum(1.0, alpha)
+        s, f = _two_sum(s, -x)
+        dd_cur = _two_sum(s, e + f)
+        for i in range(1, k):
+            s, e = _two_sum(2.0 * i + 1.0, alpha)
+            s, f = _two_sum(s, -x)
+            c = _two_sum(s, e + f)
+            d = _two_sum(float(i), alpha)
+            dd_prev, dd_cur = dd_cur, _dd_three_term(c, dd_cur, d, dd_prev, i + 1.0)
+        cur = np.where(np.isfinite(dd_cur[0]), dd_cur[0], cur)
     return cur if cur.ndim else float(cur)
 
 

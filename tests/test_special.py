@@ -11,7 +11,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
@@ -414,6 +414,7 @@ def test_laguerre_polynomial_low_degrees():
     alpha=st.floats(min_value=-0.5, max_value=5.0),
     x=st.floats(min_value=0.0, max_value=25.0),
 )
+@example(k=22, alpha=0.0, x=2.5)  # L_22^0(2.5) = 1.34e-5, next to a zero
 def test_laguerre_polynomial_matches_exact_recurrence(k, alpha, x):
     # binary floats are rationals, so the Fraction recurrence is an exact
     # oracle for the same inputs

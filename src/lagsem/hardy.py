@@ -104,6 +104,13 @@ class PolynomialFit:
         return self.coeffs @ _monomial_values(self.ball, self.betas, pts)
 
 
+# Monomial-table elements below which the fit's sums over the points stay in
+# BLAS, which may split larger sums across threads: with OpenBLAS 0.3.31 on
+# 2 threads the 3-D atom grid's 110,592 points did, and every product of
+# fewer than 8,192 elements tried (1-D and 2-D atoms of degree 0) did not.
+_SERIAL_BLAS = 8192
+
+
 def minimizing_polynomial(
     f: GridFunction, ball: Ball, degree: int, weight=None
 ) -> PolynomialFit:
@@ -122,8 +129,11 @@ def minimizing_polynomial(
         raise ValueError("the ball does not meet the grid")
     betas = _monomials(degree, f.grid.ndim)
     basis = _monomial_values(ball, betas, pts)
-    gram = (basis * w) @ basis.T
-    rhs = (basis * w) @ f.values.ravel()
+    weighted = basis * w
+    if basis.size < _SERIAL_BLAS:
+        gram, rhs = weighted @ basis.T, weighted @ f.values.ravel()
+    else:  # einsum sums over the points in one order, whatever the BLAS threads
+        gram, rhs = np.einsum("ip,jp->ij", weighted, basis), np.einsum("ip,p->i", weighted, f.values.ravel())
     coeffs = np.linalg.solve(gram, rhs)
     return PolynomialFit(ball, tuple(betas), coeffs, float(np.linalg.cond(gram)))
 

@@ -1,4 +1,4 @@
-"""Heat kernels of the Laguerre operator and their derivative expansions.
+"""Heat kernels of the Laguerre operator, their derivative expansions and their bounds.
 
 The 1-D kernel has a closed form in terms of a scaled modified Bessel
 function; the n-D kernel is the product over axes.  First-order
@@ -11,6 +11,11 @@ plain partial derivatives expands into a finite signed sum of terms
 with r = exp(-4t).  The expansion is computed symbolically once per
 operator word and order, cached, and then evaluated with vectorized
 kernel calls.
+
+The certified passes of ``operators`` ask here for kernel bounds by point
+and time: the Riesz windows (``_ladder_sum``) and the maximal function's
+rows (``_maximal_rows``).  They and ``kernel_spectral``'s accuracy rest on
+one error model, one rounding rule (``_gamma``), one range (``_certified``).
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import numpy as np
 from .special import (
     _TABLE_ABS,
     _TABLE_REL,
+    MAX_DEGREE,
     MultiOrder,
     _check_order,
     _check_space,
@@ -61,13 +67,11 @@ def _check_1d_domain(t, x, y):
 
 
 def _time_factors(t):
-    """t, r = exp(-4t), sqrt(r), 1 - r and 1 - sqrt(r) on t's own shape.
+    """t, r = exp(-4t), sqrt(r), 1 - r and 1 - sqrt(r) on t's own shape, once per time, not per pair.
 
-    The differences use expm1, accurate for small t.  All are computed
-    before any broadcast against the space arguments, once per time rather
-    than once per pair.  The arrays are at least 1-d:
-    numpy's float64 scalar ``**`` goes through libm pow, which differs from
-    the array loop in the last bit for some inputs.
+    The differences use expm1, accurate for small t.  The arrays are at
+    least 1-d: numpy's float64 scalar ``**`` goes through libm pow, which
+    differs from the array loop in the last bit for some inputs.
     """
     t = np.atleast_1d(t)
     return t, np.exp(-4.0 * t), np.exp(-2.0 * t), -np.expm1(-4.0 * t), -np.expm1(-2.0 * t)
@@ -126,11 +130,9 @@ def _log_kernel_bound(nu: float, factors, gap, x_lo, y_lo, log_xy):
 def _block_majorant(nu: float, t, dist, x_lo, log_x_hi):
     """An upper bound on the 1-D heat kernel p_t(x, y) over every y of a block [lo, hi], lo > 0.
 
-    The block enters through the distance from x to it, x lo and
-    log(x hi): ``_log_kernel_bound`` at these, with each part at its
-    largest on the block.  The exponent is raised past its rounding; where
-    it is not finite the bound is +inf.  t and the block columns broadcast
-    together.
+    ``_log_kernel_bound`` at the distance from x to the block, x lo and
+    log(x hi), its exponent raised past its rounding; +inf where it is not
+    finite.  t and the block columns broadcast together.
     """
     log_bound = _log_kernel_bound(nu, _time_factors(t), dist, x_lo, 1.0, log_x_hi)
     log_bound[~np.isfinite(log_bound)] = np.inf
@@ -146,15 +148,21 @@ def _kernel_1d(nus: tuple, factors, x, y) -> list:
     product is 0.0 whatever the finite Bessel value.  Where z = 0 and
     nu < 0 the product is 0 * inf, so the limit at z -> 0,
     2 r^((nu+1)/2) (1-r)^(-(nu+1)) (x y)^(nu+1/2) / Gamma(nu+1) * gauss * cross,
-    is returned instead.
+    is returned instead.  Where z or the rest of the product overflows at
+    a value that is needed, a ValueError names its time and points.
     """
     t, r, sr, omr, oms = factors
-    z = 2.0 * sr * x * y / omr
-    pref = 2.0 * sr * np.sqrt(x * y) / omr
-    gauss, cross = map(np.exp, _exponents(factors, x - y, x, y))
-    head = pref * gauss * cross
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = 2.0 * sr * x * y / omr
+        pref = 2.0 * sr * np.sqrt(x * y) / omr
+        gauss, cross = map(np.exp, _exponents(factors, x - y, x, y))
+        head = pref * gauss * cross
     zero = z == 0.0
     need = (head != 0.0) | zero
+    if not math.isfinite(z.max(initial=0.0) + head.max(initial=0.0)):
+        lost = need & ~(np.isfinite(z) & np.isfinite(head))
+        if lost.any():
+            raise _overflow_error(t, x, y, lost, "z = 2 sqrt(r) x y / (1 - r) or the prefactor")
     everywhere = bool(need.all())
     z_need = z if everywhere else z[need]
     vals = []
@@ -167,25 +175,21 @@ def _kernel_1d(nus: tuple, factors, x, y) -> list:
         if nu < 0.0 and zero.any():
             bessel[zero] = 0.0
             val = head * bessel
-            val[zero] = _zero_z_limit(nu, t, omr, x, y, gauss * cross, zero)
+            # each factor from t, x and y on their own, so sqrt(r) or x y
+            # underflowing to 0 does not take the value with it
+            tz, omrz, xz, yz, tail = (np.broadcast_to(v, zero.shape)[zero] for v in (t, omr, x, y, gauss * cross))
+            val[zero] = (2.0 * np.exp(-2.0 * (nu + 1.0) * tz) * omrz ** (-(nu + 1.0))
+                         * xz ** (nu + 0.5) * yz ** (nu + 0.5) / math.gamma(nu + 1.0) * tail)
         else:
             val = head * bessel
         vals.append(val)
     return vals
 
 
-def _zero_z_limit(nu, t, omr, x, y, tail, zero):
-    """Limit of the 1-D kernel as z -> 0 for -1/2 <= nu < 0, at the ``zero`` mask.
-
-    Each factor is formed from t, x and y on their own, so sqrt(r) or x y
-    underflowing to 0 does not take the value with it.
-    """
-    shape = zero.shape
-    t, omr, x, y, tail = (np.broadcast_to(v, shape)[zero] for v in (t, omr, x, y, tail))
-    return (
-        2.0 * np.exp(-2.0 * (nu + 1.0) * t) * omr ** (-(nu + 1.0))
-        * x ** (nu + 0.5) * y ** (nu + 0.5) / math.gamma(nu + 1.0) * tail
-    )
+def _overflow_error(t, x, y, lost, what: str) -> ValueError:
+    """A ValueError naming the time and the points of the first entry of the mask ``lost``."""
+    t, x, y = (float(np.broadcast_to(v, lost.shape)[lost][0]) for v in (t, x, y))
+    return ValueError(f"the heat kernel at t = {t!r}, x = {x!r}, y = {y!r} is out of range: {what} overflows")
 
 
 def kernel_1d_closed(nu: float, t, x, y):
@@ -202,8 +206,10 @@ def kernel_1d_closed(nu: float, t, x, y):
     -----
     The Gaussian factor exp(-(1+r)|x-y|^2 / (2(1-r))), the cross factor
     exp(-(1-sqrt r)/(1+sqrt r) xy) and the scaled Bessel value
-    exp(-z) I_nu(z) are each bounded, so the product never overflows even
-    for very small t, unlike the textbook form.
+    exp(-z) I_nu(z) are each bounded, unlike the textbook form's factors.
+    The prefactor 2 sqrt(r x y) / (1 - r) and z = 2 sqrt(r) x y / (1 - r)
+    still grow like 1/t: where either overflows at a value that is not 0,
+    as at t = 1e-300 and x = y = 1e6, a ValueError names t, x and y.
     """
     nu = _check_order(nu)
     t, x, y = _check_1d_domain(t, x, y)
@@ -344,11 +350,10 @@ def _row_products(t, rows, pair_row, factors, offsets, first=None):
     the factors called on all pairs, so every n-D kernel rounds the same
     way.
 
-    ``first``, if given, is per pair the index of the first offset it
-    needs, non-decreasing along the pairs.  The products at an offset then
-    cover only the pairs that need it, a prefix; a row is drawn from the
-    first offset one of its pairs needs, so the rows of an axis are put in
-    the order of that offset, stably.
+    ``first``, if given, is per pair its first offset, non-decreasing
+    along the pairs: an offset's products cover the prefix of pairs that
+    need it, and a row is drawn from the first offset of its pairs
+    (``_rows_by_first``).
     """
     n = len(factors)
     offsets = np.asarray(offsets, dtype=float)
@@ -381,6 +386,95 @@ def _rows_by_first(rows, pair_row, first, at):
     rank[by_first] = np.arange(by_first.size)
     live = np.searchsorted(row_first[by_first], at, side="right")
     return [c[by_first] for c in rows], rank[pair_row], live
+
+
+# How far in the log below the kernel at one panel end a bound of a pair's
+# kernel (``_log_kernel_bound``) must lie on the panels the pair skips: a
+# skipped value is below e^(-90) ~ 8e-40 of the pair's largest one, 23
+# decades under the half ulp 2^(-53), room for the factors polynomial in s,
+# v, x and y that delta^k and the quadrature weights add.  It is relative,
+# since far pairs are tiny themselves.
+_WINDOW_EXPONENT = 90.0
+
+
+def _first_panels(nus: tuple, t, rows, pair_row, bounds):
+    """Per pair, the first panel of the v-ladder ``bounds`` that ``_ladder_sum`` sums.
+
+    The pairs of orders ``nus`` are split as ``_pair_rows`` gives them.
+    The sum over axes of ``_log_kernel_bound``, drawn per row, bounds the
+    log of the pair's kernel p_(t + v^2) and has one maximum in v.  A pair
+    skips the leading panels whose bound at their upper end lies more than
+    ``_WINDOW_EXPONENT`` below the kernel's true log where the bound peaks;
+    the bound rises there, so every node of a skipped panel lies below its
+    upper end.  Only pairs whose Gaussian exponent rises by the margin
+    along the ladder are estimated, and a pair whose bound is not finite
+    somewhere skips nothing.
+    """
+    ends = np.square(bounds[1:, None])
+    axes = [(nu, t_col[0] if t_col else t, x_row, y_row, at)
+            for nu, (*t_col, x_row, y_row), at in zip(nus, rows, pair_row)]
+    # the rest of the bound falls in v, so a pair whose Gaussian exponent
+    # rises by less than the margin along the whole ladder skips nothing
+    rise = 0.0
+    for _, t_row, x_row, y_row, at in axes:
+        gauss, _ = _exponents(_time_factors(ends[[0, -1]] + t_row), x_row - y_row, x_row, y_row)
+        rise = rise + np.take(gauss[1] - gauss[0], at)
+    first = np.zeros(pair_row[0].size, dtype=int)
+    far = np.flatnonzero(rise >= _WINDOW_EXPONENT)
+    if not far.size:
+        return first
+    bound, drawn = np.zeros((far.size, len(bounds) - 1)), []
+    for nu, t_row, x_row, y_row, at in axes:
+        # the rows of the far pairs, and each far pair's row among them
+        used = np.zeros(x_row.size, dtype=bool)
+        used[at[far]] = True
+        at = np.cumsum(used)[at[far]] - 1
+        s = ends + (t_row[used] if t_row.ndim else t_row)
+        x_row, y_row = x_row[used], y_row[used]
+        with np.errstate(divide="ignore"):
+            log_xy = np.log(x_row * y_row)
+        per_row = _log_kernel_bound(nu, _time_factors(s), x_row - y_row, x_row, y_row, log_xy).T
+        # a row whose bound is not finite somewhere is +inf throughout, so
+        # that its pairs skip nothing
+        per_row[~np.isfinite(per_row).all(axis=1)] = np.inf
+        bound += np.take(per_row, at, axis=0)
+        drawn.append((nu, np.broadcast_to(s, per_row.shape[::-1]), x_row, y_row, at))
+    peak = np.argmax(bound, axis=1)
+    value = 0.0
+    for nu, s, x_row, y_row, at in drawn:
+        # the kernel once per (row, peak panel) the pairs need
+        need = np.zeros((x_row.size, s.shape[0]), dtype=bool)
+        need[at, peak] = True
+        row, panel = np.nonzero(need)
+        (kernel,) = _kernel_1d((nu,), _time_factors(s[panel, row]), x_row[row], y_row[row])
+        log_kernel = np.empty(need.shape)
+        with np.errstate(divide="ignore"):
+            log_kernel[row, panel] = np.log(kernel)
+        value = value + log_kernel[at, peak]
+    first[far] = np.argmin(bound < (value - _WINDOW_EXPONENT)[:, None], axis=1)
+    return first
+
+
+def _ladder_sum(nus: tuple, t, x, y, factors, offsets, weights, bounds):
+    """Per pair, the sum over ladder nodes i of weights[i] prod_j factors[j](t + offsets[i], x_j, y_j).
+
+    t, x and y are flat pairs (``_flat_pairs``) of orders ``nus``; the nodes
+    lie in equal numbers on the panels between consecutive ``bounds``.  A
+    pair sums from its ``_first_panels`` on, in ladder order from 0: the
+    pairs are sorted by their first node, so ``_row_products`` draws each
+    node's products for a prefix of them, and the sums come back in pair
+    order.
+    """
+    rows, pair_row = _pair_rows(t, x, y)
+    first = _first_panels(nus, t, rows, pair_row, bounds) * (len(offsets) // (len(bounds) - 1))
+    by_first = np.argsort(first, kind="stable")
+    pair_row = [p[by_first] for p in pair_row]
+    total = np.zeros(first.size)
+    for c, val in zip(weights, _row_products(t, rows, pair_row, factors, offsets, first[by_first])):
+        total[: val.size] += c * val
+    out = np.empty_like(total)
+    out[by_first] = total
+    return out
 
 
 def axis_product(t, x, y, factors):
@@ -483,7 +577,18 @@ def operator_expansion(ops: tuple, nu: float, base_shift: int = 0) -> tuple:
 
 
 def evaluate_expansion(expansion: tuple, nu: float, t, x, y):
-    """Evaluate a cached expansion at broadcastable (t, x, y)."""
+    """Evaluate a cached expansion at broadcastable (t, x, y).
+
+    The value is accurate to a few ulps of its largest term, not of
+    itself.  Near the diagonal at small t the terms are each about
+    p_t / (2t) and cancel to about t p_t, so the digits go: at nu = 1/2
+    and x = y = 1, ``delta_kernel_1d`` reads -6.10e-5 at t = 1e-8 against
+    a true -2.82e-5, -32 at t = 1e-12 against -2.82e-7, -3.4e7 at
+    t = 1e-16 (larger than p_t itself, 2.8e7) and -4.5e133 at t = 1e-100.
+    Where a term overflows with its time factors (there from t = 1e-250,
+    and for m = 2 from t = 1e-150), a ValueError names the time and the
+    points.
+    """
     t, x, y = _check_1d_domain(t, x, y)
     shape = np.broadcast_shapes(t.shape, x.shape, y.shape)
     if not expansion:
@@ -496,23 +601,31 @@ def evaluate_expansion(expansion: tuple, nu: float, t, x, y):
     _check_order(nu + min(j_set))
     shifts = sorted(j_set)
     kernels = dict(zip(shifts, _kernel_1d(tuple(nu + j for j in shifts), factors, x, y)))
-    sr_pow = {h: sr**h for h in h_set if h}
-    omr_pow = {s: omr ** (-s) for s in s_set if s}
-    x_pow = {a: x ** float(a) for a in a_set if a}
-    y_pow = {d: y ** float(d) for d in d_set if d}
     total = np.zeros(np.broadcast_shapes(sr.shape, x.shape, y.shape))
-    for (h, s, a, d, j), coef in expansion:
-        # factors multiplied in a fixed order, so every term rounds the same way
-        piece = coef * kernels[j]
-        if h:
-            piece = piece * sr_pow[h]
-        if s:
-            piece = piece * omr_pow[s]
-        if a:
-            piece = piece * x_pow[a]
-        if d:
-            piece = piece * y_pow[d]
-        total += piece
+    with np.errstate(over="ignore", invalid="ignore"):
+        sr_pow = {h: sr**h for h in h_set if h}
+        omr_pow = {s: omr ** (-s) for s in s_set if s}
+        x_pow = {a: x ** float(a) for a in a_set if a}
+        y_pow = {d: y ** float(d) for d in d_set if d}
+        for (h, s, a, d, j), coef in expansion:
+            # factors multiplied in a fixed order, so every term rounds the same way
+            piece = coef * kernels[j]
+            if h:
+                piece = piece * sr_pow[h]
+            if s:
+                piece = piece * omr_pow[s]
+            if a:
+                piece = piece * x_pow[a]
+            if d:
+                piece = piece * y_pow[d]
+            total += piece
+    if not math.isfinite(total.sum()):
+        # x^a or y^d alone may overflow at points near 0; the time factors may not
+        with np.errstate(over="ignore", invalid="ignore"):
+            lost = ~np.isfinite(sum(np.abs(coef * kernels[j]) * sr_pow.get(h, 1.0) * omr_pow.get(s, 1.0)
+                                    for (h, s, _, _, j), coef in expansion))
+        if lost.any():
+            raise _overflow_error(factors[0], x, y, lost, "a term's time factor r^(h/2) (1 - r)^(-s)")
     return total.reshape(shape) if shape else float(total[0])
 
 
@@ -554,9 +667,13 @@ def delta_kernel(order: MultiOrder, m, t, x, y):
 
 
 # ---------------------------------------------------------------------------
-# spectral form
+# spectral form and the certified error model
 
-
+# The one range of the error model: orders up to 150, where ive's stated
+# accuracy holds (_CLOSED_REL), and points up to 30, the measured range of
+# the Laguerre tables' error (``special._TABLE_REL`` and ``_TABLE_ABS``).
+_CERTIFIED_ORDER = 150.0
+_CERTIFIED_POINT = 30.0
 # Relative accuracy granted to each kernel_1d_closed value: ive's stated
 # worst case up to order 150 (3e-11, the power series) and the rounding of
 # the Gaussian and cross exponentials, whose arguments lie above -746
@@ -571,12 +688,28 @@ _TAIL_HALVINGS = 4
 _UNIT = 0.5 * float(np.finfo(float).eps)
 
 
+def _certified(nus, *points) -> bool:
+    """Whether the orders ``nus`` and every coordinate of the ``points`` arrays lie in the error model's range."""
+    return max(nus) <= _CERTIFIED_ORDER and max(np.max(p) for p in points) <= _CERTIFIED_POINT
+
+
+def _gamma(n: int, steps: int, exponent: float) -> float:
+    """The relative rounding allowance of an eigen-sum over n axes, the gamma of ``_envelope``.
+
+    A sum of terms e^(-s lambda_k) times 2n table entries in ``steps``
+    roundings, with s lambda_k <= ``exponent`` above ``_FLOOR``, errs by at
+    most u (steps + 2 exponent + 4n) times the sum of the terms' moduli:
+    the damping takes u s lambda_k from its argument and as much from how
+    it is formed.  The tables add 2n _TABLE_REL; all doubled for rounding.
+    """
+    return 2.0 * (2 * n * _TABLE_REL + _UNIT * (steps + 2 * exponent + 4 * n))
+
+
 def _diagonal_bounds(nu: float, s: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Upper bounds on p_(s/2^j)(x, x) for j = 0, ..., _TAIL_HALVINGS, times s and 1-D points x.
 
     Shape (_TAIL_HALVINGS + 1,) + s.shape + x.shape: ``kernel_1d_closed``
-    on the diagonal, raised by its accuracy and by ``_FLOOR``, one halving
-    at a time.
+    on the diagonal, raised by its accuracy and by ``_FLOOR``.
     """
     diag = np.empty((_TAIL_HALVINGS + 1, *np.shape(s), *x.shape))
     for j in range(_TAIL_HALVINGS + 1):
@@ -605,15 +738,21 @@ def _envelope(nu: float, x: np.ndarray, table: np.ndarray, gamma: float) -> np.n
     """|table| of ``laguerre_function_table(nu, x, k)``, raised by _TABLE_ABS / gamma where x^2 <= 2 lambda_k.
 
     Let a sum over k of products of 2n table entries (n axes, two points)
-    err by gamma <= 1 relative in rounding.  Then gamma times the same sum
-    over products of these entries bounds that rounding together with the
-    tables' error (``special._TABLE_REL`` and ``_TABLE_ABS``) once gamma
-    exceeds 2n _TABLE_REL as well: a product with m raised factors gains
+    err by gamma <= 1 relative in rounding (``_gamma``, which also exceeds
+    2n _TABLE_REL).  Then gamma times the same sum over products of these
+    entries bounds that rounding together with the tables' error
+    (``special._TABLE_REL`` and ``_TABLE_ABS``): m raised factors gain
     gamma (_TABLE_ABS / gamma)^m >= _TABLE_ABS^m.
     """
     lam = 4.0 * np.arange(table.shape[0]) + 2.0 * nu + 2.0
     inside = np.square(x) <= 2.0 * lam.reshape(-1, *[1] * np.ndim(x))
     return np.abs(table) + (_TABLE_ABS / gamma) * inside
+
+
+def _axis_bounds(nu: float, times: np.ndarray, points: np.ndarray, k_max: int, gamma: float):
+    """At 1-D ``points``: phi_k's table to ``k_max``, its ``_envelope`` and ``_diagonal_bounds`` at ``times``."""
+    table = laguerre_function_table(nu, points, k_max)
+    return table, _envelope(nu, points, table, gamma), _diagonal_bounds(nu, times, points)
 
 
 def _degree_sum(order: MultiOrder, t: float, rows: list, k_max: int) -> np.ndarray:
@@ -643,11 +782,11 @@ def kernel_spectral(order: MultiOrder, t, x, y, k_max: int):
     as in ``axis_product``; the sum takes their broadcast leading shape, a
     float for one pair.
 
-    Accuracy: within ``_spectral_error_bound`` of the kernel p_t, which
-    bounds the truncated tail and the rounding, cancellation included
-    (``test_spectral_error_bound_holds_in_three_dimensions``).  The tail
-    part is large at small t: at t = 0.05 and k_max = 40 the bound is 3-4%
-    of sqrt(p_t(x, x) p_t(y, y)) on that test's 3-D pairs.
+    Accuracy, for orders up to 150 and points up to 30 (``_certified``):
+    within ``_spectral_error_bound`` of p_t, the truncated tail and the
+    rounding, cancellation included.  The tail part is large at small t:
+    at t = 0.05 and k_max = 40 it is 3-4% of sqrt(p_t(x, x) p_t(y, y)) on
+    the 3-D pairs of ``test_spectral_error_bound_holds_in_three_dimensions``.
     """
     order = as_order(order)
     (k_max,) = _multi_index(k_max, 1)
@@ -658,47 +797,123 @@ def kernel_spectral(order: MultiOrder, t, x, y, k_max: int):
     _, x, y, shape = _flat_pairs(order.n, t, x, y)
 
     # per axis, phi_k(x_j) phi_k(y_j) of each pair, from one table of x_j and y_j
-    rows = [(tab[:, 0] * tab[:, 1]).T for tab in _pair_tables(order, x, y, k_max)]
-    val = _degree_sum(order, t, rows, k_max)
+    tables = [laguerre_function_table(nu, np.stack(xy), k_max) for nu, xy in zip(order.nu, zip(x.T, y.T))]
+    val = _degree_sum(order, t, [(tab[:, 0] * tab[:, 1]).T for tab in tables], k_max)
     return val.reshape(shape) if shape else float(val[0])
-
-
-def _pair_tables(order: MultiOrder, x: np.ndarray, y: np.ndarray, k_max: int) -> list:
-    """Per axis j, the table of phi_k at x_j and y_j of (pairs, n) point arrays: (k_max + 1, 2, pairs)."""
-    return [laguerre_function_table(nu, np.stack(xy), k_max) for nu, *xy in zip(order.nu, x.T, y.T)]
 
 
 def _spectral_error_bound(order: MultiOrder, t: float, x: np.ndarray, y: np.ndarray, k_max: int) -> np.ndarray:
     """A bound on |kernel_spectral - p_t| at flat (pairs, n) point arrays: the accuracy ``kernel_spectral`` states.
 
-    Each eigen-term is e^(-t lambda_k) Phi_k(x) Phi_k(y).  Two parts, each
-    doubled for the rounding of the bound itself:
-
-    - the tail past |k| = k_max.  By Cauchy-Schwarz it is at most
-      sqrt(T(x, x) T(y, y)), where T(x, x), the tail on the diagonal, is
-      a sum of positive terms.  Since lambda_k = 4|k| + 2|nu| + 2n, every
-      term past k_max has lambda_k >= lambda_(k_max + 1), and
-      ``_tail_bound`` reads T from the closed-form diagonal p = prod_j p_j
-      at t/2^j;
-    - rounding and table error: gamma times the sum of the terms' moduli
-      over |k| <= k_max, each table entry raised by ``_envelope``.  Where
-      the terms cancel, for far pairs at small t, this sum and not the
-      value sets the error: on 3-D pairs in [0.3, 2.5]^3 at t = 0.05 it
-      is up to about 1e6 times the value.
+    Two parts, each doubled for the rounding of the bound itself: the tail
+    past |k| = k_max, by Cauchy-Schwarz at most sqrt(T(x, x) T(y, y)) with
+    T the diagonal tail, a sum of positive terms with lambda_k >=
+    lambda_(k_max + 1) that ``_tail_bound`` reads from the closed-form
+    diagonal prod_j p_j at t/2^j; and ``_gamma`` times the sum of the
+    terms' moduli over |k| <= k_max, each table entry raised by
+    ``_envelope``.  Where the terms cancel, for far pairs at small t, this
+    sum and not the value sets the error: up to about 1e6 times the value
+    on 3-D pairs in [0.3, 2.5]^3 at t = 0.05.
     """
     n = order.n
-    gamma = 2.0 * (2 * n * _TABLE_REL + _UNIT * ((n + 2) * (k_max + 2) + 4 * n
-                                                 + min(t * order.degree_eigenvalue(0), 750.0)))
-    rows = []
-    for nu, tab, xy in zip(order.nu, _pair_tables(order, x, y, k_max), zip(x.T, y.T)):
-        env = _envelope(nu, np.stack(xy), tab, gamma)
-        rows.append((env[:, 0] * env[:, 1]).T)
-    terms = gamma * _degree_sum(order, t, rows, k_max)
+    gamma = _gamma(n, (n + 2) * (k_max + 2), min(t * order.degree_eigenvalue(0), 750.0))
     s = np.array([t])
-    diag = [1.0, 1.0]
+    rows, diag = [], [1.0, 1.0]
     for nu, xy in zip(order.nu, zip(x.T, y.T)):
-        per_point = _diagonal_bounds(nu, s, np.stack(xy))[:, 0]
-        diag = [d * p for d, p in zip(diag, per_point.transpose(1, 0, 2))]
+        _, env, per_point = _axis_bounds(nu, s, np.stack(xy), k_max, gamma)
+        rows.append((env[:, 0] * env[:, 1]).T)
+        diag = [d * p for d, p in zip(diag, per_point[:, 0].transpose(1, 0, 2))]
+    terms = gamma * _degree_sum(order, t, rows, k_max)
     lam_next = order.degree_eigenvalue(k_max + 1)
     tail = np.sqrt(_tail_bound(diag[0], s, lam_next) * _tail_bound(diag[1], s, lam_next))
     return 2.0 * (terms + tail) + _FLOOR
+
+
+# ---------------------------------------------------------------------------
+# certified bounds of the 1-D semigroup, for the vertical maximal function
+
+# Source nodes per block of the majorant in ``_value_bounds``: on the 384-node
+# benchmark grid, blocks of 8, 16, 32 and 96 nodes left 470, 490, 620 and 1,130
+# of 6,144 (time, row) pairs drawn (seeds 1, 2, 5, 7), 1,430 with no majorant.
+_MAJORANT_NODES = 16
+
+
+def _value_bounds(order: MultiOrder, times: np.ndarray, x: np.ndarray, y: np.ndarray, arr: np.ndarray):
+    """Bounds on the 1-D closed-form values C_s(x) = |e^(-sL) f|(x) at each of ``times``.
+
+    ``x`` and ``y`` are the target and source nodes, ``arr`` f times the
+    source weights.  Returns (lower, upper) of shape (times, x), with
+    lower <= |C_s(x)| <= upper on the error model's range (``_certified``):
+    |E_s(x)| minus and plus a margin, E_s(x) = sum_k e^(-s lambda_k)
+    phi_k(x) <phi_k, f> over k <= MAX_DEGREE.  The margin, doubled for its
+    own rounding, bounds the tail past MAX_DEGREE (by Cauchy-Schwarz,
+    sqrt(T(x)) times sqrt(T(y)) summed against |f| w, T the diagonal tail
+    of ``_tail_bound``), the eigen-sum's rounding and table error
+    (``_gamma`` times the eigen-sum of ``_envelope`` entries, Q_s), and the
+    closed form's own error (``_CLOSED_REL`` and its contraction's rounding,
+    times 2 Q_s plus the tail part).  The upper bound is also at most a
+    majorant of |f| w, far smaller where the tail is not, at small s away
+    from f's support: ``_block_majorant`` over blocks of _MAJORANT_NODES
+    source nodes against their sums of |f| w.  A floor covers underflow.
+    """
+    (nu,) = order.nu
+    a = np.abs(arr)
+    # the contraction over the source nodes and the degrees, and the damping
+    # e^(-s lambda_k), whose exponent, while the damping is not below the
+    # floor, is under 750
+    gamma = _gamma(1, y.size + MAX_DEGREE + 1, 750)
+    closed = 2.0 * (_CLOSED_REL + _UNIT * (y.size + 2))
+
+    def per_node(nodes):
+        # the table, its envelope, and the tail factor sqrt(T) at every time
+        table, env, diag = _axis_bounds(nu, times, nodes, MAX_DEGREE, gamma)
+        return table, env, np.sqrt(_tail_bound(diag, times, order.degree_eigenvalue(MAX_DEGREE + 1)))
+
+    tab_y, env_y, tail_y = per_node(y)
+    tab_x, env_x, tail_x = (tab_y, env_y, tail_y) if x is y else per_node(x)
+    damp = np.exp(-np.multiply.outer(order.degree_eigenvalue(np.arange(MAX_DEGREE + 1)), times))
+    value = np.abs(((tab_y @ arr)[:, None] * damp).T @ tab_x)
+    moduli = ((env_y @ a)[:, None] * damp).T @ env_x
+    tail = tail_x * (tail_y @ a)[:, None]
+    floor = _FLOOR * (1.0 + a.sum())
+    margin = 2.0 * ((gamma + 2.0 * closed) * moduli + (1.0 + closed) * tail) + floor
+    lower, upper = value - margin, value + margin
+    # the majorant only at the times where these bounds leave a point open
+    open_ = np.flatnonzero(~(upper < lower.max(axis=0)).all(axis=1))
+    if open_.size:
+        starts = np.arange(0, y.size, _MAJORANT_NODES)
+        # a block of no mass adds nothing, and where its bound is +inf it would add NaN
+        sums = np.add.reduceat(a, starts)
+        mass = sums > 0.0
+        xc, lo, hi = x[:, None], np.minimum.reduceat(y, starts)[mass], np.maximum.reduceat(y, starts)[mass]
+        cols, sums = (xc - np.clip(xc, lo, hi), xc * lo, np.log(xc * hi)), sums[mass]
+        blocks = _axis_factors(times[open_], [(partial(_block_majorant, nu), cols)])
+        majorant = (1.0 + 2.0 * closed) * np.array([mat @ sums for (mat,) in blocks]) + floor
+        upper[open_] = np.minimum(upper[open_], majorant)
+    return lower, upper
+
+
+def _maximal_rows(order: MultiOrder, times: np.ndarray, x: np.ndarray, y: np.ndarray, arr: np.ndarray,
+                  best: np.ndarray):
+    """Per time s of ``times``, the 1-D matrix kernel_1d_closed(nu, s, x, y) with the rows that may set a maximum.
+
+    As ``_value_bounds`` takes its arguments; ``best`` holds per target node
+    the largest |e^(-sL) f|(x) so far, which the caller raises from each
+    matrix.  Rows are drawn, in tiles of at most ``_BLOCK`` elements, where
+    the upper bound reaches the larger of ``best`` and the largest lower
+    bound; the others hold 0 or a row of an earlier time, already in
+    ``best``, so the contraction rounds as on the full matrix.
+    """
+    (nu,) = order.nu
+    lower, uppers = _value_bounds(order, times, x, y, arr)
+    lower = np.max(lower, axis=0)
+    mat = np.zeros((x.size, y.size))
+    step = max(1, _BLOCK // y.size)
+    for s, upper in zip(times, uppers):
+        # where the upper bound lies below a lower bound of the maximum the
+        # value cannot set it; NaN is drawn
+        need = np.flatnonzero(~(upper < np.maximum(best, lower)))
+        if need.size:
+            for rows in np.split(need, range(step, need.size, step)):
+                mat[rows] = kernel_1d_closed(nu, np.array([[s]]), x[rows, None], y[None, :])
+            yield mat

@@ -6,7 +6,8 @@ the area square function, and Riesz transforms.  The Riesz transform is
 available three ways: as a spectral multiplier (two variants that differ
 by an exact eigenvalue factor), as an off-diagonal kernel obtained from
 the time integral of derivative heat kernels, and composed with an extra
-semigroup smoothing step.
+semigroup smoothing step.  Kernels and their bounds come from ``heat``,
+asked for by point and time.
 """
 
 from __future__ import annotations
@@ -20,34 +21,15 @@ import numpy as np
 from .critical import critical_weight
 from .grids import Grid, GridFunction, _leggauss, cross_pairs
 from .heat import (
-    _BLOCK,
-    _CLOSED_REL,
-    _FLOOR,
-    _UNIT,
     _axis_factors,
-    _block_majorant,
-    _diagonal_bounds,
-    _envelope,
-    _exponents,
+    _certified,
     _flat_pairs,
-    _kernel_1d,
-    _log_kernel_bound,
-    _pair_rows,
-    _row_products,
-    _tail_bound,
-    _time_factors,
+    _ladder_sum,
+    _maximal_rows,
     delta_kernel_1d,
     kernel_1d_closed,
 )
-from .special import (
-    _TABLE_REL,
-    MAX_DEGREE,
-    MultiOrder,
-    _check_time,
-    as_order,
-    gammaln,
-    laguerre_function_table,
-)
+from .special import MultiOrder, _check_time, as_order, gammaln, laguerre_function_table
 
 __all__ = [
     "DEFAULT_KMAX",
@@ -224,12 +206,9 @@ def maximal_function(
 
     The result is the maximum over the times of the closed-form values
     |e^(-sL) f|(x), s = t^2, bit for bit.  On large 1-D ladders
-    (``_prunes``) an eigen-sum pass and a majorant of the kernel first
-    bound every one of them from above and below (``_value_bounds``); the
-    kernel is then drawn only at the (time, target point) pairs whose
-    upper bound reaches the largest lower bound or value found so far at
-    the point.  Every other value is provably below the maximum and is not
-    needed.
+    (``_prunes``) heat bounds every value first and draws the kernel only
+    at the (time, target point) pairs that may set the maximum
+    (``heat._maximal_rows``).
     """
     order = as_order(order)
     if t_grid is None:
@@ -242,160 +221,39 @@ def maximal_function(
     arr = f.values * f.grid.weights_nd()
     times = t_grid * t_grid
     best = np.zeros(target.shape)
-    if not _prunes(order, times, f.grid, target):
-        for mats in _kernel_matrices(order, times, f.grid, target):
-            np.maximum(best, np.abs(_per_axis(mats, arr)), out=best)
-        return GridFunction(target, best)
-    (nu,), (x,), (y,) = order.nu, target.axes, f.grid.axes
-    lower, uppers = _value_bounds(order, times, y.nodes, x.nodes, arr)
-    lower = np.max(lower, axis=0)
-    # rows not drawn at a time hold 0 or the row of an earlier time, whose
-    # value is already in best
-    mat = np.zeros((x.nodes.size, y.nodes.size))
-    for s, upper in zip(times, uppers):
-        # where the upper bound lies below a lower bound of the maximum the
-        # value cannot set it; NaN is drawn
-        need = np.flatnonzero(~(upper < np.maximum(best, lower)))
-        if need.size:
-            _draw_rows(nu, s, x.nodes, y.nodes, need, mat)
-            np.maximum(best, np.abs(_per_axis((mat,), arr)), out=best)
+    if _prunes(order, times, f.grid, target):
+        (x,), (y,) = target.axes, f.grid.axes
+        mats = ((mat,) for mat in _maximal_rows(order, times, x.nodes, y.nodes, arr, best))
+    else:
+        mats = _kernel_matrices(order, times, f.grid, target)
+    for m in mats:
+        np.maximum(best, np.abs(_per_axis(m, arr)), out=best)
     return GridFunction(target, best)
 
 
-# ``maximal_function`` prunes in 1-D when the ladder has more than one time
-# (one time has nothing to skip) and at least _PRUNE_ELEMENTS kernel
-# elements over all of it (times x target nodes x source nodes).  Its
-# bounds also need the order at most 150, the range of ive's stated
-# accuracy (``heat._CLOSED_REL``), and every node at most 30, the range of
-# the Laguerre tables' measured accuracy (``special._TABLE_REL``).  Timed
-# in one process against the full loop (BENCH_22.json `boundary`), the
-# pass was faster in every case measured at or above 2^18 elements: 0.98
-# at 384 x 384 nodes and 2 times, 0.66 at 256 x 256 and 4, 0.44 at
-# 128 x 128 and 16, 0.71 and 0.59 on the atoms of ``hardy_norm_maximal``
-# with 192 and 288 x 48 nodes at 40 times.  Every loss lay below it: 1.3-1.9
-# at one time, 1.32 at 256 x 256 and 2 times, 1.02 at 360 x 360 and 2, and
-# 1.27-8.4 on the 96 x 48 atom at 2-40 times.  In 2-D and 3-D the
-# contraction, which the pass does not shrink, dominates: on a 256 x 256
-# grid a product form of the pass cost 81 against 51 ms at 8 times and
-# 429 against 444 ms at 48, so n-D grids keep the full loop.
+# ``maximal_function`` prunes in 1-D on heat's certified range when the ladder
+# has more than one time and at least _PRUNE_ELEMENTS kernel elements (times
+# x target nodes x source nodes).  Against the full loop (BENCH_22.json
+# `boundary`) the pass took 0.44-0.98 of its time at or above 2^18 elements
+# and 1.02-8.4 below.  In n-D the contraction, which the pass does not
+# shrink, dominates (81 against 51 ms on a 256 x 256 grid at 8 times).
 _PRUNE_ELEMENTS = 2**18
-_PRUNE_ORDER = 150.0
-_PRUNE_NODE = 30.0
 
 
 def _prunes(order: MultiOrder, times: np.ndarray, source: Grid, target: Grid) -> bool:
-    """Whether ``maximal_function`` bounds its values by an eigen-sum pass first.
+    """Whether ``maximal_function`` bounds its values first (``heat._maximal_rows``).
 
-    The pass (the Laguerre tables, the closed-form diagonal at every time
-    and its halvings, the eigen-sums and the majorant) costs about as much
-    as one or two times of the full matrix on the 384-node benchmark
-    grid; it pays where the ladder has many kernel elements.
+    The bounds cost about one or two times of the full matrix on the
+    384-node benchmark grid; they pay where the ladder has many elements.
     """
     if order.n != 1:
         return False
-    (nu,), (x,), (y,) = order.nu, target.axes, source.axes
+    (x,), (y,) = target.axes, source.axes
     return (
         times.size > 1
         and times.size * x.nodes.size * y.nodes.size >= _PRUNE_ELEMENTS
-        and nu <= _PRUNE_ORDER
-        and max(x.nodes.max(), y.nodes.max()) <= _PRUNE_NODE
+        and _certified(order.nu, x.nodes, y.nodes)
     )
-
-
-def _value_bounds(order: MultiOrder, times: np.ndarray, y: np.ndarray, x: np.ndarray, arr: np.ndarray):
-    """Bounds on the 1-D closed-form values C_s(x) = |e^(-sL) f|(x) that ``maximal_function`` takes.
-
-    ``y`` and ``x`` are the source and target nodes, ``arr`` f times the
-    source weights.  Returns (lower, upper), each of shape (times, x), with
-    lower <= |C_s(x)| <= upper.  Both come from the eigen-sum
-    E_s(x) = sum_k e^(-s lambda_k) phi_k(x) <phi_k, f> over k <= K =
-    MAX_DEGREE: |E_s(x)| plus or minus a margin.  The margin bounds three
-    errors, doubled for the rounding of the bound itself:
-
-    - the truncated tail.  The tail T(x) past K of the diagonal eigen-sum
-      is read by ``heat._tail_bound`` from the closed-form diagonal at
-      s/2^i, so by Cauchy-Schwarz the tail's part of the value at x is at
-      most sqrt(T(x)) times sqrt(T(y)) summed against |f| w;
-    - rounding and table error of the eigen-sum: gamma times Q_s(x), the
-      same eigen-sum of moduli with each table entry raised by
-      ``heat._envelope``;
-    - the closed form's own error: ``heat._CLOSED_REL`` and the rounding
-      of its contraction, times a bound on e^(-sL)(|f| w), 2 Q_s plus the
-      tail part.
-
-    The upper bound is also at most ``_majorant`` of |f| w, raised by the
-    closed form's own error, which is far smaller where the eigen-sum's
-    tail is not: at small s, away from f's support.  An absolute floor
-    covers underflow.
-    """
-    (nu,) = order.nu
-    a = np.abs(arr)
-    # the tables' error, the contractions and the damping e^(-s lambda_k),
-    # whose exponent, while the damping is not below the floor, is under 750
-    gamma = 2.0 * (2 * _TABLE_REL + _UNIT * (y.size + MAX_DEGREE + 1 + 2 * 750 + 4))
-    closed = 2.0 * (_CLOSED_REL + _UNIT * (y.size + 2))
-
-    def per_node(nodes):
-        # the table, its envelope, and the tail factor sqrt(T) at every time
-        diag = _diagonal_bounds(nu, times, nodes)
-        tail = np.sqrt(_tail_bound(diag, times, order.degree_eigenvalue(MAX_DEGREE + 1)))
-        table = laguerre_function_table(nu, nodes, MAX_DEGREE)
-        return table, _envelope(nu, nodes, table, gamma), tail
-
-    tab_y, env_y, tail_y = per_node(y)
-    tab_x, env_x, tail_x = (tab_y, env_y, tail_y) if x is y else per_node(x)
-    damp = np.exp(-np.multiply.outer(eigenvalue_array(order, MAX_DEGREE), times))
-    value = np.abs(((tab_y @ arr)[:, None] * damp).T @ tab_x)
-    moduli = ((env_y @ a)[:, None] * damp).T @ env_x
-    tail = tail_x * (tail_y @ a)[:, None]
-    floor = _FLOOR * (1.0 + a.sum())
-    margin = 2.0 * ((gamma + 2.0 * closed) * moduli + (1.0 + closed) * tail) + floor
-    lower, upper = value - margin, value + margin
-    # the majorant only at the times where these bounds leave a point open
-    open_ = np.flatnonzero(~(upper < lower.max(axis=0)).all(axis=1))
-    if open_.size:
-        majorant = (1.0 + 2.0 * closed) * _majorant(nu, times[open_], y, x, a) + floor
-        upper[open_] = np.minimum(upper[open_], majorant)
-    return lower, upper
-
-
-# Consecutive source nodes per block of ``_majorant``: on the 384-node
-# benchmark grid, blocks of 8, 16, 32 and 96 nodes left 470, 490, 620 and
-# 1,130 of 6,144 (time, row) pairs drawn (seeds 1, 2, 5, 7), against 1,430
-# with no majorant.
-_MAJORANT_NODES = 16
-
-
-def _majorant(nu: float, times: np.ndarray, y: np.ndarray, x: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Upper bounds on sum_y p_s(x, y) a(y), a >= 0 at the source nodes y, per time of ``times`` and target node.
-
-    The source nodes fall into blocks of _MAJORANT_NODES consecutive
-    nodes; ``heat._block_majorant`` bounds the kernel over each block's
-    span, and the bounds are contracted with the block sums of a.  The
-    walker ``heat._axis_factors`` draws them.
-    """
-    starts = np.arange(0, y.size, _MAJORANT_NODES)
-    # a block of no mass adds nothing, and where its bound is +inf it would add NaN
-    sums = np.add.reduceat(a, starts)
-    mass = sums > 0.0
-    x, lo, hi = x[:, None], np.minimum.reduceat(y, starts)[mass], np.maximum.reduceat(y, starts)[mass]
-    cols, sums = (x - np.clip(x, lo, hi), x * lo, np.log(x * hi)), sums[mass]
-    return np.array([mat @ sums for (mat,) in _axis_factors(times, [(partial(_block_majorant, nu), cols)])])
-
-
-def _draw_rows(nu: float, s: float, x: np.ndarray, y: np.ndarray, rows: np.ndarray, mat: np.ndarray) -> None:
-    """Set ``rows`` of ``mat`` to kernel_1d_closed(nu, s, x[rows], y).
-
-    The rows go in tiles of at most ``heat._BLOCK`` elements, as
-    ``heat._axis_factors`` draws them; each value is that of a call on
-    every row.  Rows stay in place, so the contraction of ``mat`` rounds
-    as it does on the full matrix.
-    """
-    t = np.array([[s]])
-    step = max(1, _BLOCK // y.size)
-    for lo in range(0, rows.size, step):
-        r = rows[lo:lo + step]
-        mat[r] = kernel_1d_closed(nu, t, x[r, None], y[None, :])
 
 
 def square_function(
@@ -548,76 +406,6 @@ def riesz_spectral(
 
 _GAP_CUTOFF = 60.0
 
-# A pair skips the leading v panels on which an upper bound of its heat
-# kernel (``heat._log_kernel_bound``) lies more than this far in the log
-# below the kernel itself at one panel end: a skipped kernel value is below
-# e^(-90) ~ 8e-40 of the pair's largest one, 23 decades under the half ulp
-# 2^(-53) ~ 1.1e-16, which leaves room for the factors polynomial in s, v,
-# x and y that the derivative delta^k and the quadrature weights add.  The
-# margin is relative, since far pairs are tiny themselves.
-_WINDOW_EXPONENT = 90.0
-
-
-def _first_panels(order: MultiOrder, t, rows, pair_row, bounds):
-    """Per pair, the first panel of the v-ladder ``bounds`` that ``_riesz_time_integral`` sums.
-
-    t, ``rows`` and ``pair_row`` are the pairs as ``heat._flat_pairs`` and
-    ``heat._pair_rows`` give them.  The sum over axes of
-    ``heat._log_kernel_bound``, drawn per row, bounds the log of the pair's
-    kernel p_(t + v^2) from above and has one maximum in v.  The kernel's
-    true log at the panel end where the bound is largest is at most its
-    largest value, and the pair skips the leading panels whose bound at
-    their upper end lies more than ``_WINDOW_EXPONENT`` below that log.
-    These come before the bound's maximum, where the bound rises, so every
-    node of a skipped panel lies below its panel's upper end.  Only pairs
-    whose Gaussian exponent rises by the margin along the ladder are
-    estimated, and a pair whose bound is not finite somewhere skips
-    nothing.
-    """
-    ends = np.square(bounds[1:, None])
-    axes = [(nu, t_col[0] if t_col else t, x_row, y_row, at)
-            for nu, (*t_col, x_row, y_row), at in zip(order.nu, rows, pair_row)]
-    # the rest of the bound falls in v, so a pair whose Gaussian exponent
-    # rises by less than the margin along the whole ladder skips nothing
-    rise = 0.0
-    for _, t_row, x_row, y_row, at in axes:
-        gauss, _ = _exponents(_time_factors(ends[[0, -1]] + t_row), x_row - y_row, x_row, y_row)
-        rise = rise + np.take(gauss[1] - gauss[0], at)
-    first = np.zeros(pair_row[0].size, dtype=int)
-    far = np.flatnonzero(rise >= _WINDOW_EXPONENT)
-    if not far.size:
-        return first
-    bound, drawn = np.zeros((far.size, len(bounds) - 1)), []
-    for nu, t_row, x_row, y_row, at in axes:
-        # the rows of the far pairs, and each far pair's row among them
-        used = np.zeros(x_row.size, dtype=bool)
-        used[at[far]] = True
-        at = np.cumsum(used)[at[far]] - 1
-        s = ends + (t_row[used] if t_row.ndim else t_row)
-        x_row, y_row = x_row[used], y_row[used]
-        with np.errstate(divide="ignore"):
-            log_xy = np.log(x_row * y_row)
-        per_row = _log_kernel_bound(nu, _time_factors(s), x_row - y_row, x_row, y_row, log_xy).T
-        # a row whose bound is not finite somewhere is +inf throughout, so
-        # that its pairs skip nothing
-        per_row[~np.isfinite(per_row).all(axis=1)] = np.inf
-        bound += np.take(per_row, at, axis=0)
-        drawn.append((nu, np.broadcast_to(s, per_row.shape[::-1]), x_row, y_row, at))
-    peak = np.argmax(bound, axis=1)
-    value = 0.0
-    for nu, s, x_row, y_row, at in drawn:
-        # the kernel once per (row, peak panel) the pairs need
-        need = np.zeros((x_row.size, s.shape[0]), dtype=bool)
-        need[at, peak] = True
-        row, panel = np.nonzero(need)
-        (kernel,) = _kernel_1d((nu,), _time_factors(s[panel, row]), x_row[row], y_row[row])
-        log_kernel = np.empty(need.shape)
-        with np.errstate(divide="ignore"):
-            log_kernel[row, panel] = np.log(kernel)
-        value = value + log_kernel[at, peak]
-    first[far] = np.argmin(bound < (value - _WINDOW_EXPONENT)[:, None], axis=1)
-    return first
-
 
 def _riesz_time_integral(order: MultiOrder, k, t, x, y):
     """(1/Gamma(|k|/2)) int_0^inf s^(|k|/2 - 1) delta^k p_(t + s) ds.
@@ -631,19 +419,13 @@ def _riesz_time_integral(order: MultiOrder, k, t, x, y):
     below e^(-60) times its size at s = 0 of the same decay, whatever t,
     and later panels could not change the sum.
 
-    Each pair sums over its own window of the panels (``_first_panels``):
+    Each pair sums over its own window of the panels (``heat._ladder_sum``):
     it skips the leading panels on which its heat kernel stays below
-    e^(-90) of its largest value on the ladder.  The derivative delta^k and
-    the quadrature weights add factors polynomial in s, v, x and y, so a
-    skipped term lies far below half an ulp of the pair's largest term.
-    That the sum keeps every bit is not proved by this: the full ladder
-    adds the skipped terms to its running sum first, and for odd k the
-    terms change sign, so the sum can be smaller than its largest term.
-    The tests and report digests check it against the full ladder.  The
-    pairs are sorted by their first node, and ``heat._row_products`` draws
-    the products of the axis factors delta^(k_j) p^(nu_j) at t + s for the
-    prefix of pairs that need each node, from rows split once for the
-    window estimate and the sum; each pair adds its terms in ladder order.
+    e^(-90) of its largest value on the ladder, so a skipped term of
+    delta^k p lies far below half an ulp of the pair's largest term.  That
+    the sum keeps every bit is not proved by this (for odd k the terms
+    change sign); the tests and report digests check it against the full
+    ladder.
     """
     t, x, y, shape = _flat_pairs(order.n, t, x, y)
     d = np.linalg.norm(x - y, axis=-1)
@@ -663,17 +445,9 @@ def _riesz_time_integral(order: MultiOrder, k, t, x, y):
         ws = 0.5 * (hi - lo) * weights
         ladder += [(v * v, w * 2.0 * v ** (sum(k) - 1)) for v, w in zip(vs, ws)]
     offsets, coefs = zip(*ladder)
-    rows, pair_row = _pair_rows(t, x, y)
-    first = _first_panels(order, t, rows, pair_row, np.array(bounds)) * len(nodes)
-    by_first = np.argsort(first, kind="stable")
-    pair_row = [p[by_first] for p in pair_row]
     factors = [partial(delta_kernel_1d, nu, m) for nu, m in zip(order.nu, k)]
-    total = np.zeros(first.size)
-    for c, val in zip(coefs, _row_products(t, rows, pair_row, factors, offsets, first[by_first])):
-        total[: val.size] += c * val
-    total *= math.exp(-gammaln(sum(k) / 2.0))
-    out = np.empty_like(total)
-    out[by_first] = total
+    out = _ladder_sum(order.nu, t, x, y, factors, offsets, coefs, np.array(bounds))
+    out *= math.exp(-gammaln(sum(k) / 2.0))
     return out.reshape(shape) if shape else float(out[0])
 
 

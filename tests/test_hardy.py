@@ -395,3 +395,28 @@ def test_duality_bilinearity():
     left = duality_pairing(ORDER, combo, atom)
     right = 2.5 * duality_pairing(ORDER, f, atom) + duality_pairing(ORDER, g, atom)
     assert left == pytest.approx(right, abs=1e-12)
+
+
+def test_three_dimensional_atom_has_the_same_bytes_under_one_and_two_blas_threads():
+    # the fit's sums over the 110,592 points of a 3-D atom grid: as BLAS
+    # products they split across threads, and the atom's last bits followed
+    # the thread count
+    import hashlib
+    import os
+    import subprocess
+    import sys
+
+    import lagsem
+
+    code = ("import hashlib, lagsem; "
+            "atom = lagsem.random_atom(lagsem.MultiOrder((0.5, 1.0, 0.0)), 0.9, seed=7); "
+            "print(hashlib.sha256(atom.func.values.tobytes()).hexdigest())")
+    src = os.path.dirname(os.path.dirname(lagsem.__file__))
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        digests.add(run.stdout)
+    assert len(digests) == 1, digests
+    atom = lagsem.random_atom(lagsem.MultiOrder((0.5, 1.0, 0.0)), 0.9, seed=7)
+    assert digests == {hashlib.sha256(atom.func.values.tobytes()).hexdigest() + "\n"}

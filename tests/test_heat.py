@@ -510,6 +510,34 @@ def test_raw_kernel_refuses_underflowed_bessel_argument(t, x, y):
             kernel_1d_raw(-0.5, np.array([t, 0.5]), x, y)
 
 
+def test_small_times_keep_the_stated_accuracy_or_name_the_overflow():
+    # at nu = 1/2 and x = y = 1 the two terms of delta p_t are each about
+    # p_t / (2t) and cancel to about t p_t: the value is within a few ulps of
+    # the terms (against mpmath at 400 digits), and where a term, z or the
+    # prefactor overflows a ValueError names the time and the points (NaN,
+    # -inf and ive's own error before)
+    eps = np.finfo(float).eps
+    with mp.workdps(400):
+        for t in (1e-8, 1e-12, 1e-16, 1e-100):
+            kernel = [_mp_kernel_1d(nu, t, 1.0, 1.0) for nu in (0.5, 1.5)]
+            r = mp.exp(-4 * mp.mpf(t))
+            want = float(2 * (mp.sqrt(r) * kernel[1] - r * kernel[0]) / (1 - r))
+            term = float(kernel[0]) / (2.0 * t)
+            assert abs(delta_kernel_1d(0.5, 1, t, 1.0, 1.0) - want) <= 4.0 * eps * term, t
+    lost = [(0.5, 1, 1e-250, 1.0, 1.0), (-0.5, 1, 1e-300, 1e-300, 1e-300)]
+    lost += [(nu, 2, t, 1.0, 1.0) for nu in (-0.5, 0.0, 0.5, 25.5, 150.0) for t in (1e-150, 1e-200, 1e-300)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for nu, m, t, x, y in lost:
+            with pytest.raises(ValueError, match=f"t = {t!r}, x = {x!r}, y = {y!r}"):
+                delta_kernel_1d(nu, m, t, x, y)
+        for nu in (-0.5, 0.5, 150.0):
+            with pytest.raises(ValueError, match=r"t = 1e-300, x = 1000000.0, y = 1000000.0 .* overflows"):
+                kernel_1d_closed(nu, 1e-300, 1e6, 1e6)
+            with pytest.raises(ValueError, match="t = 1e-300"):
+                kernel_1d_closed(nu, np.array([1.0, 1e-300]), 1e6, 1e6)
+
+
 def test_spectral_sum_over_total_degree_in_three_dimensions():
     # the sum keeps exactly the multi-indices with |k| <= k_max
     order = MultiOrder((0.5, -0.5, 1.3))

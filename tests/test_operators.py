@@ -543,6 +543,30 @@ def test_pruned_maximal_draws_fewer_kernel_rows(monkeypatch):
     assert rows < 0.15 * ladder.size * f.values.size
 
 
+def test_operators_sees_no_heat_internals():
+    # operators asks heat for kernel bounds by point and time; heat's time
+    # factors, exponents, kernel bounds, pair-row layout and error
+    # constants, and the tables' error model, stay behind heat
+    import ast
+    from pathlib import Path
+
+    from lagsem import operators
+
+    hidden = {
+        "heat": {"_time_factors", "_exponents", "_log_kernel_bound", "_kernel_1d", "_block_majorant",
+                 "_diagonal_bounds", "_tail_bound", "_envelope", "_pair_rows", "_row_products",
+                 "_CLOSED_REL", "_FLOOR", "_UNIT", "_BLOCK"},
+        "special": {"_TABLE_REL", "MAX_DEGREE"},
+    }
+    seen = set()
+    for node in ast.walk(ast.parse(Path(operators.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            seen |= {(node.module.rsplit(".", 1)[-1], alias.name) for alias in node.names}
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            seen.add((node.value.id, node.attr))
+    assert not {(module, name) for module, name in seen if name in hidden.get(module, ())}
+
+
 def _mp_kernel(nu, s, x, y):
     # the 1-D heat kernel at 40 digits
     import mpmath as mp
@@ -563,8 +587,8 @@ def test_value_bounds_hold_against_mpmath(nu):
     # tail bound
     import mpmath as mp
 
-    from lagsem.heat import _diagonal_bounds
-    from lagsem.operators import _kernel_matrices, _per_axis, _value_bounds
+    from lagsem.heat import _diagonal_bounds, _value_bounds
+    from lagsem.operators import _kernel_matrices, _per_axis
 
     order = MultiOrder((nu,))
     # 12 nodes on [0.05, 4]
@@ -1095,15 +1119,15 @@ def test_riesz_rows_and_node_blocks_keep_every_bit(case):
 @pytest.mark.parametrize("case", ["1d-rows", "far-pairs", "per-pair-windows", "far-both", "high-orders-far"])
 def test_riesz_window_cases_start_at_several_panels(monkeypatch, case):
     # the exactness of these cases above covers pairs that skip panels
-    from lagsem import operators
+    from lagsem import heat
 
-    first_panels, firsts = operators._first_panels, []
+    first_panels, firsts = heat._first_panels, []
 
     def spy(*args):
         firsts.append(first_panels(*args))
         return firsts[-1]
 
-    monkeypatch.setattr(operators, "_first_panels", spy)
+    monkeypatch.setattr(heat, "_first_panels", spy)
     order, k, x, y, t_shift = _riesz_block_cases()[case]
     riesz_heat_composite_kernel(order, k, t_shift, x, y)
     assert np.unique(firsts[0]).size >= 3
@@ -1115,15 +1139,15 @@ def test_riesz_windows_skip_only_kernel_values_far_below_the_largest(monkeypatch
     # at least _WINDOW_EXPONENT below its largest value at the panel ends;
     # a threshold taken from the bound's own maximum fails this at orders
     # 40.5, where the bound overstates the kernel near z ~ nu
-    from lagsem import operators
+    from lagsem import heat
 
-    first_panels, seen = operators._first_panels, []
+    first_panels, seen = heat._first_panels, []
 
-    def spy(order, t, rows, pair_row, bounds):
-        seen.append((bounds, first_panels(order, t, rows, pair_row, bounds)))
+    def spy(nus, t, rows, pair_row, bounds):
+        seen.append((bounds, first_panels(nus, t, rows, pair_row, bounds)))
         return seen[-1][1]
 
-    monkeypatch.setattr(operators, "_first_panels", spy)
+    monkeypatch.setattr(heat, "_first_panels", spy)
     order, k, x, y, t_shift = _riesz_block_cases()[case]
     riesz_heat_composite_kernel(order, k, t_shift, x, y)
     (bounds, first), = seen
@@ -1134,7 +1158,7 @@ def test_riesz_windows_skip_only_kernel_values_far_below_the_largest(monkeypatch
     skipped = np.arange(len(bounds) - 1)[:, None] < first
     assert skipped.any()
     gap = log_kernel.max(axis=0) - np.where(skipped, log_kernel, -np.inf).max(axis=0)
-    assert np.all(gap[first > 0] >= operators._WINDOW_EXPONENT)
+    assert np.all(gap[first > 0] >= heat._WINDOW_EXPONENT)
 
 
 @pytest.mark.parametrize("nu", [-0.5, -0.2, 0.0, 0.3, 0.5, 1.0, 2.5, 40.5])
@@ -1335,7 +1359,10 @@ def test_factor_calls_stay_within_their_element_budget(monkeypatch, route):
         calls.append((out.size, math.prod(out.shape[2:])))
         return out
 
-    monkeypatch.setattr(operators, factor.__name__, spy)
+    # operators draws the full matrices and the Riesz factors, heat the
+    # rows of the pruned maximal pass
+    for module in (heat, operators):
+        monkeypatch.setattr(module, factor.__name__, spy)
     n_calls = {}
     for name, run in _budget_runs(route).items():
         calls.clear()

@@ -17,7 +17,9 @@ call and ``CALLS`` timed ones with the garbage collector off, and the
 round keeps the least.  Per side, a row of the JSON table holds the median
 round time, the round times in round order (``round_medians_s``), the work
 count and work per second, ``spread`` (interquartile range over median),
-the median minor page faults per timed call and the row's other counts.
+the median minor page faults per timed call, the tracemalloc peak of one
+untimed call after the rounds (``peak_alloc_mb``) and the row's other
+counts.
 ``change_over_parent`` is the median over the rounds of the round's
 change/parent ratio: a row's two sides run back to back, so a drift in the
 host's speed between rounds, which sets most of the spread, cancels in
@@ -39,6 +41,7 @@ import os
 import resource
 import sys
 import time
+import tracemalloc
 
 _NUMPY_FIRST = "numpy" in sys.modules
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -119,13 +122,24 @@ def _time(fn) -> tuple[float, float]:
         gc.enable()
 
 
-def _side(times, faults, work) -> dict:
+def _peak_alloc_mb(fn) -> float:
+    """The tracemalloc peak of one call of ``fn``, in MB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def _side(times, faults, work, peak) -> dict:
     (unit, count), *others = work.items()
     median = float(np.median(times))
     q1, q3 = np.percentile(times, [25, 75])
     return {
         "median_s": median, "round_medians_s": list(times), unit: count, f"{unit}_per_s": count / median,
-        "spread": float(q3 - q1) / median, "minor_faults_per_call": float(np.median(faults)), **dict(others),
+        "spread": float(q3 - q1) / median, "minor_faults_per_call": float(np.median(faults)),
+        "peak_alloc_mb": peak, **dict(others),
     }
 
 
@@ -149,12 +163,13 @@ def main(cases, argv=None) -> int:
         for name in cases:
             for side in order:
                 runs[side][name].append(_time(built[side][name][0]))
+    peaks = {side: {name: _peak_alloc_mb(built[side][name][0]) for name in cases} for side in sides}
     rows = []
     for name in cases:
         row = {"name": name, "outputs_equal": equal[name]}
         for side in sides:
             times, faults = zip(*runs[side][name])
-            row[side] = _side(times, faults, built[side][name][1])
+            row[side] = _side(times, faults, built[side][name][1], peaks[side][name])
         ratios = np.divide(row["change"]["round_medians_s"], row["parent"]["round_medians_s"])
         row["change_over_parent"] = float(np.median(ratios))
         rows.append(row)

@@ -24,6 +24,7 @@ import numpy as np
 from .critical import critical_weight, rho
 from .grids import cross_pairs, lattice
 from .heat import (
+    _BLOCK,
     axis_product,
     delta_kernel,
     delta_kernel_1d,
@@ -139,21 +140,27 @@ def _dist2(x, y):
     return np.sum((x - y) ** 2, axis=-1)
 
 
-def _filter(family: BoundFamily, samples: dict):
-    t, x, y = samples["t"], samples["x"], samples["y"]
+def _tiles(samples: dict):
+    """The samples in sample order, in tiles of at most ``heat._BLOCK``; one empty tile for none."""
+    t, x, y = samples["t"], np.asarray(samples["x"], float), np.asarray(samples["y"], float)
+    t = None if t is None else np.asarray(t, float)
+    for lo in range(0, max(len(x), 1), _BLOCK):
+        tile = slice(lo, lo + _BLOCK)
+        yield {"t": None if t is None else t[tile], "x": x[tile], "y": y[tile]}
+
+
+def _filter(family: BoundFamily, tile: dict):
+    t, x, y = tile["t"], tile["x"], tile["y"]
     if t is None:
-        return None, np.asarray(x, float), np.asarray(y, float)
-    t = np.asarray(t, float)
+        return None, x, y
     mask = (t > family.t_lo) & (t < family.t_hi)
     if family.region is not None:
         mask &= family.region(t, x, y)
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
     return t[mask], x[mask], y[mask]
 
 
-def _base_and_gap(family: BoundFamily, samples: dict):
-    t, x, y = _filter(family, samples)
+def _base_and_gap(family: BoundFamily, tile: dict):
+    t, x, y = _filter(family, tile)
     lhs = np.abs(family.lhs(t, x, y))
     pref = family.prefactor(t, x, y)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -172,28 +179,39 @@ def fit_gaussian_bound(
 
     fitted_C is the max ratio over the sample set by construction, so the
     violation list is empty unless a ratio fails to be finite (vanishing
-    or non-finite right-hand side).
+    or non-finite right-hand side); it holds the first 20 in sample order.
+    The samples are read in tiles of at most ``heat._BLOCK`` (``_tiles``),
+    so memory does not grow with their number; every value is elementwise,
+    so the fit is bit for bit that of one whole-array pass.  A Riesz
+    kernel's values depend on the other pairs of its call
+    (``operators._riesz_time_integral``), so a Riesz sample set fits the
+    values of one call only while it is one tile, as every set of
+    ``standard_bound_suite`` is.
     """
-    base, gap, t, x, y = _base_and_gap(family, samples)
-    with np.errstate(over="ignore"):
-        ratios = base * np.exp(gap / c)
-    finite = np.isfinite(ratios)
-    violations = [
-        {
-            "t": None if t is None else float(t[i]),
-            "x": np.atleast_1d(x[i]).tolist(),
-            "y": np.atleast_1d(y[i]).tolist(),
-            "ratio": float(ratios[i]),
-        }
-        for i in np.nonzero(~finite)[0][:20]
-    ]
-    fitted = float(ratios[finite].max()) if np.any(finite) else math.inf
+    maxima, n_samples, violations = [], 0, []
+    for tile in _tiles(samples):
+        base, gap, t, x, y = _base_and_gap(family, tile)
+        with np.errstate(over="ignore"):
+            ratios = base * np.exp(gap / c)
+        finite = np.isfinite(ratios)
+        violations += [
+            {
+                "t": None if t is None else float(t[i]),
+                "x": np.atleast_1d(x[i]).tolist(),
+                "y": np.atleast_1d(y[i]).tolist(),
+                "ratio": float(ratios[i]),
+            }
+            for i in np.flatnonzero(~finite)[: 20 - len(violations)]
+        ]
+        if finite.any():
+            maxima.append(float(ratios[finite].max()))
+        n_samples += ratios.size
     return BoundFitReport(
         family_id=family.family_id,
-        fitted_C=fitted,
+        fitted_C=max(maxima, default=math.inf),
         fixed_c=c if family.gaussian else 0.0,
         exponent_gamma=family.decay_exponent,
-        n_samples=int(ratios.size),
+        n_samples=n_samples,
         violations=violations,
     )
 
@@ -210,11 +228,13 @@ def minimal_decay_constant(
     ``margin`` of the constant at c = 8 (bisected 24 times), which brackets
     the sharp rate up to that slack.  Returns None for families with no Gaussian factor
     and +inf when the reference constant itself is not finite, as for a
-    window that leaves no sample.
+    window that leaves no sample.  The bisection reads every ratio 26
+    times, so the tiles' ratio parts are joined once.
     """
     if not family.gaussian:
         return None
-    base, gap, *_ = _base_and_gap(family, samples)
+    parts = [_base_and_gap(family, tile)[:2] for tile in _tiles(samples)]
+    base, gap = (np.concatenate(part) for part in zip(*parts))
 
     def fitted(c: float) -> float:
         with np.errstate(over="ignore"):

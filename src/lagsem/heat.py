@@ -20,6 +20,7 @@ one error model, one rounding rule (``_gamma``), one range (``_certified``).
 
 from __future__ import annotations
 
+import contextlib
 import math
 from functools import lru_cache, partial
 
@@ -139,6 +140,11 @@ def _block_majorant(nu: float, t, dist, x_lo, log_x_hi):
     return np.exp(log_bound + 1e-9 * (1.0 + np.abs(log_bound)))
 
 
+# The bound on the sizes of ``_kernel_1d``'s steps below which none of them
+# can overflow: its cube, 1e300, is below the float64 limit.
+_KERNEL_RANGE = 1e100
+
+
 def _kernel_1d(nus: tuple, factors, x, y) -> list:
     """kernel_1d_closed of each order in ``nus`` on checked arrays.
 
@@ -150,16 +156,24 @@ def _kernel_1d(nus: tuple, factors, x, y) -> list:
     2 r^((nu+1)/2) (1-r)^(-(nu+1)) (x y)^(nu+1/2) / Gamma(nu+1) * gauss * cross,
     is returned instead.  Where z or the rest of the product overflows at
     a value that is needed, a ValueError names its time and points.
+
+    M = 2 / (1 - r) max(1, x) max(1, y), at the least 1 - r and the largest
+    x and y of the call, bounds z, the prefactor, x y, 1 / (1 - r) and every
+    step between them; the Gaussian and cross factors are at most 1, and
+    the Gaussian exponent is at most M^3.  So where M < ``_KERNEL_RANGE``
+    nothing can overflow and the elementwise check is skipped.
     """
     t, r, sr, omr, oms = factors
-    with np.errstate(over="ignore", invalid="ignore"):
+    in_range = (2.0 * float(x.max(initial=1.0)) * float(y.max(initial=1.0))
+                < _KERNEL_RANGE * float(omr.min(initial=1.0)))
+    with contextlib.nullcontext() if in_range else np.errstate(over="ignore", invalid="ignore"):
         z = 2.0 * sr * x * y / omr
         pref = 2.0 * sr * np.sqrt(x * y) / omr
         gauss, cross = map(np.exp, _exponents(factors, x - y, x, y))
         head = pref * gauss * cross
     zero = z == 0.0
     need = (head != 0.0) | zero
-    if not math.isfinite(z.max(initial=0.0) + head.max(initial=0.0)):
+    if not in_range and not math.isfinite(z.max(initial=0.0) + head.max(initial=0.0)):
         lost = need & ~(np.isfinite(z) & np.isfinite(head))
         if lost.any():
             raise _overflow_error(t, x, y, lost, "z = 2 sqrt(r) x y / (1 - r) or the prefactor")
@@ -409,6 +423,14 @@ def _first_panels(nus: tuple, t, rows, pair_row, bounds):
     upper end.  Only pairs whose Gaussian exponent rises by the margin
     along the ladder are estimated, and a pair whose bound is not finite
     somewhere skips nothing.
+
+    The (pairs, panels) bounds are summed in chunks of ``_BLOCK`` // panels
+    far pairs, twice: for the peaks, then against the true kernel there,
+    which takes one call per axis.  An axis's per-row bounds are drawn
+    once where the far pairs' rows fit in ``_BLOCK`` elements, as on a
+    lattice, and per chunk otherwise.  So only per-pair arrays grow with
+    the pairs, as in the ladder's own sums; every value is elementwise, so
+    the chunks do not change it.
     """
     ends = np.square(bounds[1:, None])
     axes = [(nu, t_col[0] if t_col else t, x_row, y_row, at)
@@ -423,36 +445,64 @@ def _first_panels(nus: tuple, t, rows, pair_row, bounds):
     far = np.flatnonzero(rise >= _WINDOW_EXPONENT)
     if not far.size:
         return first
-    bound, drawn = np.zeros((far.size, len(bounds) - 1)), []
+    # per axis, each far pair's row, and the rows' bounds if drawn once
+    drawn = []
     for nu, t_row, x_row, y_row, at in axes:
-        # the rows of the far pairs, and each far pair's row among them
+        at = at[far]
         used = np.zeros(x_row.size, dtype=bool)
-        used[at[far]] = True
-        at = np.cumsum(used)[at[far]] - 1
-        s = ends + (t_row[used] if t_row.ndim else t_row)
-        x_row, y_row = x_row[used], y_row[used]
-        with np.errstate(divide="ignore"):
-            log_xy = np.log(x_row * y_row)
-        per_row = _log_kernel_bound(nu, _time_factors(s), x_row - y_row, x_row, y_row, log_xy).T
-        # a row whose bound is not finite somewhere is +inf throughout, so
-        # that its pairs skip nothing
-        per_row[~np.isfinite(per_row).all(axis=1)] = np.inf
-        bound += np.take(per_row, at, axis=0)
-        drawn.append((nu, np.broadcast_to(s, per_row.shape[::-1]), x_row, y_row, at))
-    peak = np.argmax(bound, axis=1)
+        used[at] = True
+        once = None
+        if np.count_nonzero(used) * ends.size <= _BLOCK:
+            once = _row_bounds(nu, ends, t_row, x_row, y_row, used), np.cumsum(used)[at] - 1
+        drawn.append((nu, t_row, x_row, y_row, at, once))
+    step = max(1, _BLOCK // ends.size)
+    chunks = [slice(lo, min(lo + step, far.size)) for lo in range(0, far.size, step)]
+    peak = np.zeros(far.size, dtype=int)
+    for chunk in chunks:
+        peak[chunk] = np.argmax(_far_bounds(drawn, ends, chunk), axis=1)
     value = 0.0
-    for nu, s, x_row, y_row, at in drawn:
-        # the kernel once per (row, peak panel) the pairs need
-        need = np.zeros((x_row.size, s.shape[0]), dtype=bool)
-        need[at, peak] = True
-        row, panel = np.nonzero(need)
-        (kernel,) = _kernel_1d((nu,), _time_factors(s[panel, row]), x_row[row], y_row[row])
-        log_kernel = np.empty(need.shape)
+    for nu, t_row, x_row, y_row, at, _ in drawn:
+        # the kernel once per (row, peak panel) the far pairs need
+        need, pair_need = np.unique(at * ends.size + peak, return_inverse=True)
+        row, panel = np.divmod(need, ends.size)
+        s = ends[panel, 0] + (t_row[row] if t_row.ndim else t_row)
+        (kernel,) = _kernel_1d((nu,), _time_factors(s), x_row[row], y_row[row])
         with np.errstate(divide="ignore"):
-            log_kernel[row, panel] = np.log(kernel)
-        value = value + log_kernel[at, peak]
-    first[far] = np.argmin(bound < (value - _WINDOW_EXPONENT)[:, None], axis=1)
+            value = value + np.log(kernel)[pair_need]
+    for chunk in chunks:
+        below = _far_bounds(drawn, ends, chunk) < (value[chunk] - _WINDOW_EXPONENT)[:, None]
+        first[far[chunk]] = np.argmin(below, axis=1)
     return first
+
+
+def _row_bounds(nu: float, ends, t_row, x_row, y_row, used):
+    """``_log_kernel_bound`` at the squared panel ends ``ends`` on the rows ``used``, (rows, panels).
+
+    A row whose bound is not finite somewhere is +inf throughout, so that
+    its pairs skip nothing.
+    """
+    s = ends + (t_row[used] if t_row.ndim else t_row)
+    x_row, y_row = x_row[used], y_row[used]
+    with np.errstate(divide="ignore"):
+        log_xy = np.log(x_row * y_row)
+    per_row = _log_kernel_bound(nu, _time_factors(s), x_row - y_row, x_row, y_row, log_xy).T
+    per_row[~np.isfinite(per_row).all(axis=1)] = np.inf
+    return per_row
+
+
+def _far_bounds(drawn, ends, chunk):
+    """The (pairs, panels) log bounds of ``_first_panels`` at a chunk of its far pairs, summed over the axes."""
+    bound = np.zeros((chunk.stop - chunk.start, ends.size))
+    for nu, t_row, x_row, y_row, at, once in drawn:
+        if once is None:
+            # the rows of the chunk's pairs, and each pair's row among them
+            used = np.zeros(x_row.size, dtype=bool)
+            used[at[chunk]] = True
+            per_row, at = _row_bounds(nu, ends, t_row, x_row, y_row, used), np.cumsum(used)[at[chunk]] - 1
+        else:
+            per_row, at = once[0], once[1][chunk]
+        bound += np.take(per_row, at, axis=0)
+    return bound
 
 
 def _ladder_sum(nus: tuple, t, x, y, factors, offsets, weights, bounds):

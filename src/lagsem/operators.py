@@ -426,6 +426,17 @@ def _riesz_time_integral(order: MultiOrder, k, t, x, y):
     the sum keeps every bit is not proved by this (for odd k the terms
     change sign); the tests and report digests check it against the full
     ladder.
+
+    The ladder starts at the batch's d_min / 16, so a pair's value depends
+    on the other pairs of its call: its nodes move with d_min, and near
+    the diagonal the integrand holds the cancellation that
+    ``heat.evaluate_expansion`` states, so the rounding moves with them.
+    On the 10,100 ``riesz-size`` pairs of order 1/2, a pair evaluated
+    alone differs from its batch value by up to 7.9e-15 relative at k = 1
+    (2.5e-15 of |x - y|^-1), and at k = 2 by up to 8.3e-10 relative, which
+    is 8.0e-13 of |x - y|^-1, at x = 4.0, y = 3.9605 (kernel 0.0244).
+    Adaptive quadrature of the same integrand lies 1.6e-12 relative from
+    the single-pair value there.
     """
     t, x, y, shape = _flat_pairs(order.n, t, x, y)
     d = np.linalg.norm(x - y, axis=-1)
@@ -452,7 +463,11 @@ def _riesz_time_integral(order: MultiOrder, k, t, x, y):
 
 
 def riesz_kernel(order: MultiOrder, k, x, y):
-    """Off-diagonal Riesz kernel of delta^k L^(-|k|/2) over broadcast point arrays x, y."""
+    """Off-diagonal Riesz kernel of delta^k L^(-|k|/2) over broadcast point arrays x, y.
+
+    A pair's value depends on the other pairs of the call, by up to 8.0e-13
+    of |x - y|^-n on the standard 1-D sample set (``_riesz_time_integral``).
+    """
     order = as_order(order)
     k = _check_riesz_index(order, k)
     return _riesz_time_integral(order, k, 0.0, x, y)

@@ -1,5 +1,6 @@
 """Gaussian bound fitting, sample builders, and the standard bound suite."""
 
+import json
 import math
 
 import numpy as np
@@ -405,3 +406,155 @@ def test_sample_builders_match_reference_on_standard_grids(fast):
             else:
                 assert got[key].dtype == want[key].dtype
                 assert np.array_equal(got[key], want[key]), key
+
+
+# the whole-array fit that the tiled one replaced, each array in one pass
+
+
+def _frozen_base_and_gap(family, samples):
+    t, x, y = samples["t"], np.asarray(samples["x"], float), np.asarray(samples["y"], float)
+    if t is not None:
+        t = np.asarray(t, float)
+        mask = (t > family.t_lo) & (t < family.t_hi)
+        if family.region is not None:
+            mask &= family.region(t, x, y)
+        t, x, y = t[mask], x[mask], y[mask]
+    lhs = np.abs(family.lhs(t, x, y))
+    pref = family.prefactor(t, x, y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        base = lhs / pref
+    if family.gaussian:
+        gap = (np.sum((x - y) ** 2, axis=-1) if x.ndim > 1 else (x - y) ** 2) / t
+    else:
+        gap = np.zeros_like(base)
+    return base, gap, t, x, y
+
+
+def _frozen_fit(family, samples, c=4.0):
+    base, gap, t, x, y = _frozen_base_and_gap(family, samples)
+    with np.errstate(over="ignore"):
+        ratios = base * np.exp(gap / c)
+    finite = np.isfinite(ratios)
+    violations = [{"t": None if t is None else float(t[i]), "x": np.atleast_1d(x[i]).tolist(),
+                   "y": np.atleast_1d(y[i]).tolist(), "ratio": float(ratios[i])}
+                  for i in np.nonzero(~finite)[0][:20]]
+    return {"family_id": family.family_id, "fitted_C": float(ratios[finite].max()) if finite.any() else math.inf,
+            "fixed_c": c if family.gaussian else 0.0, "exponent_gamma": family.decay_exponent,
+            "n_samples": int(ratios.size), "violations": violations}
+
+
+def _frozen_minimal_decay_constant(family, samples, margin=2.0):
+    base, gap, *_ = _frozen_base_and_gap(family, samples)
+
+    def passes(c):
+        with np.errstate(over="ignore"):
+            return float(np.max(base * np.exp(gap / c))) <= margin * ref
+
+    with np.errstate(over="ignore"):
+        ref = float(np.max(base * np.exp(gap / 8.0)))
+    if passes(1.0):
+        return 1.0
+    a, b = 1.0, 8.0
+    for _ in range(24):
+        a, b = (a, 0.5 * (a + b)) if passes(0.5 * (a + b)) else (0.5 * (a + b), b)
+    return b
+
+
+def _marked(n, every):
+    """n samples without times whose ratio is inf at every ``every``-th x and NaN at every second of those."""
+    x = np.arange(1.0, n + 1.0)
+    fam = BoundFamily(
+        family_id="marked", order=MultiOrder((0.5,)), decay_exponent=0.0,
+        lhs=lambda t, x, y: (x % (2 * every) != 0).astype(float),
+        prefactor=lambda t, x, y: (x % every != 0).astype(float),
+        gaussian=False,
+    )
+    return fam, {"t": None, "x": x, "y": x + 0.5}
+
+
+def _tiling_cases():
+    from lagsem.bounds import _grid_1d, _grid_2d, large_time_moment_family, offdiag_moment_family
+
+    g1 = _grid_1d(fast=False)
+    late = large_time_moment_family(0.5, 1, 0)
+    return {
+        # 768 samples: one tile
+        "one-tile": (heat_size_family(0.5), _small_grid(), 4.0),
+        # 19,208 2-D samples: two tiles
+        "two-tiles": (product_delta_family(MultiOrder((0.5, 1.0)), (1, 1)), _grid_2d(fast=False), 4.0),
+        # 50,000 samples: four tiles, windowed by time and region
+        "four-tiles": (heat_size_family(1.0), g1, 4.0),
+        "four-tiles-window": (offdiag_moment_family(0.5, 2, 1), g1, 4.0),
+        "four-tiles-late": (late, g1, 4.0),
+        # overflowing ratios in every tile
+        "four-tiles-overflow": (heat_size_family(0.5), g1, 1.0),
+        # inf and NaN ratios in three tiles, the first 20 across the first two
+        "marked": (*_marked(40_000, 1500), 4.0),
+        # 20,000 samples at t < 1 against t_lo = 1: no sample is left
+        "two-tiles-empty": (late, product_samples_1d(np.geomspace(0.01, 0.5, 8), np.linspace(0.1, 4.0, 50),
+                                                     np.linspace(0.1, 4.0, 50)), 4.0),
+    }
+
+
+@pytest.mark.parametrize("case", list(_tiling_cases()))
+def test_tiled_fit_equals_the_whole_array_fit(case):
+    from lagsem.bounds import _tiles
+
+    family, samples, c = _tiling_cases()[case]
+    tiles = sum(1 for _ in _tiles(samples))
+    assert tiles == {"one": 1, "two": 2, "four": 4, "marked": 3}[case.split("-")[0]]
+    got = fit_gaussian_bound(family, samples, c=c).to_json_dict()
+    want = _frozen_fit(family, samples, c=c)
+    assert got["fitted_C"] == want["fitted_C"]
+    assert got["n_samples"] == want["n_samples"]
+    # json spells NaN ratios alike, where a NaN would compare unequal
+    assert json.dumps(got) == json.dumps(want)
+    if case == "marked":
+        assert len(got["violations"]) == 20
+        first, second = (v["ratio"] for v in got["violations"][:2])
+        assert first == math.inf and math.isnan(second)
+        assert got["violations"][-1]["x"] == [30_000.0]
+    if case.endswith("overflow"):
+        assert len(got["violations"]) == 20
+    if case.endswith("empty"):
+        assert got["n_samples"] == 0 and got["fitted_C"] == math.inf and got["violations"] == []
+
+
+@pytest.mark.parametrize("case", ["one-tile", "four-tiles", "four-tiles-window"])
+def test_minimal_decay_constant_joins_the_tiles(case):
+    family, samples, _ = _tiling_cases()[case]
+    assert minimal_decay_constant(family, samples) == _frozen_minimal_decay_constant(family, samples)
+
+
+@pytest.mark.parametrize("fast", [True, False])
+def test_every_riesz_sample_set_is_one_fit_tile(fast):
+    # a Riesz pair's value depends on the other pairs of its call
+    # (operators._riesz_time_integral), so a set split into tiles would fit
+    # other values
+    from lagsem.bounds import _tiles
+
+    riesz = [task for task in standard_bound_suite(fast=fast) if task.family.family_id.startswith("riesz")]
+    assert len(riesz) == 4
+    for task in riesz:
+        assert sum(1 for _ in _tiles(task.samples)) == 1, task.family.family_id
+
+
+def test_fit_memory_does_not_grow_with_the_sample_count():
+    # the sample arrays are built before tracing, so only the fit counts
+    import tracemalloc
+
+    from lagsem.bounds import adjoint_shifted_family
+
+    family = adjoint_shifted_family(0.5, 1, 1, 3)
+    peaks = []
+    for n_t, n_xy in ((20, 50), (20, 100)):  # 50,000 and 200,000 samples
+        samples = product_samples_1d(np.geomspace(0.01, 10.0, n_t), np.linspace(0.1, 4.0, n_xy),
+                                     np.linspace(0.1, 4.0, n_xy))
+        fit_gaussian_bound(family, samples)
+        tracemalloc.start()
+        try:
+            fit_gaussian_bound(family, samples)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks

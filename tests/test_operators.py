@@ -1161,6 +1161,101 @@ def test_riesz_windows_skip_only_kernel_values_far_below_the_largest(monkeypatch
     assert np.all(gap[first > 0] >= heat._WINDOW_EXPONENT)
 
 
+def test_riesz_pair_alone_stays_within_the_stated_spread_of_its_batch_value():
+    # the ladder starts at the batch's d_min / 16, so a pair evaluated alone
+    # takes other nodes; riesz_kernel states the spread on the 10,100
+    # riesz-size pairs, largest at the first two pairs below
+    from lagsem.bounds import _grid_riesz_1d
+
+    s = _grid_riesz_1d(fast=False)
+    x, y = s["x"], s["y"]
+    worst = [np.flatnonzero(np.isclose(x, a) & np.isclose(y, b))[0] for a, b in ((2.9335, 2.894), (4.0, 3.9605))]
+    pick = np.array([*worst, *range(0, x.size, 97)])
+    for k, rel in (((1,), 1e-14), ((2,), None)):
+        batch = riesz_kernel(ORDER, k, x, y)[pick]
+        alone = np.array([riesz_kernel(ORDER, k, a, b) for a, b in zip(x[pick], y[pick])])
+        spread = np.abs(alone - batch)
+        assert np.all(spread * np.abs(x[pick] - y[pick]) <= 1e-12), k
+        if rel is not None:
+            assert np.all(spread <= rel * np.abs(batch)), k
+
+
+def _frozen_first_panels(nus, t, rows, pair_row, bounds):
+    # heat._first_panels as one chunk: a (far pairs, panels) array at once
+    from lagsem.heat import _WINDOW_EXPONENT, _exponents, _kernel_1d, _log_kernel_bound, _time_factors
+
+    ends = np.square(bounds[1:, None])
+    axes = [(nu, t_col[0] if t_col else t, x_row, y_row, at)
+            for nu, (*t_col, x_row, y_row), at in zip(nus, rows, pair_row)]
+    rise = 0.0
+    for _, t_row, x_row, y_row, at in axes:
+        gauss, _ = _exponents(_time_factors(ends[[0, -1]] + t_row), x_row - y_row, x_row, y_row)
+        rise = rise + np.take(gauss[1] - gauss[0], at)
+    first = np.zeros(pair_row[0].size, dtype=int)
+    far = np.flatnonzero(rise >= _WINDOW_EXPONENT)
+    if not far.size:
+        return first
+    bound, drawn = np.zeros((far.size, len(bounds) - 1)), []
+    for nu, t_row, x_row, y_row, at in axes:
+        used = np.zeros(x_row.size, dtype=bool)
+        used[at[far]] = True
+        at = np.cumsum(used)[at[far]] - 1
+        s = ends + (t_row[used] if t_row.ndim else t_row)
+        x_row, y_row = x_row[used], y_row[used]
+        with np.errstate(divide="ignore"):
+            log_xy = np.log(x_row * y_row)
+        per_row = _log_kernel_bound(nu, _time_factors(s), x_row - y_row, x_row, y_row, log_xy).T
+        per_row[~np.isfinite(per_row).all(axis=1)] = np.inf
+        bound += np.take(per_row, at, axis=0)
+        drawn.append((nu, np.broadcast_to(s, per_row.shape[::-1]), x_row, y_row, at))
+    peak = np.argmax(bound, axis=1)
+    value = 0.0
+    for nu, s, x_row, y_row, at in drawn:
+        need = np.zeros((x_row.size, s.shape[0]), dtype=bool)
+        need[at, peak] = True
+        row, panel = np.nonzero(need)
+        (kernel,) = _kernel_1d((nu,), _time_factors(s[panel, row]), x_row[row], y_row[row])
+        log_kernel = np.empty(need.shape)
+        with np.errstate(divide="ignore"):
+            log_kernel[row, panel] = np.log(kernel)
+        value = value + log_kernel[at, peak]
+    first[far] = np.argmin(bound < (value - _WINDOW_EXPONENT)[:, None], axis=1)
+    return first
+
+
+@pytest.mark.parametrize("case", ["1d-rows", "2d-lattice", "high-orders-far"])
+def test_first_panels_in_chunks_equal_one_chunk(monkeypatch, case):
+    # far pairs are estimated _BLOCK // panels at a time, on per-row bounds
+    # drawn per chunk (1d-rows) or once (the lattice's 110 rows per axis);
+    # every value is elementwise, so the windows are those of one
+    # (pairs, panels) array
+    from lagsem import heat
+
+    first_panels, far_bounds, checked, chunks = heat._first_panels, heat._far_bounds, [], []
+
+    def spy(*args):
+        got = first_panels(*args)
+        np.testing.assert_array_equal(got, _frozen_first_panels(*args))
+        checked.append(got)
+        return got
+
+    def chunk_spy(*args):
+        bound = far_bounds(*args)
+        assert bound.size <= heat._BLOCK
+        chunks.append(bound.shape[0])
+        return bound
+
+    monkeypatch.setattr(heat, "_first_panels", spy)
+    monkeypatch.setattr(heat, "_far_bounds", chunk_spy)
+    order, k, x, y, t_shift = _riesz_block_cases()[case]
+    riesz_kernel(order, k, x, y)
+    (first,) = checked
+    assert (first > 0).any()
+    # each chunk is summed twice, for the peaks and for the windows
+    if case != "high-orders-far":
+        assert len(chunks) > 2
+
+
 @pytest.mark.parametrize("nu", [-0.5, -0.2, 0.0, 0.3, 0.5, 1.0, 2.5, 40.5])
 def test_log_kernel_bound_lies_above_the_kernel_and_peaks_once(nu):
     from lagsem.heat import _log_kernel_bound, _time_factors

@@ -8,7 +8,6 @@ from .special import (
     ive,
     laguerre_function,
     laguerre_function_table,
-    laguerre_polynomial,
 )
 from .grids import Grid, GridFunction, QuadAxis, gauss_legendre_axis
 from .heat import (
@@ -70,7 +69,6 @@ __all__ = [
     "ive",
     "laguerre_function",
     "laguerre_function_table",
-    "laguerre_polynomial",
     "Grid",
     "GridFunction",
     "QuadAxis",

@@ -140,27 +140,43 @@ def _dist2(x, y):
     return np.sum((x - y) ** 2, axis=-1)
 
 
-def _tiles(samples: dict):
-    """The samples in sample order, in tiles of at most ``heat._BLOCK``; one empty tile for none."""
+def _tiles(samples: dict, family: Optional[BoundFamily] = None):
+    """The samples in sample order, in tiles of at most ``heat._BLOCK``; one empty tile for none.
+
+    With a ``family``, only the samples inside its window (``_kept``), tiled
+    in their turn: a family that keeps a third of its samples evaluates a
+    third as many tiles.
+    """
     t, x, y = samples["t"], np.asarray(samples["x"], float), np.asarray(samples["y"], float)
     t = None if t is None else np.asarray(t, float)
-    for lo in range(0, max(len(x), 1), _BLOCK):
-        tile = slice(lo, lo + _BLOCK)
+    keep = None if family is None else _kept(family, samples)
+    n = len(x) if keep is None else keep.size
+    for lo in range(0, max(n, 1), _BLOCK):
+        tile = slice(lo, lo + _BLOCK) if keep is None else keep[lo:lo + _BLOCK]
         yield {"t": None if t is None else t[tile], "x": x[tile], "y": y[tile]}
 
 
-def _filter(family: BoundFamily, tile: dict):
-    t, x, y = tile["t"], tile["x"], tile["y"]
-    if t is None:
-        return None, x, y
-    mask = (t > family.t_lo) & (t < family.t_hi)
-    if family.region is not None:
-        mask &= family.region(t, x, y)
-    return t[mask], x[mask], y[mask]
+def _kept(family: BoundFamily, samples: dict) -> Optional[np.ndarray]:
+    """The indices of the samples inside the family's window, or None where that is all of them.
+
+    The window is the time bounds and the region; samples without times
+    have none.  It is read in tiles, so only its mask and indices grow
+    with the samples.
+    """
+    if samples["t"] is None:
+        return None
+    inside = []
+    for tile in _tiles(samples):
+        mask = (tile["t"] > family.t_lo) & (tile["t"] < family.t_hi)
+        if family.region is not None:
+            mask &= family.region(tile["t"], tile["x"], tile["y"])
+        inside.append(mask)
+    inside = np.concatenate(inside)
+    return None if inside.all() else np.flatnonzero(inside)
 
 
 def _base_and_gap(family: BoundFamily, tile: dict):
-    t, x, y = _filter(family, tile)
+    t, x, y = tile["t"], tile["x"], tile["y"]
     lhs = np.abs(family.lhs(t, x, y))
     pref = family.prefactor(t, x, y)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -169,7 +185,7 @@ def _base_and_gap(family: BoundFamily, tile: dict):
         gap = _dist2(x, y) / t
     else:
         gap = np.zeros_like(base)
-    return base, gap, t, x, y
+    return base, gap
 
 
 def fit_gaussian_bound(
@@ -180,17 +196,18 @@ def fit_gaussian_bound(
     fitted_C is the max ratio over the sample set by construction, so the
     violation list is empty unless a ratio fails to be finite (vanishing
     or non-finite right-hand side); it holds the first 20 in sample order.
-    The samples are read in tiles of at most ``heat._BLOCK`` (``_tiles``),
-    so memory does not grow with their number; every value is elementwise,
-    so the fit is bit for bit that of one whole-array pass.  A Riesz
-    kernel's values depend on the other pairs of its call
-    (``operators._riesz_time_integral``), so a Riesz sample set fits the
-    values of one call only while it is one tile, as every set of
-    ``standard_bound_suite`` is.
+    The samples inside the family's window are read in tiles of at most
+    ``heat._BLOCK`` (``_tiles``), so memory grows with their number only by
+    the window's mask and indices; every value is elementwise, so the fit
+    is bit for bit that of one whole-array pass.  A Riesz kernel's values
+    depend on the other pairs of its call (``operators._riesz_time_integral``),
+    so a Riesz sample set fits the values of one call only while it is one
+    tile, as every set of ``standard_bound_suite`` is.
     """
     maxima, n_samples, violations = [], 0, []
-    for tile in _tiles(samples):
-        base, gap, t, x, y = _base_and_gap(family, tile)
+    for tile in _tiles(samples, family):
+        base, gap = _base_and_gap(family, tile)
+        t, x, y = tile["t"], tile["x"], tile["y"]
         with np.errstate(over="ignore"):
             ratios = base * np.exp(gap / c)
         finite = np.isfinite(ratios)
@@ -233,7 +250,7 @@ def minimal_decay_constant(
     """
     if not family.gaussian:
         return None
-    parts = [_base_and_gap(family, tile)[:2] for tile in _tiles(samples)]
+    parts = [_base_and_gap(family, tile) for tile in _tiles(samples, family)]
     base, gap = (np.concatenate(part) for part in zip(*parts))
 
     def fitted(c: float) -> float:

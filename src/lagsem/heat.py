@@ -20,7 +20,6 @@ one error model, one rounding rule (``_gamma``), one range (``_certified``).
 
 from __future__ import annotations
 
-import contextlib
 import math
 from functools import lru_cache, partial
 
@@ -140,11 +139,6 @@ def _block_majorant(nu: float, t, dist, x_lo, log_x_hi):
     return np.exp(log_bound + 1e-9 * (1.0 + np.abs(log_bound)))
 
 
-# The bound on the sizes of ``_kernel_1d``'s steps below which none of them
-# can overflow: its cube, 1e300, is below the float64 limit.
-_KERNEL_RANGE = 1e100
-
-
 def _kernel_1d(nus: tuple, factors, x, y) -> list:
     """kernel_1d_closed of each order in ``nus`` on checked arrays.
 
@@ -156,24 +150,16 @@ def _kernel_1d(nus: tuple, factors, x, y) -> list:
     2 r^((nu+1)/2) (1-r)^(-(nu+1)) (x y)^(nu+1/2) / Gamma(nu+1) * gauss * cross,
     is returned instead.  Where z or the rest of the product overflows at
     a value that is needed, a ValueError names its time and points.
-
-    M = 2 / (1 - r) max(1, x) max(1, y), at the least 1 - r and the largest
-    x and y of the call, bounds z, the prefactor, x y, 1 / (1 - r) and every
-    step between them; the Gaussian and cross factors are at most 1, and
-    the Gaussian exponent is at most M^3.  So where M < ``_KERNEL_RANGE``
-    nothing can overflow and the elementwise check is skipped.
     """
     t, r, sr, omr, oms = factors
-    in_range = (2.0 * float(x.max(initial=1.0)) * float(y.max(initial=1.0))
-                < _KERNEL_RANGE * float(omr.min(initial=1.0)))
-    with contextlib.nullcontext() if in_range else np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         z = 2.0 * sr * x * y / omr
         pref = 2.0 * sr * np.sqrt(x * y) / omr
         gauss, cross = map(np.exp, _exponents(factors, x - y, x, y))
         head = pref * gauss * cross
     zero = z == 0.0
     need = (head != 0.0) | zero
-    if not in_range and not math.isfinite(z.max(initial=0.0) + head.max(initial=0.0)):
+    if not math.isfinite(z.max(initial=0.0) + head.max(initial=0.0)):
         lost = need & ~(np.isfinite(z) & np.isfinite(head))
         if lost.any():
             raise _overflow_error(t, x, y, lost, "z = 2 sqrt(r) x y / (1 - r) or the prefactor")
@@ -635,9 +621,10 @@ def evaluate_expansion(expansion: tuple, nu: float, t, x, y):
     and x = y = 1, ``delta_kernel_1d`` reads -6.10e-5 at t = 1e-8 against
     a true -2.82e-5, -32 at t = 1e-12 against -2.82e-7, -3.4e7 at
     t = 1e-16 (larger than p_t itself, 2.8e7) and -4.5e133 at t = 1e-100.
-    Where a term overflows with its time factors (there from t = 1e-250,
-    and for m = 2 from t = 1e-150), a ValueError names the time and the
-    points.
+    Where a value is not finite, a ValueError names its time and points:
+    where a term overflows with its time factors (there from t = 1e-250,
+    and for m = 2 from t = 1e-150), and where a space power x^a or y^d
+    with a < 0 overflows at points near 0 (x = 1e-200).
     """
     t, x, y = _check_1d_domain(t, x, y)
     shape = np.broadcast_shapes(t.shape, x.shape, y.shape)
@@ -670,12 +657,9 @@ def evaluate_expansion(expansion: tuple, nu: float, t, x, y):
                 piece = piece * y_pow[d]
             total += piece
     if not math.isfinite(total.sum()):
-        # x^a or y^d alone may overflow at points near 0; the time factors may not
-        with np.errstate(over="ignore", invalid="ignore"):
-            lost = ~np.isfinite(sum(np.abs(coef * kernels[j]) * sr_pow.get(h, 1.0) * omr_pow.get(s, 1.0)
-                                    for (h, s, _, _, j), coef in expansion))
+        lost = ~np.isfinite(total)
         if lost.any():
-            raise _overflow_error(factors[0], x, y, lost, "a term's time factor r^(h/2) (1 - r)^(-s)")
+            raise _overflow_error(factors[0], x, y, lost, "a term r^(h/2) (1 - r)^(-s) x^a y^d p_t^(nu+j)")
     return total.reshape(shape) if shape else float(total[0])
 
 

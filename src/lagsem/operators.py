@@ -467,6 +467,13 @@ def riesz_kernel(order: MultiOrder, k, x, y):
 
     A pair's value depends on the other pairs of the call, by up to 8.0e-13
     of |x - y|^-n on the standard 1-D sample set (``_riesz_time_integral``).
+
+    Accuracy is established on the sample box [0.05, 4] of the bound
+    families only, where the ladder matches adaptive quadrature to 1e-13
+    relative (``test_riesz_ladder_matches_adaptive_quadrature_on_short_spans``).
+    Outside it the ladder's first panel, [0, d_min/16], can hold the peak
+    of the integrand in v and miss it: at order 1/2, k = 1, the pair
+    (30, 4) alone reads +2.19e-195 where the integral is -1.656e-195.
     """
     order = as_order(order)
     k = _check_riesz_index(order, k)
@@ -479,7 +486,9 @@ def riesz_heat_composite_kernel(order: MultiOrder, k, t, x, y):
     Equals the Riesz kernel with every heat time shifted by t, so it tends
     to riesz_kernel as t -> 0 and is bounded by the same size estimates
     uniformly in t.  t is one time for all pairs or broadcasts against
-    them, so a sample set with one time per pair takes one call.
+    them, so a sample set with one time per pair takes one call.  Its
+    accuracy is established on the sample box [0.05, 4] only, as for
+    ``riesz_kernel``, whose ladder it shares.
     """
     order = as_order(order)
     k = _check_riesz_index(order, k)

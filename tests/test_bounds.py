@@ -1,5 +1,6 @@
 """Gaussian bound fitting, sample builders, and the standard bound suite."""
 
+import dataclasses
 import json
 import math
 
@@ -518,6 +519,25 @@ def test_tiled_fit_equals_the_whole_array_fit(case):
         assert len(got["violations"]) == 20
     if case.endswith("empty"):
         assert got["n_samples"] == 0 and got["fitted_C"] == math.inf and got["violations"] == []
+
+
+def test_a_windowed_fit_evaluates_only_the_samples_it_keeps():
+    # the window is read over the whole set before the tiles are cut, so a
+    # family that keeps a third of the 50,000 samples evaluates one or two
+    # tiles, not four each about a third full
+    from lagsem.bounds import _grid_1d, large_time_moment_family, near_diagonal_family, offdiag_moment_family
+
+    samples = _grid_1d(fast=False)
+    for family in (offdiag_moment_family(0.5, 2, 1), large_time_moment_family(0.5, 1, 0),
+                   near_diagonal_family(0.5, 1)):
+        sizes = []
+
+        def lhs(t, x, y, inner=family.lhs):
+            sizes.append(x.size)
+            return inner(t, x, y)
+
+        fit = fit_gaussian_bound(dataclasses.replace(family, lhs=lhs), samples)
+        assert 1 <= len(sizes) <= 2 and sum(sizes) == fit.n_samples < len(samples["x"]) / 2, family.family_id
 
 
 @pytest.mark.parametrize("case", ["one-tile", "four-tiles", "four-tiles-window"])

@@ -9,6 +9,7 @@ even/odd symmetrizations of the harmonic-oscillator kernel
 
 import itertools
 import math
+import re
 import warnings
 
 import mpmath as mp
@@ -399,26 +400,51 @@ EXACT_CASES = [
 
 @pytest.mark.parametrize("t, x, y", EXACT_CASES)
 def test_kernels_equal_broadcast_first_reference(t, x, y):
-    def same(got, want):
-        if np.ndim(want) == 0:
-            assert type(got) is float
-        np.testing.assert_array_equal(got, want)
+    def same(call, want):
+        bad = ~np.isfinite(want)
+        if not bad.any():
+            got = call(t, x, y)
+            if np.ndim(want) == 0:
+                assert type(got) is float
+            np.testing.assert_array_equal(got, want)
+            return
+        # x = 1e-200 overflows a term's x^a: the error names the first such
+        # pair, and with x = 1 there every other value keeps its bits
+        named = (float(np.broadcast_to(v, bad.shape)[bad][0]) for v in (t, x, y))
+        with pytest.raises(ValueError, match=re.escape("t = {!r}, x = {!r}, y = {!r}".format(*named))):
+            call(t, x, y)
+        keep = ~bad & (np.broadcast_to(x, bad.shape) != 1e-200)
+        got = np.broadcast_to(call(t, np.where(x == 1e-200, 1.0, x), y), bad.shape)
+        np.testing.assert_array_equal(got[keep], want[keep])
 
-    # x = 1e-200 overflows x^a, and z = 0 gives 0 * inf for nu < 0
+    # the references overflow x^a at x = 1e-200, and z = 0 gives 0 * inf for nu < 0
     with np.errstate(all="ignore"):
         for nu in (-0.5, 0.0, 0.5, 1.3):
-            same(kernel_1d_closed(nu, t, x, y), _reference_kernel_1d(nu, t, x, y))
+            same(lambda t, x, y: kernel_1d_closed(nu, t, x, y), _reference_kernel_1d(nu, t, x, y))
             for m in (1, 2, 3):
-                same(delta_kernel_1d(nu, m, t, x, y),
+                same(lambda t, x, y: delta_kernel_1d(nu, m, t, x, y),
                      _reference_expansion(("delta",) * m, nu, t, x, y))
             for n_partial, n_delta in ((1, 0), (1, 1), (2, 1)):
                 ops = ("partial",) * n_partial + ("delta",) * n_delta
-                same(partial_delta_kernel_1d(nu, n_partial, n_delta, t, x, y),
+                same(lambda t, x, y: partial_delta_kernel_1d(nu, n_partial, n_delta, t, x, y),
                      _reference_expansion(ops, nu, t, x, y))
             for m, k, ell in ((0, 1, 1), (0, 2, 2), (1, 0, 2), (1, 1, 3)):
                 ops = ("generator",) * m + ("dstar",) * k
-                same(shifted_adjoint_kernel_1d(nu, m, k, ell, t, x, y),
+                same(lambda t, x, y: shifted_adjoint_kernel_1d(nu, m, k, ell, t, x, y),
                      _reference_expansion(ops, nu, t, x, y, base_shift=ell))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: shifted_adjoint_kernel_1d(0.5, 1, 1, 3, 1e-3, 1e-200, 0.3),
+    lambda: partial_delta_kernel_1d(0.5, 2, 1, 1e-3, 1e-200, 0.3),
+], ids=["adjoint", "partial"])
+def test_expansion_names_a_value_that_is_not_finite(call):
+    # x^a with a < 0 overflows at x = 1e-200 while the kernel times it is
+    # finite or 0: the value would be NaN or inf, so the error names the pair
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape("t = 0.001, x = 1e-200, y = 0.3")):
+            call()
 
 
 def test_expansions_equal_reference_at_many_scalar_times():

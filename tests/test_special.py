@@ -1,18 +1,15 @@
-"""Tests for scaled Bessel functions, Laguerre polynomials, and eigenfunctions.
+"""Tests for scaled Bessel functions and Laguerre eigenfunctions.
 
-Frozen reference values were computed with mpmath at 40 digits and with
-exact Fraction arithmetic; the formulas used are quoted next to each value.
+Frozen reference values were computed with mpmath at 40 digits; the
+formulas used are quoted next to each value.
 """
 
 import math
 import warnings
-from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from lagsem import (
@@ -27,7 +24,6 @@ from lagsem import (
     kernel_spectral,
     laguerre_function,
     laguerre_function_table,
-    laguerre_polynomial,
     minimizing_polynomial,
     rho,
     rho_axis,
@@ -39,18 +35,6 @@ from lagsem.critical import critical_weight
 from lagsem.hardy import ball_grid
 
 mp.mp.dps = 40
-
-
-def lag_exact(k, alpha, x):
-    # forward three-term recurrence in exact rationals:
-    # (k+1) L_{k+1} = (2k+1+a-x) L_k - (k+a) L_{k-1}
-    a, xx = Fraction(alpha), Fraction(x)
-    p_prev, p = Fraction(1), Fraction(1) + a - xx
-    if k == 0:
-        return p_prev
-    for i in range(1, k):
-        p_prev, p = p, ((2 * i + 1 + a - xx) * p - (i + a) * p_prev) / (i + 1)
-    return p
 
 
 def test_ive_half_integer_closed_form():
@@ -400,29 +384,6 @@ def test_bessel_small_z_law():
         assert math.isclose(got, want, rel_tol=1e-4), alpha
 
 
-def test_laguerre_polynomial_low_degrees():
-    assert laguerre_polynomial(0, 1.3, 4.7) == 1.0
-    # L_1^a(x) = 1 + a - x
-    assert laguerre_polynomial(1, 0.5, 2.0) == -0.5
-    # exact rational recurrence gives L_5^{-1/2}(3) = 153/1280
-    assert math.isclose(laguerre_polynomial(5, -0.5, 3.0), 153 / 1280, rel_tol=1e-12)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    k=st.integers(min_value=0, max_value=40),
-    alpha=st.floats(min_value=-0.5, max_value=5.0),
-    x=st.floats(min_value=0.0, max_value=25.0),
-)
-@example(k=22, alpha=0.0, x=2.5)  # L_22^0(2.5) = 1.34e-5, next to a zero
-def test_laguerre_polynomial_matches_exact_recurrence(k, alpha, x):
-    # binary floats are rationals, so the Fraction recurrence is an exact
-    # oracle for the same inputs
-    want = float(lag_exact(k, alpha, x))
-    got = float(laguerre_polynomial(k, alpha, x))
-    assert math.isclose(got, want, rel_tol=1e-11, abs_tol=1e-300)
-
-
 def test_laguerre_function_frozen_values():
     # phi_0^{-1/2}(0.7) = sqrt(2/Gamma(1/2)) e^{-0.245}
     got = laguerre_function((0,), MultiOrder((-0.5,)), (0.7,))
@@ -534,7 +495,6 @@ def test_multi_index_rule_is_named_by_every_caller(k):
         order.index,
         order.eigenvalue,
         lambda kk: laguerre_function(kk, order, (1.0,)),
-        lambda kk: laguerre_polynomial(kk, 0.5, 1.0),
         lambda kk: laguerre_function_table(0.5, [1.0], kk),
         lambda kk: kernel_spectral(order, 0.5, 1.0, 1.2, kk),
     )
